@@ -12,35 +12,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .enrich import ATTRIBUTE_NAMES, EnrichedTransaction, attribute_value
+import numpy as np
+
+from .enrich import ATTRIBUTE_NAMES, EnrichedTable
 
 
-@dataclass(frozen=True)
-class AttributeSeries:
-    """Finite numeric values of one attribute, row-level or window-aggregate."""
-
-    attribute_name: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"series {self.attribute_name!r} contains a non-finite value"
-                )
-
-
-def _values_of(x) -> Sequence[float]:
-    return x.values if isinstance(x, AttributeSeries) else x
-
-
-def pearson(x, y) -> float | None:
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     """Population Pearson coefficient via the two-pass centered-sum formula.
 
     Returns None when fewer than two points or when either series is
     constant. The result is clamped into [-1, 1].
     """
-    xs, ys = _values_of(x), _values_of(y)
     if len(xs) != len(ys):
         raise ValueError(f"series lengths differ: {len(xs)} vs {len(ys)}")
     n = len(xs)
@@ -122,15 +104,8 @@ class DynamicCorrelationSeries:
     points: tuple[tuple[int, float | None], ...]  # (window_start, coefficient)
 
 
-def _check_attribute(name: str) -> None:
-    if name not in ATTRIBUTE_NAMES and name != "amount":
-        raise ValueError(
-            f"unknown attribute {name!r}; expected one of {ATTRIBUTE_NAMES + ('amount',)}"
-        )
-
-
 def dynamic_correlation(
-    rows: Sequence[EnrichedTransaction],
+    rows: EnrichedTable,
     pair: tuple[str, str],
     window_seconds: int,
     stride_seconds: int | None = None,
@@ -148,35 +123,25 @@ def dynamic_correlation(
         raise ValueError(
             f"stride {stride} larger than window {window_seconds} would skip rows"
         )
-    for name in pair:
-        _check_attribute(name)
-    if not rows:
+    xs, ys = (rows.column(name).tolist() for name in pair)
+    if not len(rows):
         return DynamicCorrelationSeries(pair, window_seconds, stride, ())
 
-    ts = [r.base.timestamp for r in rows]
-    if any(b < a for a, b in zip(ts, ts[1:])):
+    ts = rows.timestamp
+    if (np.diff(ts) < 0).any():
         raise ValueError("rows must be sorted by timestamp")
-    xs = [attribute_value(r, pair[0]) for r in rows]
-    ys = [attribute_value(r, pair[1]) for r in rows]
-
-    t_min, t_max = ts[0], ts[-1]
-    n = len(rows)
+    starts = np.arange(ts[0], ts[-1] + 1, stride)
+    bounds = zip(
+        starts.tolist(),
+        np.searchsorted(ts, starts).tolist(),
+        np.searchsorted(ts, starts + window_seconds).tolist(),
+    )
     points: list[tuple[int, float | None]] = []
-    lo = hi = 0
-    start = t_min
-    while start <= t_max:
-        end = start + window_seconds
-        while lo < n and ts[lo] < start:
-            lo += 1
-        if hi < lo:
-            hi = lo
-        while hi < n and ts[hi] < end:
-            hi += 1
+    for start, lo, hi in bounds:
         acc = RunningMoments()
         for i in range(lo, hi):
             acc.update(xs[i], ys[i])
         points.append((start, acc.correlation()))
-        start += stride
     return DynamicCorrelationSeries(pair, window_seconds, stride, tuple(points))
 
 
@@ -194,7 +159,7 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(
-    rows: Sequence[EnrichedTransaction],
+    rows: EnrichedTable,
     attributes: Sequence[str] | None = None,
     window: tuple[int, int] | None = None,
 ) -> CorrelationMatrix:
@@ -204,9 +169,7 @@ def correlation_matrix(
     diagonal is 1.0 unless the attribute is constant (then undefined).
     """
     attrs = tuple(attributes) if attributes is not None else ATTRIBUTE_NAMES
-    for name in attrs:
-        _check_attribute(name)
-    series = [[attribute_value(r, a) for r in rows] for a in attrs]
+    series = [rows.column(a).tolist() for a in attrs]
     k = len(attrs)
     grid: list[list[float | None]] = [[None] * k for _ in range(k)]
     for i in range(k):
@@ -220,28 +183,3 @@ def correlation_matrix(
         values=tuple(tuple(row) for row in grid),
     )
 
-
-def window_aggregate_series(
-    rows: Sequence[EnrichedTransaction],
-    attribute: str,
-    window_seconds: int,
-) -> AttributeSeries:
-    """Per-window mean of an attribute over tumbling windows from t_min.
-
-    Supports correlating window aggregates instead of raw rows; empty windows
-    contribute no point.
-    """
-    _check_attribute(attribute)
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
-    if not rows:
-        return AttributeSeries(attribute_name=attribute, values=())
-    t_min = rows[0].base.timestamp
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for r in rows:
-        k = (r.base.timestamp - t_min) // window_seconds
-        sums[k] = sums.get(k, 0.0) + attribute_value(r, attribute)
-        counts[k] = counts.get(k, 0) + 1
-    values = tuple(sums[k] / counts[k] for k in sorted(sums))
-    return AttributeSeries(attribute_name=attribute, values=values)

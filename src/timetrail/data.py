@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,6 +21,9 @@ LABELS = ("legit", "fraud")
 # auxiliary tag produced by the synthetic generator.
 BASE_COLUMNS = ("tx_id", "timestamp", "user_id", "terminal_id", "amount", "tx_type")
 OPTIONAL_COLUMNS = ("label", "scenario")
+
+# tx_ids name artifact files (sequence_<tx_id>.json), so they stay path-safe.
+TX_ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class ParseError(ValueError):
@@ -117,6 +121,8 @@ def _parse_row(values: list[str], columns: tuple[str, ...], line: int) -> Transa
     tx_id = rec["tx_id"]
     if not tx_id:
         raise _row_error(line, "tx_id", "missing value")
+    if not TX_ID_PATTERN.fullmatch(tx_id):
+        raise _row_error(line, "tx_id", f"{tx_id!r} has characters outside [A-Za-z0-9_.-]")
 
     raw_ts = rec["timestamp"]
     if not raw_ts:

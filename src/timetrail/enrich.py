@@ -1,17 +1,18 @@
 """Temporal enrichment: per-transaction attributes computed from history only.
 
-All rolling windows are half-open on the left, (t - w, t], and include the
-row itself, so counts are always >= 1. Nothing after a row's timestamp can
-influence its attributes.
+The rolling counts cover the half-open window (t - w, t] and include the row
+itself and its same-second peers, so counts are always >= 1. The 30-day
+amount mean uses strictly earlier rows only. Nothing after a row's timestamp
+can influence its attributes.
 """
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields
 
-from .data import Dataset, Transaction, day_of_week, hour_of_day
+import numpy as np
+
+from .data import Dataset, day_of_week, hour_of_day
 
 DAY = 86400
 ATTRIBUTE_NAMES = (
@@ -30,6 +31,7 @@ ATTRIBUTE_NAMES = (
 NIGHT_END_HOUR = 6
 # Ratio floor keeping amount_over_user_mean_30d strictly positive for 0 amounts.
 MIN_AMOUNT_RATIO = 1e-9
+AMOUNT_MEAN_WINDOW = 30 * DAY
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,198 +46,166 @@ class EnrichConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class TemporalAttributes:
-    hour_of_day: int
-    day_of_week: int
-    is_night: int
-    seconds_since_last_user_tx: int
-    user_tx_count_24h: int
-    user_tx_count_48h: int
-    user_tx_count_7d: int
-    terminal_tx_count_48h: int
-    amount_over_user_mean_30d: float
+@dataclass(frozen=True, eq=False)
+class EnrichedTable:
+    """Enriched transactions as numpy columns, one entry per row.
 
-    def value(self, name: str) -> float:
-        if name not in ATTRIBUTE_NAMES:
-            raise ValueError(f"unknown temporal attribute {name!r}")
-        return float(getattr(self, name))
-
-
-@dataclass(frozen=True, slots=True)
-class EnrichedTransaction:
-    base: Transaction
-    attrs: TemporalAttributes
-
-    @property
-    def context(self) -> dict:
-        """Echo of the base fields most often read next to the attributes."""
-        b = self.base
-        return {"tx_type": b.tx_type, "terminal_id": b.terminal_id, "amount": b.amount}
-
-
-def _grouped_indices(rows: Sequence[Transaction], key: Callable[[Transaction], str]) -> dict:
-    groups: dict[str, list[int]] = {}
-    for i, t in enumerate(rows):
-        groups.setdefault(key(t), []).append(i)
-    return groups
-
-
-def _windowed_counts_into(
-    out: list[int], rows: Sequence[Transaction], groups: dict, window: int
-) -> None:
-    """For each row, the number of same-group rows with timestamp in (t-w, t].
-
-    Two-pointer sweep per group, O(n) overall. Rows sharing a timestamp see
-    each other regardless of their order in the group.
+    String columns hold "" where a label or scenario tag is absent. The
+    attribute columns are int64 apart from amount_over_user_mean_30d.
     """
-    for idxs in groups.values():
-        ts = [rows[i].timestamp for i in idxs]
-        m = len(idxs)
-        left = 0
-        i = 0
-        while i < m:
-            j = i
-            while j + 1 < m and ts[j + 1] == ts[i]:
-                j += 1
-            while ts[left] <= ts[i] - window:
-                left += 1
-            count = j - left + 1
-            for k in range(i, j + 1):
-                out[idxs[k]] = count
-            i = j + 1
+
+    tx_id: np.ndarray
+    timestamp: np.ndarray
+    user_id: np.ndarray
+    terminal_id: np.ndarray
+    amount: np.ndarray
+    tx_type: np.ndarray
+    label: np.ndarray
+    scenario: np.ndarray
+    hour_of_day: np.ndarray
+    day_of_week: np.ndarray
+    is_night: np.ndarray
+    seconds_since_last_user_tx: np.ndarray
+    user_tx_count_24h: np.ndarray
+    user_tx_count_48h: np.ndarray
+    user_tx_count_7d: np.ndarray
+    terminal_tx_count_48h: np.ndarray
+    amount_over_user_mean_30d: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tx_id)
+
+    def __getitem__(self, rows: slice) -> "EnrichedTable":
+        return EnrichedTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def column(self, name: str) -> np.ndarray:
+        """A temporal attribute, or the base amount, as float64."""
+        if name not in ATTRIBUTE_NAMES and name != "amount":
+            raise ValueError(
+                f"unknown attribute {name!r}; expected one of {ATTRIBUTE_NAMES + ('amount',)}"
+            )
+        return getattr(self, name).astype(np.float64)
 
 
-def _recency_into(
-    out: list[int], rows: Sequence[Transaction], groups: dict, cap: int
-) -> None:
-    """Seconds since the user's latest other transaction at or before t.
+def _group_keys(ids: np.ndarray, ts: np.ndarray):
+    """Sort rows stably by (group, position) and key each by (group, second).
 
-    A tie at the same timestamp yields 0; a user's first transaction gets the
-    cap as sentinel; gaps longer than the cap saturate at the cap.
+    Returns the permutation, the sort keys and each row's offset (timestamp
+    less the smallest one); a group's keys start at key - offset. Dataset
+    order is chronological, so keys ascend within and across groups.
     """
-    for idxs in groups.values():
-        ts = [rows[i].timestamp for i in idxs]
-        m = len(idxs)
-        i = 0
-        while i < m:
-            j = i
-            while j + 1 < m and ts[j + 1] == ts[i]:
-                j += 1
-            if j > i:
-                gap = 0
-            elif i == 0:
-                gap = cap
-            else:
-                gap = min(ts[i] - ts[i - 1], cap)
-            for k in range(i, j + 1):
-                out[idxs[k]] = gap
-            i = j + 1
+    groups, codes = np.unique(ids, return_inverse=True)
+    t_min, t_max = (int(ts.min()), int(ts.max())) if len(ts) else (0, 0)
+    span = t_max - t_min + 1
+    if len(groups) * span >= 2**63:
+        raise ValueError("timestamps span too wide to key every group in int64")
+    order = np.argsort(codes, kind="stable")
+    offset = ts[order] - t_min
+    return order, codes[order] * span + offset, offset
 
 
-def _amount_ratio_into(
-    out: list[float], rows: Sequence[Transaction], groups: dict, window: int
-) -> None:
-    """amount / mean(amount of the user's strictly-earlier rows in (t-w, t)).
+def _window_starts(key: np.ndarray, offset: np.ndarray, window: int) -> np.ndarray:
+    """Index of each row's first group peer with timestamp > t - window.
 
-    No prior rows, or a non-positive prior mean, gives the neutral ratio 1.0.
-    The result is floored at MIN_AMOUNT_RATIO so it stays strictly positive.
+    A query below the group's first key is clamped to just under it, so it
+    never reaches into the previous group.
     """
-    for idxs in groups.values():
-        ts = [rows[i].timestamp for i in idxs]
-        amounts = [rows[i].amount for i in idxs]
-        m = len(idxs)
-        prefix = [0.0] * (m + 1)
-        for k in range(m):
-            prefix[k + 1] = prefix[k] + amounts[k]
-        left = 0
-        i = 0
-        while i < m:
-            j = i
-            while j + 1 < m and ts[j + 1] == ts[i]:
-                j += 1
-            while ts[left] <= ts[i] - window:
-                left += 1
-            count = i - left  # strictly earlier rows only; ties excluded
-            mean = (prefix[i] - prefix[left]) / count if count > 0 else 0.0
-            for k in range(i, j + 1):
-                if count <= 0 or mean <= 0.0:
-                    ratio = 1.0
-                else:
-                    ratio = max(MIN_AMOUNT_RATIO, amounts[k] / mean)
-                    if not math.isfinite(ratio):
-                        ratio = sys.float_info.max
-                out[idxs[k]] = ratio
-            i = j + 1
+    return np.searchsorted(key, key - np.minimum(offset + 1, window), side="right")
 
 
-def rolling_user_counts(d: Dataset, window_seconds: int) -> list[int]:
-    """Per-row count of the same user's transactions in (t - w, t]."""
-    if window_seconds <= 0:
-        raise ValueError(f"window_seconds must be positive, got {window_seconds}")
-    rows = d.transactions
-    _require_complete(rows)
-    out = [0] * len(rows)
-    _windowed_counts_into(out, rows, _grouped_indices(rows, lambda t: t.user_id), window_seconds)
+def _window_counts(order, key, offset, window: int) -> np.ndarray:
+    """Each row's count of group peers with timestamp in (t - window, t]."""
+    counts = np.empty(len(key), dtype=np.int64)
+    counts[order] = np.searchsorted(key, key, side="right") - _window_starts(key, offset, window)
+    return counts
+
+
+def _earlier_sums(values: np.ndarray, group_start: np.ndarray) -> np.ndarray:
+    """Sum of the earlier values in each row's group, added in group order.
+
+    Each group's running sum starts at 0.0 and grows one addition at a time,
+    as a sequential loop would, so the means derived from it keep their bits
+    (one global cumsum would not). The loop runs over positions within a
+    group; each step covers every group that is still that long.
+    """
+    out = np.zeros(len(values))
+    starts = np.unique(group_start)
+    sizes = np.diff(np.append(starts, len(values)))
+    running = np.zeros(len(starts))
+    for i in range(int(sizes.max(initial=0))):
+        live = sizes > i
+        rows = starts[live] + i
+        out[rows] = running[live]
+        running[live] += values[rows]
     return out
 
 
-def _require_complete(rows: Sequence[Transaction]) -> None:
+def _recency_and_ratio(
+    order, key, offset, ts: np.ndarray, amount: np.ndarray, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seconds since the user's previous transaction, and amount over the mean
+    of the user's strictly earlier rows in (t - 30d, t).
+
+    A same-second tie gives recency 0, a user's first transaction the cap, and
+    longer gaps saturate at the cap. No earlier rows, or a non-positive mean,
+    gives the neutral ratio 1.0; ratios are floored at MIN_AMOUNT_RATIO.
+    """
+    tie_start = np.searchsorted(key, key, side="left")
+    tie_end = np.searchsorted(key, key, side="right")
+    group_start = np.searchsorted(key, key - offset, side="left")
+    ts, amount = ts[order], amount[order]
+
+    gap = np.minimum(ts - ts[np.maximum(tie_start - 1, 0)], cap)
+    recency = np.where(tie_start == group_start, cap, gap)
+    recency[tie_end - tie_start > 1] = 0
+
+    earlier = _earlier_sums(amount, group_start)
+    left = _window_starts(key, offset, AMOUNT_MEAN_WINDOW)
+    count = tie_start - left
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = (earlier[tie_start] - earlier[left]) / count
+        ratio = np.maximum(MIN_AMOUNT_RATIO, amount / mean)
+    ratio[~np.isfinite(ratio)] = sys.float_info.max
+    ratio[(count <= 0) | ~(mean > 0.0)] = 1.0
+
+    out_recency, out_ratio = np.empty_like(recency), np.empty_like(ratio)
+    out_recency[order], out_ratio[order] = recency, ratio
+    return out_recency, out_ratio
+
+
+def enrich(d: Dataset, cfg: EnrichConfig | None = None) -> EnrichedTable:
+    """Attach the nine temporal attributes to every row, in dataset order."""
+    cfg = cfg or EnrichConfig()
+    cfg.validate()
+    rows = d.transactions
     for t in rows:
         if t.user_id is None or t.terminal_id is None or t.amount is None:
             raise ValueError(
                 f"transaction {t.tx_id} has missing fields; cleanse the dataset before enriching"
             )
-
-
-def enrich(d: Dataset, cfg: EnrichConfig | None = None) -> list[EnrichedTransaction]:
-    """Attach the nine temporal attributes to every row, in dataset order."""
-    cfg = cfg or EnrichConfig()
-    cfg.validate()
-    rows = d.transactions
-    _require_complete(rows)
-    n = len(rows)
-
-    by_user = _grouped_indices(rows, lambda t: t.user_id)
-    by_terminal = _grouped_indices(rows, lambda t: t.terminal_id)
-
-    c24 = [0] * n
-    c48 = [0] * n
-    c7d = [0] * n
-    term48 = [0] * n
-    recency = [0] * n
-    ratio = [0.0] * n
-    _windowed_counts_into(c24, rows, by_user, DAY)
-    _windowed_counts_into(c48, rows, by_user, 2 * DAY)
-    _windowed_counts_into(c7d, rows, by_user, 7 * DAY)
-    _windowed_counts_into(term48, rows, by_terminal, 2 * DAY)
-    _recency_into(recency, rows, by_user, cfg.recency_cap_seconds)
-    _amount_ratio_into(ratio, rows, by_user, 30 * DAY)
-
-    out = []
-    for i, t in enumerate(rows):
-        hour = hour_of_day(t.timestamp)
-        attrs = TemporalAttributes(
-            hour_of_day=hour,
-            day_of_week=day_of_week(t.timestamp),
-            is_night=1 if hour < NIGHT_END_HOUR else 0,
-            seconds_since_last_user_tx=recency[i],
-            user_tx_count_24h=c24[i],
-            user_tx_count_48h=c48[i],
-            user_tx_count_7d=c7d[i],
-            terminal_tx_count_48h=term48[i],
-            amount_over_user_mean_30d=ratio[i],
-        )
-        out.append(EnrichedTransaction(base=t, attrs=attrs))
-    return out
-
-
-def attribute_value(row: EnrichedTransaction, name: str) -> float:
-    """Numeric value of a temporal attribute, or of the base amount."""
-    if name == "amount":
-        return float(row.base.amount)
-    return row.attrs.value(name)
-
-
-def is_finite_attribute(value: float) -> bool:
-    return math.isfinite(value)
+    ts = np.array([t.timestamp for t in rows], dtype=np.int64)
+    amount = np.array([t.amount for t in rows], dtype=np.float64)
+    users = np.array([t.user_id for t in rows], dtype=object)
+    terminals = np.array([t.terminal_id for t in rows], dtype=object)
+    by_user = _group_keys(users, ts)
+    recency, ratio = _recency_and_ratio(*by_user, ts, amount, cfg.recency_cap_seconds)
+    hour = hour_of_day(ts)
+    return EnrichedTable(
+        tx_id=np.array([t.tx_id for t in rows], dtype=object),
+        timestamp=ts,
+        user_id=users,
+        terminal_id=terminals,
+        amount=amount,
+        tx_type=np.array([t.tx_type or "" for t in rows], dtype=object),
+        label=np.array([t.label or "" for t in rows], dtype=object),
+        scenario=np.array([t.scenario or "" for t in rows], dtype=object),
+        hour_of_day=hour,
+        day_of_week=day_of_week(ts),
+        is_night=(hour < NIGHT_END_HOUR).astype(np.int64),
+        seconds_since_last_user_tx=recency,
+        user_tx_count_24h=_window_counts(*by_user, DAY),
+        user_tx_count_48h=_window_counts(*by_user, 2 * DAY),
+        user_tx_count_7d=_window_counts(*by_user, 7 * DAY),
+        terminal_tx_count_48h=_window_counts(*_group_keys(terminals, ts), 2 * DAY),
+        amount_over_user_mean_30d=ratio,
+    )

@@ -8,8 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import TX_TYPES, Transaction
-from .enrich import ATTRIBUTE_NAMES, EnrichedTransaction
+from .data import TX_TYPES
+from .enrich import ATTRIBUTE_NAMES, EnrichedTable
 
 # Raw features available without enrichment: amount plus tx_type one-hots.
 # Identifiers and the raw epoch timestamp are deliberately excluded.
@@ -64,44 +64,35 @@ class FeatureTable:
         )
 
 
-def _labels_of(rows: Sequence[Transaction]) -> np.ndarray | None:
-    if any(t.label is None for t in rows):
+def _labels_of(rows: EnrichedTable) -> np.ndarray | None:
+    if (rows.label == "").any():
         return None
-    return np.array([1 if t.label == "fraud" else 0 for t in rows], dtype=np.int64)
+    return (rows.label == "fraud").astype(np.int64)
 
 
-def _raw_matrix(rows: Sequence[Transaction]) -> np.ndarray:
-    m = np.zeros((len(rows), len(RAW_FEATURES)), dtype=np.float64)
-    type_col = {t: 1 + i for i, t in enumerate(TX_TYPES)}
-    for i, t in enumerate(rows):
-        m[i, 0] = t.amount
-        m[i, type_col[t.tx_type]] = 1.0
-    return m
+def _raw_matrix(rows: EnrichedTable) -> np.ndarray:
+    one_hot = rows.tx_type[:, None] == np.array(TX_TYPES, dtype=object)
+    return np.column_stack([rows.amount, one_hot]).astype(np.float64)
 
 
-def raw_feature_table(rows: Sequence[Transaction]) -> FeatureTable:
-    """Parity baseline inputs: no temporal information."""
+def _table(rows: EnrichedTable, names: tuple[str, ...], matrix: np.ndarray) -> FeatureTable:
     return FeatureTable(
-        feature_names=RAW_FEATURES,
-        rows=_raw_matrix(rows),
+        feature_names=names,
+        rows=matrix,
         labels=_labels_of(rows),
-        tx_ids=tuple(t.tx_id for t in rows),
+        tx_ids=tuple(rows.tx_id.tolist()),
     )
 
 
-def enriched_feature_table(rows: Sequence[EnrichedTransaction]) -> FeatureTable:
+def raw_feature_table(rows: EnrichedTable) -> FeatureTable:
+    """Parity baseline inputs: no temporal information."""
+    return _table(rows, RAW_FEATURES, _raw_matrix(rows))
+
+
+def enriched_feature_table(rows: EnrichedTable) -> FeatureTable:
     """Raw features plus the nine temporal attributes, in declared order."""
-    base = [r.base for r in rows]
-    raw = _raw_matrix(base)
-    attrs = np.array(
-        [[getattr(r.attrs, a) for a in ATTRIBUTE_NAMES] for r in rows], dtype=np.float64
-    ).reshape(len(rows), len(ATTRIBUTE_NAMES))
-    return FeatureTable(
-        feature_names=ENRICHED_FEATURES,
-        rows=np.hstack([raw, attrs]) if rows else np.zeros((0, len(ENRICHED_FEATURES))),
-        labels=_labels_of(base),
-        tx_ids=tuple(t.tx_id for t in base),
-    )
+    attrs = [rows.column(a) for a in ATTRIBUTE_NAMES]
+    return _table(rows, ENRICHED_FEATURES, np.column_stack([_raw_matrix(rows), *attrs]))
 
 
 @dataclass(frozen=True)

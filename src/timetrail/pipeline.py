@@ -15,19 +15,12 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .correlate import correlation_matrix, dynamic_correlation
-from .data import (
-    Dataset,
-    Transaction,
-    load_transactions,
-    parse_timestamp,
-    save_transactions,
-)
-from .enrich import ATTRIBUTE_NAMES, EnrichConfig, EnrichedTransaction, TemporalAttributes, enrich
+from .data import load_transactions, parse_timestamp, save_transactions
+from .enrich import ATTRIBUTE_NAMES, EnrichConfig, EnrichedTable, enrich
 from .explain import (
     ExplanationSequence,
     SequenceStep,
@@ -274,38 +267,31 @@ def _write_text(path: Path, text: str) -> None:
 
 
 _ENRICHED_BASE = ("tx_id", "timestamp", "user_id", "terminal_id", "amount", "tx_type", "label")
+_FLOAT_COLUMNS = ("amount", "amount_over_user_mean_30d")
+_STRING_COLUMNS = ("tx_id", "user_id", "terminal_id", "tx_type", "label", "scenario")
+_WRITE_CHUNK_ROWS = 4096
 
 
-def write_enriched_csv(path: Path, rows: Sequence[EnrichedTransaction]) -> None:
+def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
     """Base columns plus the nine attributes; floats via repr so reads are exact."""
-    with_scenario = any(r.base.scenario is not None for r in rows)
+    with_scenario = bool((rows.scenario != "").any())
     header = list(_ENRICHED_BASE) + (["scenario"] if with_scenario else []) + list(ATTRIBUTE_NAMES)
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(header)
-    for r in rows:
-        b = r.base
-        rec = [
-            b.tx_id,
-            b.timestamp,
-            b.user_id,
-            b.terminal_id,
-            repr(float(b.amount)),
-            b.tx_type,
-            "" if b.label is None else b.label,
+    # a chunk at a time, so the Python values of a whole table never coexist
+    for lo in range(0, len(rows), _WRITE_CHUNK_ROWS):
+        chunk = rows[lo : lo + _WRITE_CHUNK_ROWS]
+        columns = [
+            map(repr, getattr(chunk, name).tolist()) if name in _FLOAT_COLUMNS
+            else getattr(chunk, name).tolist()
+            for name in header
         ]
-        if with_scenario:
-            rec.append("" if b.scenario is None else b.scenario)
-        rec.extend(
-            repr(float(getattr(r.attrs, a))) if a == "amount_over_user_mean_30d"
-            else int(getattr(r.attrs, a))
-            for a in ATTRIBUTE_NAMES
-        )
-        w.writerow(rec)
+        w.writerows(zip(*columns))
     _write_text(path, out.getvalue())
 
 
-def read_enriched_csv(path: Path) -> list[EnrichedTransaction]:
+def read_enriched_csv(path: Path) -> EnrichedTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -314,41 +300,26 @@ def read_enriched_csv(path: Path) -> list[EnrichedTransaction]:
         want_tail = list(ATTRIBUTE_NAMES)
         if header[: len(_ENRICHED_BASE)] != list(_ENRICHED_BASE) or header[-9:] != want_tail:
             raise ValueError(f"{path}: unexpected enriched header")
-        with_scenario = "scenario" in header
-        rows: list[EnrichedTransaction] = []
-        for rec in reader:
-            vals = dict(zip(header, rec))
-            base = Transaction(
-                tx_id=vals["tx_id"],
-                timestamp=int(vals["timestamp"]),
-                user_id=vals["user_id"],
-                terminal_id=vals["terminal_id"],
-                amount=float(vals["amount"]),
-                tx_type=vals["tx_type"],
-                label=vals["label"] or None,
-                scenario=(vals["scenario"] or None) if with_scenario else None,
-            )
-            attrs = TemporalAttributes(
-                hour_of_day=int(vals["hour_of_day"]),
-                day_of_week=int(vals["day_of_week"]),
-                is_night=int(vals["is_night"]),
-                seconds_since_last_user_tx=int(vals["seconds_since_last_user_tx"]),
-                user_tx_count_24h=int(vals["user_tx_count_24h"]),
-                user_tx_count_48h=int(vals["user_tx_count_48h"]),
-                user_tx_count_7d=int(vals["user_tx_count_7d"]),
-                terminal_tx_count_48h=int(vals["terminal_tx_count_48h"]),
-                amount_over_user_mean_30d=float(vals["amount_over_user_mean_30d"]),
-            )
-            rows.append(EnrichedTransaction(base=base, attrs=attrs))
-    return rows
+        raw = dict(zip(header, zip(*reader)))
+    n = len(raw["tx_id"]) if raw else 0
+    columns = {}
+    for name in (f.name for f in fields(EnrichedTable)):
+        values = raw.get(name, ("",) * n)
+        if name in _STRING_COLUMNS:
+            columns[name] = np.array(values, dtype=object)
+        elif name in _FLOAT_COLUMNS:
+            columns[name] = np.fromiter(map(float, values), np.float64, n)
+        else:
+            columns[name] = np.fromiter(map(int, values), np.int64, n)
+    return EnrichedTable(**columns)
 
 
-def _read_all_enriched(cfg: RunConfig) -> list[EnrichedTransaction]:
+def _read_all_enriched(cfg: RunConfig) -> EnrichedTable:
     """Train, val, and test back to back: chronological because the split is."""
-    rows: list[EnrichedTransaction] = []
-    for part in ("train", "val", "test"):
-        rows.extend(read_enriched_csv(_out(cfg, f"enriched_{part}.csv")))
-    return rows
+    parts = [read_enriched_csv(_out(cfg, f"enriched_{p}.csv")) for p in ("train", "val", "test")]
+    return EnrichedTable(
+        **{f.name: np.concatenate([getattr(t, f.name) for t in parts]) for f in fields(EnrichedTable)}
+    )
 
 
 def _undersample_seed(cfg: RunConfig) -> int:
@@ -386,15 +357,20 @@ def stage_enrich(cfg: RunConfig) -> list[tuple[str, str]]:
     """Enrich over the full cleansed timeline, then slice back into splits.
 
     The attributes only look backward, so later splits see their true history
-    without leaking anything into earlier ones.
+    without leaking anything into earlier ones. The splits are consecutive
+    runs of cleansed.csv, so each is the next slice of the enriched table,
+    as long as its split file; slicing by position keeps rows that share a
+    tx_id apart.
     """
-    clean = load_transactions(_out(cfg, "cleansed.csv"))
-    enriched = enrich(clean, cfg.enrich)
-    by_id = {r.base.tx_id: r for r in enriched}
+    enriched = enrich(load_transactions(_out(cfg, "cleansed.csv")), cfg.enrich)
     paths = []
+    start = 0
     for part in ("train", "val", "test"):
         part_ds = load_transactions(_out(cfg, f"split_{part}.csv"))
-        rows = [by_id[t.tx_id] for t in part_ds.transactions]
+        rows = enriched[start : start + len(part_ds)]
+        start += len(part_ds)
+        if rows.tx_id.tolist() != [t.tx_id for t in part_ds.transactions]:
+            raise ValueError(f"split_{part}.csv is not the next run of cleansed.csv")
         name = f"enriched_{part}.csv"
         write_enriched_csv(_out(cfg, name), rows)
         paths.append((name, "enrich"))
@@ -404,8 +380,8 @@ def stage_enrich(cfg: RunConfig) -> list[tuple[str, str]]:
 def stage_correlate(cfg: RunConfig) -> list[tuple[str, str]]:
     rows = _read_all_enriched(cfg)
     window = None
-    if rows:
-        window = (rows[0].base.timestamp, rows[-1].base.timestamp)
+    if len(rows):
+        window = (int(rows.timestamp[0]), int(rows.timestamp[-1]))
     m = correlation_matrix(rows, CORRELATION_SERIES, window=window)
     _write_text(_out(cfg, "heatmap_all.csv"), heatmap_to_csv(m))
     _write_text(_out(cfg, "heatmap_all.json"), heatmap_to_json(m))
@@ -434,8 +410,7 @@ def stage_correlate(cfg: RunConfig) -> list[tuple[str, str]]:
 def _scaled_tables(cfg: RunConfig, part: str):
     """(baseline table, timetrail table) for a split, scaled by saved params."""
     rows = read_enriched_csv(_out(cfg, f"enriched_{part}.csv"))
-    base = [r.base for r in rows]
-    raw = raw_feature_table(base)
+    raw = raw_feature_table(rows)
     enr = enriched_feature_table(rows)
     raw = apply_scaler(load_scaler(_out(cfg, "scaler_baseline.json")), raw)
     enr = apply_scaler(load_scaler(_out(cfg, "scaler_timetrail.json")), enr)
@@ -444,8 +419,7 @@ def _scaled_tables(cfg: RunConfig, part: str):
 
 def stage_train(cfg: RunConfig) -> list[tuple[str, str]]:
     rows = read_enriched_csv(_out(cfg, "enriched_train.csv"))
-    base = [r.base for r in rows]
-    raw = raw_feature_table(base)
+    raw = raw_feature_table(rows)
     enr = enriched_feature_table(rows)
 
     raw_scaler = fit_scaler(raw)
@@ -555,12 +529,11 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     _, enr = _scaled_tables(cfg, "test")
     test_rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
     probs = predict_proba(load_model(_out(cfg, "model_timetrail.json")), enr)
-    points = [
-        (r.base.timestamp, int(probs[i] >= cfg.threshold)) for i, r in enumerate(test_rows)
-    ]
+    flags = (probs >= cfg.threshold).astype(int).tolist()
+    points = list(zip(test_rows.timestamp.tolist(), flags))
     labels = None
-    if all(r.base.label is not None for r in test_rows):
-        labels = [1 if r.base.label == "fraud" else 0 for r in test_rows]
+    if (test_rows.label != "").all():
+        labels = (test_rows.label == "fraud").astype(int).tolist()
     series = flagged_frequency_series(points, cfg.correlation.window_seconds, labels)
     _write_text(_out(cfg, "flag_series.csv"), series_to_csv(series))
     _write_text(_out(cfg, "flag_series.svg"), series_to_svg(series))

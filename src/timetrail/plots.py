@@ -83,24 +83,6 @@ def heatmap_to_csv(m: CorrelationMatrix) -> str:
     return out.getvalue()
 
 
-def heatmap_from_csv(text: str) -> CorrelationMatrix:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["attr_a", "attr_b", "window_start", "window_end", "coefficient"]:
-        raise ValueError(f"unexpected heatmap csv header {header}")
-    attrs: list[str] = []
-    cells: dict[tuple[str, str], float | None] = {}
-    window: tuple[int, int] | None = None
-    for a, b, start, end, coeff in reader:
-        if a not in attrs:
-            attrs.append(a)
-        cells[(a, b)] = None if coeff == "" else float(coeff)
-        if start != "":
-            window = (int(start), int(end))
-    values = tuple(tuple(cells[(a, b)] for b in attrs) for a in attrs)
-    return CorrelationMatrix(attributes=tuple(attrs), window=window, values=values)
-
-
 def heatmap_to_json(m: CorrelationMatrix) -> str:
     doc = {
         "attributes": list(m.attributes),

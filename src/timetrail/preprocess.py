@@ -1,4 +1,4 @@
-"""Dataset cleansing, temporal segmentation, and chronological splitting."""
+"""Dataset cleansing and chronological splitting."""
 from __future__ import annotations
 
 import json
@@ -110,40 +110,6 @@ def cleanse(d: Dataset, policy: CleansePolicy | None = None) -> tuple[Dataset, C
         amount_fence_high=fence_high,
     )
     return out, report
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Half-open time window [start, end) and the transactions inside it."""
-
-    start: int
-    end: int
-    transactions: tuple[Transaction, ...]
-
-
-def temporal_segment(d: Dataset, window_seconds: int) -> list[Segment]:
-    """Contiguous tumbling windows of width window_seconds from t_min.
-
-    Windows are [t_min + k*w, t_min + (k+1)*w); together they cover
-    [t_min, t_max] with no gaps, and empty interior windows are included.
-    """
-    if window_seconds <= 0:
-        raise ValueError(f"window_seconds must be positive, got {window_seconds}")
-    if len(d) == 0:
-        return []
-    t_min, t_max = d.meta.t_min, d.meta.t_max
-    n_windows = (t_max - t_min) // window_seconds + 1
-    buckets: list[list[Transaction]] = [[] for _ in range(n_windows)]
-    for t in d.transactions:
-        buckets[(t.timestamp - t_min) // window_seconds].append(t)
-    return [
-        Segment(
-            start=t_min + k * window_seconds,
-            end=t_min + (k + 1) * window_seconds,
-            transactions=tuple(buckets[k]),
-        )
-        for k in range(n_windows)
-    ]
 
 
 @dataclass(frozen=True)

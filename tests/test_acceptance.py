@@ -5,6 +5,7 @@ PASS/FAIL line per criterion. Oracles here are written from scratch so a
 shared bug in the implementation cannot vouch for itself.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -217,7 +218,7 @@ def test_criterion_05_tis_bounds_additivity_and_temporal_mix(tmp_path):
     assert np.abs(shares + complements - 1.0).max() <= 1e-12
 
     # aggregate over rows that are both flagged and truly fraudulent
-    fraud_ids = {r.base.tx_id for r in test_rows if r.base.label == "fraud"}
+    fraud_ids = set(test_rows.tx_id[test_rows.label == "fraud"].tolist())
     tp_ids = [t for t in report["flagged_tx_ids"] if t in fraud_ids]
     assert tp_ids, "model flagged no true fraud in the pure-temporal mix"
     tp_mean = float(np.mean([per_tx[t] for t in tp_ids]))
@@ -333,10 +334,10 @@ def test_criterion_08_undersampling_exact_and_deterministic():
     assert out.tx_ids != other.tx_ids
 
 
-def test_criterion_09_reruns_are_byte_identical(tmp_path):
-    """Same config, two run-alls: equal manifests, hash for hash."""
-    doc = {
+def small_doc(out_dir):
+    return {
         "seed": 11,
+        "out_dir": str(out_dir),
         "generator": {
             "n_users": 60,
             "n_terminals": 10,
@@ -345,10 +346,24 @@ def test_criterion_09_reruns_are_byte_identical(tmp_path):
             "period": [1672531200, 1677628800],
         },
     }
-    doc_a = dict(doc, out_dir=str(tmp_path / "a"))
-    doc_b = dict(doc, out_dir=str(tmp_path / "b"))
-    run_all(config_from_dict(doc_a))
-    run_all(config_from_dict(doc_b))
+
+
+# sha256 of manifest.json for small_doc, recorded with numpy 2.4.6 on CPython
+# 3.11. A change to any artifact's bytes changes it; a refactor must not.
+GOLDEN_MANIFEST_SHA256 = "c928a34f18682dca8696ea7d7b56cfcd43f8e1d5d7beb8586c1cf5316a8903fc"
+
+
+def test_golden_manifest(tmp_path):
+    """The 3,000-row run writes the same artifacts, byte for byte, as recorded."""
+    run_all(config_from_dict(small_doc(tmp_path)))
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_MANIFEST_SHA256
+
+
+def test_criterion_09_reruns_are_byte_identical(tmp_path):
+    """Same config, two run-alls: equal manifests, hash for hash."""
+    run_all(config_from_dict(small_doc(tmp_path / "a")))
+    run_all(config_from_dict(small_doc(tmp_path / "b")))
     blob_a = (tmp_path / "a" / "manifest.json").read_bytes()
     blob_b = (tmp_path / "b" / "manifest.json").read_bytes()
     assert blob_a == blob_b

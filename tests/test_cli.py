@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from timetrail.cli import main
-from timetrail.enrich import ATTRIBUTE_NAMES
-from timetrail.pipeline import STAGES
+from timetrail.data import load_transactions
+from timetrail.enrich import ATTRIBUTE_NAMES, enrich
+from timetrail.pipeline import STAGES, read_enriched_csv
 
 
 def tiny_config(out_dir, seed=0):
@@ -172,6 +173,49 @@ def test_ingests_existing_csv(tmp_path, full_run):
     assert (tmp_path / "out2" / "dataset.csv").read_bytes() == (
         full_run / "dataset.csv"
     ).read_bytes()
+
+
+def _duplicate_id_run(tmp_path):
+    """generate, preprocess and enrich on input where two rows share tx_id t030."""
+    lines = ["tx_id,timestamp,user_id,terminal_id,amount,tx_type,label"]
+    for i in range(40):
+        lines.append(f"t{i:03d},{1672531200 + i * 3600},u{i % 10},k{i % 3},{10 + i}.5,purchase,legit")
+    lines.append(f"t030,{1672531200 + 30 * 3600 + 60},u9,k2,99.5,transfer,legit")
+    src = tmp_path / "input.csv"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    doc = tiny_config(tmp_path / "out")
+    doc["input_csv"] = str(src)
+    doc["cleanse"] = {"dedupe_key": "composite", "remove_outliers": False}
+    cfg = write_config(tmp_path, doc)
+    for stage in ("generate", "preprocess", "enrich"):
+        assert main([stage, "--config", cfg]) == 0
+    return cfg, tmp_path / "out"
+
+
+def test_duplicate_tx_ids_keep_their_own_rows(tmp_path):
+    _, out = _duplicate_id_run(tmp_path)
+
+    def rows_of(name):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            return [(r["tx_id"], r["user_id"], r["amount"], r["tx_type"]) for r in csv.DictReader(fh)]
+
+    cleansed = rows_of("cleansed.csv")
+    assert [r[1] for r in cleansed if r[0] == "t030"] == ["u0", "u9"]
+    enriched = [r for p in ("train", "val", "test") for r in rows_of(f"enriched_{p}.csv")]
+    assert enriched == cleansed
+
+    want = enrich(load_transactions(out / "cleansed.csv"))
+    parts = [read_enriched_csv(out / f"enriched_{p}.csv") for p in ("train", "val", "test")]
+    for name in ATTRIBUTE_NAMES:
+        got = [v for part in parts for v in getattr(part, name).tolist()]
+        assert got == getattr(want, name).tolist(), name
+
+
+def test_enrich_rejects_splits_that_do_not_follow_cleansed(tmp_path, capsys):
+    cfg, out = _duplicate_id_run(tmp_path)
+    (out / "split_test.csv").write_bytes((out / "split_val.csv").read_bytes())
+    assert main(["enrich", "--config", cfg]) == 1
+    assert "split_test.csv" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from timetrail.correlate import (
     correlation_matrix,
     dynamic_correlation,
     pearson,
-    window_aggregate_series,
 )
 from timetrail.data import Dataset, Transaction
 from timetrail.enrich import enrich
@@ -165,13 +164,13 @@ def test_dynamic_correlation_matches_per_window_oracle():
     rows = _enriched_fixture()
     window, stride = 86400, 43200
     series = dynamic_correlation(rows, ("user_tx_count_24h", "amount"), window, stride)
-    ts = [r.base.timestamp for r in rows]
+    ts = rows.timestamp.tolist()
     t_min = min(ts)
     for k, (start, r) in enumerate(series.points):
         assert start == t_min + k * stride
         inside = [i for i, t in enumerate(ts) if start <= t < start + window]
-        x = [rows[i].attrs.user_tx_count_24h for i in inside]
-        y = [rows[i].base.amount for i in inside]
+        x = [int(rows.user_tx_count_24h[i]) for i in inside]
+        y = [float(rows.amount[i]) for i in inside]
         expected = oracle_pearson([float(v) for v in x], y)
         if expected is None:
             assert r is None
@@ -182,7 +181,7 @@ def test_dynamic_correlation_matches_per_window_oracle():
 def test_dynamic_correlation_covers_range():
     rows = _enriched_fixture()
     series = dynamic_correlation(rows, ("hour_of_day", "amount"), 86400)
-    ts = [r.base.timestamp for r in rows]
+    ts = rows.timestamp.tolist()
     assert series.points[0][0] == min(ts)
     assert series.points[-1][0] <= max(ts)
     assert series.points[-1][0] + 86400 > max(ts)
@@ -197,11 +196,12 @@ def test_dynamic_correlation_validates_arguments():
     with pytest.raises(ValueError):
         dynamic_correlation(rows, ("no_such", "amount"), 100)
     with pytest.raises(ValueError):
-        dynamic_correlation(list(reversed(rows)), ("hour_of_day", "amount"), 100)
+        dynamic_correlation(rows[::-1], ("hour_of_day", "amount"), 100)
 
 
 def test_dynamic_correlation_empty_rows():
-    assert dynamic_correlation([], ("hour_of_day", "amount"), 100).points == ()
+    rows = _enriched_fixture(20)[:0]
+    assert dynamic_correlation(rows, ("hour_of_day", "amount"), 100).points == ()
 
 
 # --- correlation matrix ---------------------------------------------------------
@@ -215,7 +215,7 @@ def test_matrix_symmetric_with_unit_diagonal():
         for j in range(k):
             assert m.values[i][j] == m.values[j][i]
     for i, name in enumerate(m.attributes):
-        vals = [getattr(r.attrs, name) for r in rows]
+        vals = rows.column(name).tolist()
         if min(vals) == max(vals):
             assert m.values[i][i] is None
         else:
@@ -230,10 +230,8 @@ def test_matrix_cells_match_pearson():
         for j, b in enumerate(attrs):
             if i == j:
                 continue
-            from timetrail.enrich import attribute_value
-
-            x = [attribute_value(r, a) for r in rows]
-            y = [attribute_value(r, b) for r in rows]
+            x = [float(v) for v in getattr(rows, a)]
+            y = [float(v) for v in getattr(rows, b)]
             assert m.values[i][j] == pearson(x, y)
             assert m.at(a, b) == m.values[i][j]
 
@@ -246,16 +244,3 @@ def test_matrix_constant_attribute_undefined_off_diagonal():
     assert m.at("is_night", "amount") is None  # is_night constant here
     assert m.at("amount", "amount") is None  # amount constant too
 
-
-def test_window_aggregate_series_means():
-    rows = _enriched_fixture(60)
-    series = window_aggregate_series(rows, "amount", 86400)
-    ts = [r.base.timestamp for r in rows]
-    t_min = min(ts)
-    # reconstruct expected per-window means
-    buckets = {}
-    for r in rows:
-        k = (r.base.timestamp - t_min) // 86400
-        buckets.setdefault(k, []).append(r.base.amount)
-    expected = [sum(v) / len(v) for _, v in sorted(buckets.items())]
-    assert list(series.values) == pytest.approx(expected)

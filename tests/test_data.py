@@ -85,6 +85,9 @@ def test_missing_optional_fields_become_none():
     "row,field",
     [
         (",100,u1,t1,1.0,purchase", "tx_id"),
+        # tx_ids name files (sequence_<tx_id>.json): only [A-Za-z0-9_.-] passes
+        ("../../x,100,u1,t1,1.0,purchase", "tx_id"),
+        ("a b,100,u1,t1,1.0,purchase", "tx_id"),
         ("a,,u1,t1,1.0,purchase", "timestamp"),
         ("a,junk,u1,t1,1.0,purchase", "timestamp"),
         ("a,-5,u1,t1,1.0,purchase", "timestamp"),

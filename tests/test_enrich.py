@@ -1,7 +1,8 @@
 """Temporal attribute tests, anchored by independent brute-force oracles."""
-import math
 import random
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,9 @@ from timetrail.enrich import (
     DAY,
     EnrichConfig,
     enrich,
-    rolling_user_counts,
 )
+from timetrail.features import enriched_feature_table
+from timetrail.pipeline import read_enriched_csv, write_enriched_csv
 
 HOUR = 3600
 CAP = 30 * DAY
@@ -73,21 +75,21 @@ def oracle_amount_ratio(rows, i, window=30 * DAY):
 def test_recency_example():
     rows = [_tx(0, 100), _tx(1, 160)]
     out = _enrich_rows(rows)
-    assert out[0].attrs.seconds_since_last_user_tx == CAP  # first tx sentinel
-    assert out[1].attrs.seconds_since_last_user_tx == 60
+    assert out.seconds_since_last_user_tx[0] == CAP  # first tx sentinel
+    assert out.seconds_since_last_user_tx[1] == 60
 
 
 def test_recency_saturates_at_cap():
     rows = [_tx(0, 100), _tx(1, 100 + CAP + 999)]
     out = _enrich_rows(rows)
-    assert out[1].attrs.seconds_since_last_user_tx == CAP
+    assert out.seconds_since_last_user_tx[1] == CAP
 
 
 def test_recency_tie_is_zero():
     rows = [_tx(0, 500), _tx(1, 500)]
     out = _enrich_rows(rows)
-    assert out[0].attrs.seconds_since_last_user_tx == 0
-    assert out[1].attrs.seconds_since_last_user_tx == 0
+    assert out.seconds_since_last_user_tx[0] == 0
+    assert out.seconds_since_last_user_tx[1] == 0
 
 
 def test_48h_count_example():
@@ -98,37 +100,36 @@ def test_48h_count_example():
         for t in rows
     ]  # keep timestamps positive at hour 0
     out = _enrich_rows(rows)
-    assert out[2].attrs.user_tx_count_48h == 2
-    assert out[1].attrs.user_tx_count_48h == 2
-    assert out[0].attrs.user_tx_count_48h == 1
+    assert out.user_tx_count_48h[2] == 2
+    assert out.user_tx_count_48h[1] == 2
+    assert out.user_tx_count_48h[0] == 1
 
 
 def test_calendar_attributes():
     ts = parse_timestamp("2023-01-02T03:00:00Z")  # Monday, 3am
     out = _enrich_rows([_tx(0, ts)])
-    a = out[0].attrs
-    assert a.hour_of_day == 3
-    assert a.day_of_week == 0
-    assert a.is_night == 1
+    assert out.hour_of_day[0] == 3
+    assert out.day_of_week[0] == 0
+    assert out.is_night[0] == 1
 
 
 def test_night_boundary():
     base = parse_timestamp("2023-01-02T00:00:00Z")
     out = _enrich_rows([_tx(0, base + 5 * HOUR), _tx(1, base + 6 * HOUR + 7200)])
-    assert out[0].attrs.is_night == 1
-    assert out[1].attrs.is_night == 0
+    assert out.is_night[0] == 1
+    assert out.is_night[1] == 0
 
 
 def test_amount_ratio_first_tx_neutral():
     out = _enrich_rows([_tx(0, 100, amount=50.0)])
-    assert out[0].attrs.amount_over_user_mean_30d == 1.0
+    assert out.amount_over_user_mean_30d[0] == 1.0
 
 
 def test_amount_ratio_example():
     rows = [_tx(0, 100, amount=10.0), _tx(1, 200, amount=20.0), _tx(2, 300, amount=30.0)]
     out = _enrich_rows(rows)
-    assert out[1].attrs.amount_over_user_mean_30d == pytest.approx(2.0)
-    assert out[2].attrs.amount_over_user_mean_30d == pytest.approx(2.0)  # 30 / mean(10,20)
+    assert out.amount_over_user_mean_30d[1] == pytest.approx(2.0)
+    assert out.amount_over_user_mean_30d[2] == pytest.approx(2.0)  # 30 / mean(10,20)
 
 
 def test_amount_ratio_ties_use_own_amount():
@@ -138,14 +139,14 @@ def test_amount_ratio_ties_use_own_amount():
         _tx(2, 200, amount=40.0),  # same timestamp, different amount
     ]
     out = _enrich_rows(rows)
-    assert out[1].attrs.amount_over_user_mean_30d == pytest.approx(0.5)
-    assert out[2].attrs.amount_over_user_mean_30d == pytest.approx(4.0)
+    assert out.amount_over_user_mean_30d[1] == pytest.approx(0.5)
+    assert out.amount_over_user_mean_30d[2] == pytest.approx(4.0)
 
 
 def test_amount_ratio_zero_history_mean_neutral():
     rows = [_tx(0, 100, amount=0.0), _tx(1, 200, amount=9.0)]
     out = _enrich_rows(rows)
-    assert out[1].attrs.amount_over_user_mean_30d == 1.0
+    assert out.amount_over_user_mean_30d[1] == 1.0
 
 
 def test_terminal_count_groups_by_terminal():
@@ -155,8 +156,8 @@ def test_terminal_count_groups_by_terminal():
         _tx(2, 300, user="u3", terminal="tB"),
     ]
     out = _enrich_rows(rows)
-    assert out[1].attrs.terminal_tx_count_48h == 2
-    assert out[2].attrs.terminal_tx_count_48h == 1
+    assert out.terminal_tx_count_48h[1] == 2
+    assert out.terminal_tx_count_48h[2] == 1
 
 
 def test_enrich_requires_complete_rows():
@@ -166,19 +167,40 @@ def test_enrich_requires_complete_rows():
     assert "cleanse" in str(err.value)
 
 
-def test_rolling_user_counts_matches_enrich():
-    rows = [_tx(i, 100 + i * HOUR, user=f"u{i % 3}") for i in range(20)]
-    d = Dataset.from_rows(rows)
-    assert rolling_user_counts(d, 2 * DAY) == [
-        r.attrs.user_tx_count_48h for r in enrich(d)
-    ]
+def test_enrich_rejects_timestamps_too_far_apart_to_key():
+    rows = [_tx(0, 1, user="u1"), _tx(1, 2**62, user="u2")]
+    with pytest.raises(ValueError, match="too wide"):
+        enrich(Dataset.from_rows(rows))
 
 
 def test_custom_recency_cap():
     rows = [_tx(0, 100), _tx(1, 100 + 5000)]
     out = _enrich_rows(rows, EnrichConfig(recency_cap_seconds=1000))
-    assert out[0].attrs.seconds_since_last_user_tx == 1000
-    assert out[1].attrs.seconds_since_last_user_tx == 1000
+    assert out.seconds_since_last_user_tx[0] == 1000
+    assert out.seconds_since_last_user_tx[1] == 1000
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_enriched_csv_round_trip_is_exact(tmp_path, labeled):
+    rows = []
+    for i in range(12):
+        fraud = i % 4 == 0
+        label = ("fraud" if fraud else "legit") if labeled else None
+        scenario = "burst" if labeled and fraud else None
+        rows.append(
+            Transaction(f"tx{i:04d}", 1_000_000 + 977 * i, f"u{i % 3}", f"t{i % 2}",
+                        0.1 * i + 1 / 3, "purchase", label, scenario)
+        )
+    table = enrich(Dataset.from_rows(rows))
+    path = tmp_path / "enriched.csv"
+    write_enriched_csv(path, table)
+    back = read_enriched_csv(path)
+    header = path.read_text(encoding="utf-8").splitlines()[0].split(",")
+    assert ("scenario" in header) == labeled  # the column appears only when tagged
+    for f in fields(table):
+        assert getattr(back, f.name).tolist() == getattr(table, f.name).tolist(), f.name
+    labels = enriched_feature_table(back).labels
+    assert (labels is not None) == labeled
 
 
 # --- randomized fixtures vs oracles -----------------------------------------
@@ -207,16 +229,18 @@ def test_all_window_attributes_match_oracles():
         d = Dataset.from_rows(rows)
         out = enrich(d)
         sorted_rows = d.transactions
-        for i, r in enumerate(out):
-            a = r.attrs
-            user = lambda t: t.user_id
-            term = lambda t: t.terminal_id
-            assert a.user_tx_count_24h == oracle_window_count(sorted_rows, i, DAY, user)
-            assert a.user_tx_count_48h == oracle_window_count(sorted_rows, i, 2 * DAY, user)
-            assert a.user_tx_count_7d == oracle_window_count(sorted_rows, i, 7 * DAY, user)
-            assert a.terminal_tx_count_48h == oracle_window_count(sorted_rows, i, 2 * DAY, term)
-            assert a.seconds_since_last_user_tx == oracle_recency(sorted_rows, i, CAP)
-            assert a.amount_over_user_mean_30d == pytest.approx(
+        user = lambda t: t.user_id
+        term = lambda t: t.terminal_id
+        assert out.tx_id.tolist() == [t.tx_id for t in sorted_rows]
+        for i in range(len(out)):
+            assert out.user_tx_count_24h[i] == oracle_window_count(sorted_rows, i, DAY, user)
+            assert out.user_tx_count_48h[i] == oracle_window_count(sorted_rows, i, 2 * DAY, user)
+            assert out.user_tx_count_7d[i] == oracle_window_count(sorted_rows, i, 7 * DAY, user)
+            assert out.terminal_tx_count_48h[i] == oracle_window_count(
+                sorted_rows, i, 2 * DAY, term
+            )
+            assert out.seconds_since_last_user_tx[i] == oracle_recency(sorted_rows, i, CAP)
+            assert out.amount_over_user_mean_30d[i] == pytest.approx(
                 oracle_amount_ratio(sorted_rows, i), rel=1e-12
             )
 
@@ -237,13 +261,12 @@ def test_dense_tie_fixture_matches_oracles():
     d = Dataset.from_rows(rows)
     out = enrich(d)
     sorted_rows = d.transactions
-    for i, r in enumerate(out):
-        a = r.attrs
-        assert a.user_tx_count_24h == oracle_window_count(
+    for i in range(len(out)):
+        assert out.user_tx_count_24h[i] == oracle_window_count(
             sorted_rows, i, DAY, lambda t: t.user_id
         )
-        assert a.seconds_since_last_user_tx == oracle_recency(sorted_rows, i, CAP)
-        assert a.amount_over_user_mean_30d == pytest.approx(
+        assert out.seconds_since_last_user_tx[i] == oracle_recency(sorted_rows, i, CAP)
+        assert out.amount_over_user_mean_30d[i] == pytest.approx(
             oracle_amount_ratio(sorted_rows, i), rel=1e-12
         )
 
@@ -268,10 +291,9 @@ def test_no_lookahead_property(timestamps, user_count):
     partial = enrich(prefix)
     # identical timestamps at the cut boundary may see rows beyond it
     boundary_ts = d.transactions[cut - 1].timestamp
-    for a, b in zip(full[:cut], partial):
-        if a.base.timestamp == boundary_ts:
-            continue
-        assert a.attrs == b.attrs
+    keep = partial.timestamp != boundary_ts
+    for name in ATTRIBUTE_NAMES:
+        assert (full[:cut].column(name)[keep] == partial.column(name)[keep]).all()
 
 
 @given(_times)
@@ -282,25 +304,31 @@ def test_input_order_invariance(timestamps):
     random.Random(0).shuffle(shuffled)
     a = enrich(Dataset.from_rows(rows))
     b = enrich(Dataset.from_rows(shuffled))
-    assert [(r.base.tx_id, r.attrs) for r in a] == [(r.base.tx_id, r.attrs) for r in b]
+    assert a.tx_id.tolist() == b.tx_id.tolist()
+    for name in ATTRIBUTE_NAMES:
+        assert a.column(name).tolist() == b.column(name).tolist()
 
 
 @given(_times)
 @settings(max_examples=60)
 def test_self_inclusion_and_monotone_windows(timestamps):
     rows = [_tx(i, ts) for i, ts in enumerate(timestamps)]
-    for r in enrich(Dataset.from_rows(rows)):
-        a = r.attrs
-        assert a.user_tx_count_24h >= 1  # a row always sees itself
-        assert a.user_tx_count_24h <= a.user_tx_count_48h <= a.user_tx_count_7d
-        assert a.seconds_since_last_user_tx >= 0
-        assert a.amount_over_user_mean_30d > 0
-        assert 0 <= a.hour_of_day <= 23
-        assert 0 <= a.day_of_week <= 6
-        assert a.is_night in (0, 1)
+    a = enrich(Dataset.from_rows(rows))
+    assert (a.user_tx_count_24h >= 1).all()  # a row always sees itself
+    assert (a.user_tx_count_24h <= a.user_tx_count_48h).all()
+    assert (a.user_tx_count_48h <= a.user_tx_count_7d).all()
+    assert (a.seconds_since_last_user_tx >= 0).all()
+    assert (a.amount_over_user_mean_30d > 0).all()
+    assert ((0 <= a.hour_of_day) & (a.hour_of_day <= 23)).all()
+    assert ((0 <= a.day_of_week) & (a.day_of_week <= 6)).all()
+    assert np.isin(a.is_night, (0, 1)).all()
 
 
 def test_attribute_name_list_matches_dataclass():
     rows = _enrich_rows([_tx(0, 100)])
+    assert [f.name for f in fields(rows)][-len(ATTRIBUTE_NAMES):] == list(ATTRIBUTE_NAMES)
     for name in ATTRIBUTE_NAMES:
-        assert rows[0].attrs.value(name) is not None
+        assert rows.column(name).shape == (1,)
+    assert rows.column("amount").tolist() == [10.0]
+    with pytest.raises(ValueError, match="unknown attribute"):
+        rows.column("tx_id")

@@ -15,7 +15,6 @@ from timetrail.plots import (
     diverging_color,
     flagged_frequency_series,
     heatmap_data,
-    heatmap_from_csv,
     heatmap_from_json,
     heatmap_to_csv,
     heatmap_to_json,
@@ -75,14 +74,20 @@ def test_diverging_scale_is_monotone_toward_red():
 # heatmap
 
 
-def test_heatmap_csv_round_trip(matrix):
-    text = heatmap_to_csv(matrix)
-    lines = text.strip().splitlines()
-    assert lines[0] == "attr_a,attr_b,window_start,window_end,coefficient"
-    assert len(lines) == 1 + 9  # k^2 cells
-    assert "a,c,100,200," in lines  # undefined cell keeps an empty value field
-    back = heatmap_from_csv(text)
-    assert back == matrix
+def test_heatmap_csv_exact_text(matrix):
+    # long form, one line per ordered cell; an undefined cell has an empty value
+    assert heatmap_to_csv(matrix) == (
+        "attr_a,attr_b,window_start,window_end,coefficient\n"
+        "a,a,100,200,1.0\n"
+        "a,b,100,200,0.5\n"
+        "a,c,100,200,\n"
+        "b,a,100,200,0.5\n"
+        "b,b,100,200,1.0\n"
+        "b,c,100,200,-0.25\n"
+        "c,a,100,200,\n"
+        "c,b,100,200,-0.25\n"
+        "c,c,100,200,1.0\n"
+    )
 
 
 def test_heatmap_json_round_trip(matrix):
@@ -94,13 +99,8 @@ def test_heatmap_json_round_trip(matrix):
 
 def test_heatmap_round_trip_without_window():
     m = CorrelationMatrix(attributes=("x",), window=None, values=((1.0,),))
-    assert heatmap_from_csv(heatmap_to_csv(m)) == m
+    assert heatmap_to_csv(m) == "attr_a,attr_b,window_start,window_end,coefficient\nx,x,,,1.0\n"
     assert heatmap_from_json(heatmap_to_json(m)) == m
-
-
-def test_heatmap_csv_header_is_checked():
-    with pytest.raises(ValueError, match="header"):
-        heatmap_from_csv("a,b,c\n1,2,3\n")
 
 
 def test_heatmap_svg_structure(matrix):

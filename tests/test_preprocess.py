@@ -1,8 +1,6 @@
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from timetrail.data import Dataset, Transaction
 from timetrail.features import (
@@ -15,7 +13,6 @@ from timetrail.preprocess import (
     CleansePolicy,
     amount_fences,
     cleanse,
-    temporal_segment,
     temporal_split,
 )
 
@@ -118,46 +115,6 @@ def test_bad_policy_rejected():
         cleanse(_dataset([_tx(0, 100)]), CleansePolicy(dedupe_key="nope"))
     with pytest.raises(ValueError):
         cleanse(_dataset([_tx(0, 100)]), CleansePolicy(iqr_k=-1.0))
-
-
-# --- temporal segmentation ---------------------------------------------------
-
-
-def test_segment_half_open_windows():
-    rows = [_tx(i, ts) for i, ts in enumerate([100, 150, 200, 350])]
-    segs = temporal_segment(_dataset(rows), 100)
-    assert [(s.start, s.end) for s in segs] == [(100, 200), (200, 300), (300, 400)]
-    assert [len(s.transactions) for s in segs] == [2, 1, 1]  # 200 goes to its own window
-
-
-def test_segment_includes_empty_interior_window():
-    segs = temporal_segment(_dataset([_tx(0, 100), _tx(1, 301)]), 100)
-    assert [len(s.transactions) for s in segs] == [1, 0, 1]
-
-
-def test_segment_rejects_bad_window():
-    with pytest.raises(ValueError):
-        temporal_segment(_dataset([_tx(0, 100)]), 0)
-
-
-@given(
-    st.lists(st.integers(1, 10_000), min_size=1, max_size=60),
-    st.integers(1, 500),
-)
-def test_segment_partition_property(timestamps, window):
-    rows = [_tx(i, ts) for i, ts in enumerate(timestamps)]
-    d = _dataset(rows)
-    segs = temporal_segment(d, window)
-    # windows tile the range contiguously
-    assert segs[0].start == d.meta.t_min
-    assert segs[-1].end > d.meta.t_max
-    for a, b in zip(segs, segs[1:]):
-        assert a.end == b.start
-    # every row appears exactly once, inside its window
-    seen = [t.tx_id for s in segs for t in s.transactions]
-    assert sorted(seen) == sorted(t.tx_id for t in rows)
-    for s in segs:
-        assert all(s.start <= t.timestamp < s.end for t in s.transactions)
 
 
 # --- temporal split ----------------------------------------------------------
