@@ -35,6 +35,15 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     sxx = math.fsum((vx - mean_x) ** 2 for vx in xs)
     syy = math.fsum((vy - mean_y) ** 2 for vy in ys)
     sxy = math.fsum((vx - mean_x) * (vy - mean_y) for vx, vy in zip(xs, ys))
+    return _coefficient(sxx, syy, sxy)
+
+
+def _coefficient(sxx: float, syy: float, sxy: float) -> float | None:
+    """sxy / sqrt(sxx * syy) clamped into [-1, 1], or None when undefined.
+
+    Shared by every route, so they agree on the denominator, the clamp and
+    which degenerate sums give None.
+    """
     if sxx <= 0.0 or syy <= 0.0:
         return None
     # single sqrt keeps clean cases exact; the product can under/overflow for
@@ -80,20 +89,9 @@ class RunningMoments:
         self.cxy += dx * (y - self.mean_y)
 
     def correlation(self) -> float | None:
-        if self.n < 2 or self.m2x <= 0.0 or self.m2y <= 0.0:
+        if self.n < 2:
             return None
-        prod = self.m2x * self.m2y
-        denom = (
-            math.sqrt(prod)
-            if 0.0 < prod < math.inf
-            else math.sqrt(self.m2x) * math.sqrt(self.m2y)
-        )
-        if denom <= 0.0 or not math.isfinite(denom):
-            return None
-        r = self.cxy / denom
-        if not math.isfinite(r):
-            return None
-        return max(-1.0, min(1.0, r))
+        return _coefficient(self.m2x, self.m2y, self.cxy)
 
 
 @dataclass(frozen=True)
@@ -163,23 +161,40 @@ def correlation_matrix(
     attributes: Sequence[str] | None = None,
     window: tuple[int, int] | None = None,
 ) -> CorrelationMatrix:
-    """Pairwise two-pass Pearson over the given rows.
+    """Pairwise two-pass Pearson over the given rows, equal to `pearson` bit
+    for bit.
 
-    The upper triangle is computed and mirrored, so symmetry is exact; the
-    diagonal is 1.0 unless the attribute is constant (then undefined).
+    Each series' mean, centred deviations and fsum of squared deviations are
+    computed once; a cell then needs only the fsum of the deviation products.
+    The squares use `**` as `pearson` does: libm pow and a plain product
+    round differently on some doubles. The upper triangle is computed and
+    mirrored, so symmetry is exact; the diagonal is 1.0 unless the attribute
+    is constant (then undefined).
     """
     attrs = tuple(attributes) if attributes is not None else ATTRIBUTE_NAMES
-    series = [rows.column(a).tolist() for a in attrs]
     k = len(attrs)
+    # (centred column, fsum of its squares), or None: constant or under two rows
+    centred: list[tuple[np.ndarray, float] | None] = []
+    for a in attrs:
+        col = rows.column(a)
+        values = col.tolist()
+        if len(values) < 2 or min(values) == max(values):
+            centred.append(None)
+            continue
+        d = col - math.fsum(values) / len(values)
+        centred.append((d, math.fsum([v**2 for v in d.tolist()])))
     grid: list[list[float | None]] = [[None] * k for _ in range(k)]
-    for i in range(k):
-        constant = len(series[i]) < 2 or min(series[i]) == max(series[i])
-        grid[i][i] = None if constant else 1.0
+    for i, ci in enumerate(centred):
+        if ci is None:
+            continue
+        grid[i][i] = 1.0
         for j in range(i + 1, k):
-            grid[i][j] = grid[j][i] = pearson(series[i], series[j])
+            cj = centred[j]
+            if cj is not None:
+                sxy = math.fsum((ci[0] * cj[0]).tolist())
+                grid[i][j] = grid[j][i] = _coefficient(ci[1], cj[1], sxy)
     return CorrelationMatrix(
         attributes=attrs,
         window=window,
         values=tuple(tuple(row) for row in grid),
     )
-

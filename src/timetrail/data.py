@@ -207,6 +207,20 @@ def load_transactions(path: str | Path) -> Dataset:
         return parse_transactions(f)
 
 
+def load_tx_ids(path: str | Path) -> list[str]:
+    """The stripped tx_id column of a transaction CSV, in file order.
+
+    Checks the header but parses no other field; errors name the file.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            _check_header(next(reader, []))
+        except ParseError as e:
+            raise ParseError(f"{path}: {e}") from None
+        return [values[0].strip() for values in reader if values]
+
+
 def _format_amount(a: float | None) -> str:
     return "" if a is None else repr(a)
 

@@ -161,54 +161,69 @@ def _leaf_weight(residual_sum: float, count: int, cfg: GBTConfig) -> float:
     return max(-cfg.leaf_clamp, min(cfg.leaf_clamp, w))
 
 
-def _best_split(X: np.ndarray, r: np.ndarray, idx: np.ndarray, cfg: GBTConfig):
+def _value_ranks(X: np.ndarray) -> np.ndarray:
+    """Each value's index among its column's distinct sorted values."""
+    ranks = np.empty(X.shape, dtype=np.int64)
+    for f in range(X.shape[1]):
+        ranks[:, f] = np.unique(X[:, f], return_inverse=True)[1]
+    return ranks
+
+
+def _best_split(X: np.ndarray, ranks: np.ndarray, r: np.ndarray, idx: np.ndarray, cfg: GBTConfig):
     """Best (feature, threshold, gain) at a node, or None if no positive gain.
 
     Candidates are midpoints between consecutive distinct sorted values of
-    each feature. The first strictly-better candidate wins, scanning features
+    each feature; all features are searched at once on the node's sorted
+    (rows, features) block. The first maximum wins, scanning features
     ascending and thresholds ascending, which fixes all tie-breaks.
+
+    Each column is ordered as a stable sort by value would order it: by
+    `_value_ranks`, equal values in node order. Sorting per node (not once
+    per ensemble) keeps each prefix sum adding tied values in node order,
+    and so keeps the bits of the gains and leaf values.
     """
+    if X.shape[1] == 0:
+        return None
     n = idx.size
     total = float(r[idx].sum())
     base_term = total * total / (n + cfg.l2)
-    best = None  # (gain, feature, threshold, sorted order, left count)
-    for f in range(X.shape[1]):
-        xv_all = X[idx, f]
-        order = np.argsort(xv_all, kind="stable")
-        xv = xv_all[order]
-        if xv[0] == xv[-1]:
-            continue  # constant feature at this node, no candidates
-        rv = r[idx[order]]
-        prefix = np.cumsum(rv)
-        pos = np.nonzero(xv[1:] > xv[:-1])[0] + 1  # left-side row counts
-        n_left = pos.astype(np.float64)
-        n_right = n - n_left
-        ok = (n_left >= cfg.min_child_weight) & (n_right >= cfg.min_child_weight)
-        if not ok.any():
-            continue
-        pos = pos[ok]
-        n_left = n_left[ok]
-        n_right = n_right[ok]
-        g_left = prefix[pos - 1]
-        g_right = total - g_left
-        gains = 0.5 * (
-            g_left * g_left / (n_left + cfg.l2)
-            + g_right * g_right / (n_right + cfg.l2)
-            - base_term
-        )
-        k = int(np.argmax(gains))  # first maximum, so the lowest threshold wins
-        if gains[k] > 0.0 and (best is None or gains[k] > best[0]):
-            p = int(pos[k])
-            threshold = float((xv[p - 1] + xv[p]) / 2.0)
-            best = (float(gains[k]), f, threshold, order, p)
-    return best
+    # rank * n + position is distinct per row, so an unstable sort of it
+    # gives the stable order, faster than a stable sort of the floats
+    order = np.argsort(ranks[idx] * n + np.arange(n)[:, None], axis=0)
+    xv = np.take_along_axis(X[idx], order, axis=0)
+    prefix = np.cumsum(r[idx][order], axis=0)
+    n_left = np.arange(1.0, n)[:, None]  # row p - 1 holds the cut after p rows
+    n_right = n - n_left
+    ok = (
+        (xv[1:] > xv[:-1])
+        & (n_left >= cfg.min_child_weight)
+        & (n_right >= cfg.min_child_weight)
+    )
+    g_left = prefix[:-1]
+    g_right = total - g_left
+    gains = 0.5 * (
+        g_left * g_left / (n_left + cfg.l2)
+        + g_right * g_right / (n_right + cfg.l2)
+        - base_term
+    )
+    gains[~ok] = -np.inf
+    cut = np.argmax(gains, axis=0)  # first maximum, so the lowest threshold wins
+    col_best = gains[cut, np.arange(gains.shape[1])]
+    f = int(np.argmax(col_best))  # first maximum, so the lowest feature wins
+    if not col_best[f] > 0.0:
+        return None
+    p = int(cut[f]) + 1
+    threshold = float((xv[p - 1, f] + xv[p, f]) / 2.0)
+    return (float(col_best[f]), f, threshold, order[:, f], p)
 
 
-def _build_node(X: np.ndarray, r: np.ndarray, idx: np.ndarray, depth: int, cfg: GBTConfig) -> TreeNode:
+def _build_node(
+    X: np.ndarray, ranks: np.ndarray, r: np.ndarray, idx: np.ndarray, depth: int, cfg: GBTConfig
+) -> TreeNode:
     value = _leaf_weight(float(r[idx].sum()), idx.size, cfg)
     if depth >= cfg.max_depth or idx.size < 2:
         return TreeNode(value=value)
-    found = _best_split(X, r, idx, cfg)
+    found = _best_split(X, ranks, r, idx, cfg)
     if found is None:
         return TreeNode(value=value)
     _, f, threshold, order, p = found
@@ -218,8 +233,8 @@ def _build_node(X: np.ndarray, r: np.ndarray, idx: np.ndarray, depth: int, cfg: 
         value=value,
         feature=f,
         threshold=threshold,
-        left=_build_node(X, r, left_idx, depth + 1, cfg),
-        right=_build_node(X, r, right_idx, depth + 1, cfg),
+        left=_build_node(X, ranks, r, left_idx, depth + 1, cfg),
+        right=_build_node(X, ranks, r, right_idx, depth + 1, cfg),
     )
 
 
@@ -309,10 +324,11 @@ def train_gbt(table: FeatureTable, cfg: GBTConfig | None = None) -> GBTModel:
     margin = np.full(y.size, base, dtype=np.float64)
     trees: list[Tree] = []
     all_idx = np.arange(y.size)
+    ranks = _value_ranks(X)
     for _ in range(cfg.n_trees):
         p = sigmoid(margin)
         residual = y - p
-        tree = Tree(root=_build_node(X, residual, all_idx, 0, cfg))
+        tree = Tree(root=_build_node(X, ranks, residual, all_idx, 0, cfg))
         margin += cfg.learning_rate * tree.leaf_values(X)
         trees.append(tree)
     return GBTModel(

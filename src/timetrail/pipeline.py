@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlate import correlation_matrix, dynamic_correlation
-from .data import load_transactions, parse_timestamp, save_transactions
+from .data import load_transactions, load_tx_ids, parse_timestamp, save_transactions
 from .enrich import ATTRIBUTE_NAMES, EnrichConfig, EnrichedTable, enrich
 from .explain import (
     ExplanationSequence,
@@ -366,10 +366,10 @@ def stage_enrich(cfg: RunConfig) -> list[tuple[str, str]]:
     paths = []
     start = 0
     for part in ("train", "val", "test"):
-        part_ds = load_transactions(_out(cfg, f"split_{part}.csv"))
-        rows = enriched[start : start + len(part_ds)]
-        start += len(part_ds)
-        if rows.tx_id.tolist() != [t.tx_id for t in part_ds.transactions]:
+        tx_ids = load_tx_ids(_out(cfg, f"split_{part}.csv"))
+        rows = enriched[start : start + len(tx_ids)]
+        start += len(tx_ids)
+        if rows.tx_id.tolist() != tx_ids:
             raise ValueError(f"split_{part}.csv is not the next run of cleansed.csv")
         name = f"enriched_{part}.csv"
         write_enriched_csv(_out(cfg, name), rows)

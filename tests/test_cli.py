@@ -218,6 +218,15 @@ def test_enrich_rejects_splits_that_do_not_follow_cleansed(tmp_path, capsys):
     assert "split_test.csv" in capsys.readouterr().err
 
 
+def test_enrich_rejects_split_with_bad_header(tmp_path, capsys):
+    cfg, out = _duplicate_id_run(tmp_path)
+    split = out / "split_val.csv"
+    split.write_text(split.read_text(encoding="utf-8").replace("tx_id,", "txid,", 1), encoding="utf-8")
+    assert main(["enrich", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "split_val.csv" in err and "bad header" in err
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

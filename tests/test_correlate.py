@@ -1,7 +1,9 @@
 """Correlation tests: definitional two-pass vs streaming accumulator."""
 import math
 import random
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from timetrail.correlate import (
     pearson,
 )
 from timetrail.data import Dataset, Transaction
-from timetrail.enrich import enrich
+from timetrail.enrich import EnrichedTable, enrich
 
 
 def oracle_pearson(x, y):
@@ -244,3 +246,46 @@ def test_matrix_constant_attribute_undefined_off_diagonal():
     assert m.at("is_night", "amount") is None  # is_night constant here
     assert m.at("amount", "amount") is None  # amount constant too
 
+
+def _table(**columns):
+    """An EnrichedTable whose named columns hold the given floats, the rest 0.
+
+    correlation_matrix reads every column through column(), as float64.
+    """
+    n = len(next(iter(columns.values())))
+    cols = {f.name: np.zeros(n) for f in fields(EnrichedTable)}
+    cols.update({name: np.array(v, dtype=np.float64) for name, v in columns.items()})
+    return EnrichedTable(**cols)
+
+
+def _assert_cells_equal_pearson(columns):
+    m = correlation_matrix(_table(**columns), tuple(columns))
+    for i, a in enumerate(columns):
+        for j, b in enumerate(columns):
+            if i != j:
+                assert m.values[i][j] == pearson(columns[a], columns[b]), (a, b)
+
+
+def test_matrix_equals_pearson_where_pow_and_product_round_apart():
+    # libm pow(d, 2) and d * d differ in the last bit for some deviations;
+    # pearson squares with **, so the matrix must too
+    columns = {
+        "amount": [8.9, 7.1, 2.2],
+        "hour_of_day": [3.3, 8.5, 1.3],
+        "day_of_week": [6.0, 0.7, 7.0],
+        "is_night": [4.1, 7.0, 4.2],
+        "user_tx_count_24h": [5.0, 5.0, 5.0],  # constant
+        "user_tx_count_48h": [0.0, 5e-324, 0.0],  # varies, but its squares underflow to 0
+    }
+    deviations = [v - math.fsum(xs) / len(xs) for xs in columns.values() for v in xs]
+    assert any(d**2 != d * d for d in deviations)
+    _assert_cells_equal_pearson(columns)
+    m = correlation_matrix(_table(**columns), tuple(columns))
+    assert m.at("user_tx_count_48h", "amount") is None
+    assert m.at("user_tx_count_24h", "amount") is None
+
+
+def test_matrix_equals_pearson_on_two_rows():
+    _assert_cells_equal_pearson(
+        {"amount": [1.0, 3.0], "hour_of_day": [2.0, 1.0], "is_night": [4.0, 4.0]}
+    )

@@ -11,6 +11,7 @@ from timetrail.data import (
     day_of_week,
     format_timestamp,
     hour_of_day,
+    load_tx_ids,
     parse_timestamp,
     parse_transactions,
     serialize_transactions,
@@ -125,6 +126,16 @@ def test_bad_header_rejected():
 def test_empty_input_rejected():
     with pytest.raises(ParseError):
         parse_transactions("")
+
+
+def test_load_tx_ids_reads_stripped_ids_in_file_order(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text(HEADER + "\n b ,2,u1,t1,1.0,purchase\n\na,1,,,,\n", encoding="utf-8")
+    assert load_tx_ids(path) == ["b", "a"]
+    for text in ("", "tx,when,who\na,1,b\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="ids.csv: line 1"):
+            load_tx_ids(path)
 
 
 def test_serialize_emits_epoch_and_round_trips():

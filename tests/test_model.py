@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import timetrail.model
 from timetrail.features import FeatureTable
 from timetrail.model import (
     GBTConfig,
@@ -80,6 +81,48 @@ def oracle_first_split(X, y, cfg):
     return best[1], best[2]
 
 
+def reference_best_split(X, r, idx, cfg):
+    """The per-feature split search, one argsort and cumsum per feature.
+
+    train_gbt's search does all features at once; it must pick the same
+    feature, threshold and child order, bit for bit.
+    """
+    n = idx.size
+    total = float(r[idx].sum())
+    base_term = total * total / (n + cfg.l2)
+    best = None  # (gain, feature, threshold, sorted order, left count)
+    for f in range(X.shape[1]):
+        xv_all = X[idx, f]
+        order = np.argsort(xv_all, kind="stable")
+        xv = xv_all[order]
+        if xv[0] == xv[-1]:
+            continue  # constant feature at this node, no candidates
+        rv = r[idx[order]]
+        prefix = np.cumsum(rv)
+        pos = np.nonzero(xv[1:] > xv[:-1])[0] + 1  # left-side row counts
+        n_left = pos.astype(np.float64)
+        n_right = n - n_left
+        ok = (n_left >= cfg.min_child_weight) & (n_right >= cfg.min_child_weight)
+        if not ok.any():
+            continue
+        pos = pos[ok]
+        n_left = n_left[ok]
+        n_right = n_right[ok]
+        g_left = prefix[pos - 1]
+        g_right = total - g_left
+        gains = 0.5 * (
+            g_left * g_left / (n_left + cfg.l2)
+            + g_right * g_right / (n_right + cfg.l2)
+            - base_term
+        )
+        k = int(np.argmax(gains))  # first maximum, so the lowest threshold wins
+        if gains[k] > 0.0 and (best is None or gains[k] > best[0]):
+            p = int(pos[k])
+            threshold = float((xv[p - 1] + xv[p]) / 2.0)
+            best = (float(gains[k]), f, threshold, order, p)
+    return best
+
+
 def walk_features(node, found):
     if node.feature is None:
         return
@@ -143,6 +186,26 @@ def test_first_split_matches_exhaustive_oracle(seed):
         assert root.is_leaf
     else:
         assert (root.feature, root.threshold) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("min_child_weight", [1.0, 5.0])
+def test_split_search_matches_per_feature_reference(seed, min_child_weight, monkeypatch):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(300, 5)), 1)  # coarse grid forces value ties
+    X[:, 2] = 4.0  # constant column, never a candidate
+    X[:, 4] = X[:, 0]  # equal gains across features: the lower index must win
+    logits = 2.0 * X[:, 0] - X[:, 1] + X[:, 3] * X[:, 1]
+    y = (rng.random(300) < sigmoid(logits)).astype(np.int64)
+    table = make_table(X, y=y)
+    cfg = GBTConfig(n_trees=20, max_depth=4, min_child_weight=min_child_weight)
+    fast = model_to_json(train_gbt(table, cfg))
+    monkeypatch.setattr(
+        timetrail.model,
+        "_best_split",
+        lambda X, ranks, r, idx, cfg: reference_best_split(X, r, idx, cfg),
+    )
+    assert model_to_json(train_gbt(table, cfg)) == fast
 
 
 def test_training_loss_is_monotone():
