@@ -1,10 +1,14 @@
 """Pearson correlation between temporal attributes, static and windowed.
 
 Two computation routes exist on purpose: `pearson` is the definitional
-two-pass formula over centered sums, while `RunningMoments` accumulates the
-same centered sums incrementally (Welford updates) and backs the sliding
-windows in `dynamic_correlation`. Constant series, or fewer than two points,
-make the coefficient undefined (None), never NaN or a silent 0.
+two-pass formula over centered sums (`correlation_matrix` gives its bits for
+every pair at once), while `RunningMoments` accumulates the same centered
+sums incrementally (Welford updates) and defines the sliding windows of
+`dynamic_correlation`. That function updates all windows of a pair together,
+one numpy lane per window, with `RunningMoments.update`'s operations in its
+order, so every coefficient keeps the bits a per-window loop gives. Constant
+series, or fewer than two points, make the coefficient undefined (None),
+never NaN or a silent 0.
 """
 from __future__ import annotations
 
@@ -121,7 +125,7 @@ def dynamic_correlation(
         raise ValueError(
             f"stride {stride} larger than window {window_seconds} would skip rows"
         )
-    xs, ys = (rows.column(name).tolist() for name in pair)
+    x, y = (rows.column(name) for name in pair)
     if not len(rows):
         return DynamicCorrelationSeries(pair, window_seconds, stride, ())
 
@@ -129,18 +133,77 @@ def dynamic_correlation(
     if (np.diff(ts) < 0).any():
         raise ValueError("rows must be sorted by timestamp")
     starts = np.arange(ts[0], ts[-1] + 1, stride)
-    bounds = zip(
-        starts.tolist(),
-        np.searchsorted(ts, starts).tolist(),
-        np.searchsorted(ts, starts + window_seconds).tolist(),
+    coefficients = _window_correlations(
+        x, y, np.searchsorted(ts, starts), np.searchsorted(ts, starts + window_seconds)
     )
-    points: list[tuple[int, float | None]] = []
-    for start, lo, hi in bounds:
-        acc = RunningMoments()
-        for i in range(lo, hi):
-            acc.update(xs[i], ys[i])
-        points.append((start, acc.correlation()))
-    return DynamicCorrelationSeries(pair, window_seconds, stride, tuple(points))
+    points = tuple(zip(starts.tolist(), coefficients))
+    return DynamicCorrelationSeries(pair, window_seconds, stride, points)
+
+
+# Below this many unfinished windows, the windows' own RunningMoments.update
+# loops are faster than lane steps: a step costs about 10 us whatever the lane
+# count (numpy call overhead), an update about 0.4 us, so the two meet near
+# 25 lanes (measured on a 2-core Xeon, Python 3.11, numpy 2.4).
+_MIN_LANES = 32
+
+
+def _window_correlations(
+    x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> list[float | None]:
+    """RunningMoments.correlation() of each window [lo[j], hi[j]) of (x, y),
+    bit for bit as if the window's rows were fed to RunningMoments.update in
+    order.
+
+    Each window is a lane of float64 arrays. Lanes are sorted longest first,
+    so the lanes still taking rows are always a prefix; step k feeds row
+    lo + k to each of them, with the operations of RunningMoments.update in
+    its order (numpy's float64 + - * / round as Python floats do). When
+    fewer than _MIN_LANES lanes are left, each one's own
+    RunningMoments.update loop finishes it from the lane state.
+    """
+    order = np.argsort(lo - hi, kind="stable")  # longest first
+    first, length = lo[order], (hi - lo)[order]
+    xy = np.column_stack((x, y))
+    # per lane (mean_x, mean_y) and (m2x, m2y)
+    mean, m2 = np.zeros((2, order.size, 2))
+    cxy = np.zeros(order.size)
+    row = first.copy()  # the next row of each lane
+    active, width = order.size, -1
+    k = 0
+    while True:
+        while active and length[active - 1] <= k:
+            active -= 1
+        if active < _MIN_LANES:
+            break
+        if width != active:
+            width = active
+            lane_row, lane_mean, lane_m2, lane_cxy = (
+                row[:width], mean[:width], m2[:width], cxy[:width]
+            )
+        v = np.take(xy, lane_row, axis=0)
+        lane_row += 1
+        d = v - lane_mean
+        lane_mean += d / float(k + 1)
+        r = v - lane_mean  # post-update, as in RunningMoments.update
+        lane_m2 += d * r
+        lane_cxy += d[:, 0] * r[:, 1]
+        k += 1
+
+    out: list[float | None] = [None] * order.size
+    lanes = zip(order.tolist(), first.tolist(), length.tolist(), *mean.T.tolist(),
+                *m2.T.tolist(), cxy.tolist())
+    for window, start, size, *state in lanes:
+        if size > k:  # unfinished: its own update loop takes the rest
+            acc = RunningMoments()
+            acc.n = k
+            acc.mean_x, acc.mean_y, acc.m2x, acc.m2y, acc.cxy = state
+            rest = slice(start + k, start + size)
+            for xi, yi in zip(x[rest].tolist(), y[rest].tolist()):
+                acc.update(xi, yi)
+            out[window] = acc.correlation()
+        elif size >= 2:  # finished in the lanes; as RunningMoments.correlation
+            out[window] = _coefficient(*state[2:])
+    return out
 
 
 @dataclass(frozen=True)

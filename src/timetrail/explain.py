@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,26 +139,21 @@ def attribution_matrix(model: Model, table: FeatureTable) -> tuple[np.ndarray, f
 
     Level-by-level vectorized walk over each tree; row sums plus bias equal
     the margins exactly (same additions as the per-row walk, reordered).
+    A row moves at most once per level, so each level adds at most one delta
+    to a cell and a plain fancy-index += adds them all.
     """
     gbt = _require_ensemble(model)
     X = aligned_rows(gbt.feature_names, table)
-    n = X.shape[0]
-    contrib = np.zeros((n, len(gbt.feature_names)), dtype=np.float64)
-    rows = np.arange(n)
+    n, width = X.shape[0], len(gbt.feature_names)
+    contrib = np.zeros((n, width), dtype=np.float64)
+    cells = contrib.ravel()  # a view: (row, feature) is cell row * width + feature
+    row_cells = np.arange(n) * width
     for tree in gbt.trees:
-        feats, thrs, lefts, rights, values, depth = tree.flat()
-        node = np.zeros(n, dtype=np.int64)
-        for _ in range(depth):
-            f = feats[node]
-            internal = f >= 0
-            if not internal.any():
-                break
-            x = X[rows, np.where(internal, f, 0)]
-            nxt = np.where(x < thrs[node], lefts[node], rights[node])
-            nxt = np.where(internal, nxt, node)
-            delta = gbt.learning_rate * (values[nxt] - values[node])
-            np.add.at(contrib, (rows[internal], f[internal]), delta[internal])
-            node = nxt
+        feats, _, _, values, _ = tree.flat()
+        for node, nxt in tree.levels(X):
+            moved = np.flatnonzero(nxt != node)
+            src, dst = node[moved], nxt[moved]
+            cells[row_cells[moved] + feats[src]] += gbt.learning_rate * (values[dst] - values[src])
     return contrib, ensemble_bias(gbt)
 
 
@@ -199,11 +195,11 @@ class TISReport:
         doc = {
             "temporal_feature_set": list(self.temporal_feature_set),
             "threshold": self.threshold,
-            "per_tx": [{"tx_id": t, "tis": v} for t, v in self.per_tx],
             "flagged_tx_ids": list(self.flagged_tx_ids),
             "aggregate": self.aggregate,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        per_tx = [{"tx_id": t, "tis": v} for t, v in self.per_tx]
+        return _dumps_with_records(doc, "per_tx", per_tx)
 
 
 def tis_report_from_json(text: str) -> TISReport:
@@ -258,22 +254,59 @@ def sequence_to_json(seq: ExplanationSequence, temporal_feature_set: Sequence[st
     doc = {
         "tx_id": seq.tx_id,
         "bias": seq.bias,
-        "steps": [
-            {
-                "tree": s.tree_index,
-                "feature": s.feature_name,
-                "threshold": s.threshold,
-                "branch": s.branch,
-                "delta": s.delta,
-            }
-            for s in seq.steps
-        ],
         "feature_contributions": {k: totals[k] for k in sorted(totals)},
         "margin": seq.margin,
         "probability": seq.probability,
         "tis": tis(totals, temporal_feature_set),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    steps = [
+        {
+            "tree": s.tree_index,
+            "feature": s.feature_name,
+            "threshold": s.threshold,
+            "branch": s.branch,
+            "delta": s.delta,
+        }
+        for s in seq.steps
+    ]
+    return _dumps_with_records(doc, "steps", steps)
+
+
+def _json_value(v) -> str:
+    """One scalar as json.dumps writes it."""
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is float and math.isfinite(v):
+        return float.__repr__(v)
+    if t is int:
+        return int.__repr__(v)
+    return json.dumps(v)  # NaN, infinities, None, bools, subclasses
+
+
+def _dumps_with_records(doc: dict, key: str, records: Sequence[dict]) -> str:
+    """json.dumps({**doc, key: records}, indent=2, sort_keys=True), byte for
+    byte, with the records written directly.
+
+    json's indenting encoder is pure Python and slow on long lists; here each
+    record (a flat dict; all share the first one's keys) fills one template.
+    The rest of the document still goes through json.dumps.
+    """
+    text = json.dumps({**doc, key: []}, indent=2, sort_keys=True)
+    if not records:
+        return text
+    # top-level keys are the only lines indented by exactly two spaces, and
+    # strings hold no raw newline, so this marker occurs once
+    marker = f"\n  {encode_basestring_ascii(key)}: []"
+    head, _, tail = text.partition(marker)
+    keys = sorted(records[0])
+    template = "{" + ",".join(
+        "\n      " + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    ) + "\n    }"
+    items = ",\n    ".join(
+        template % tuple([_json_value(rec[k]) for k in keys]) for rec in records
+    )
+    return f"{head}{marker[:-2]}[\n    {items}\n  ]{tail}"
 
 
 def margin_check(seq: ExplanationSequence, tolerance: float = 1e-9) -> bool:

@@ -146,8 +146,9 @@ def apply_scaler(params: ScalerParams, table: FeatureTable) -> FeatureTable:
     span = np.array(params.maxs) - mins
     degenerate = span == 0.0
     safe_span = np.where(degenerate, 1.0, span)
-    scaled = (table.rows - mins) / safe_span
-    scaled = np.clip(scaled, 0.0, 1.0)
+    scaled = table.rows - mins
+    scaled /= safe_span
+    np.clip(scaled, 0.0, 1.0, out=scaled)
     scaled[:, degenerate] = 0.0
     return FeatureTable(
         feature_names=table.feature_names,

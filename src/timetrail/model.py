@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -101,53 +101,65 @@ class Tree:
     _flat: tuple | None = field(default=None, repr=False, compare=False)
 
     def flat(self) -> tuple:
-        """Parallel node arrays (feature, threshold, left, right, value, depth)."""
+        """Walk form of the tree: node arrays (feature, threshold, children,
+        value) and the depth.
+
+        children[2*i + 1] is node i's left child and children[2*i] its right
+        one, so one level step is children[2*i + (x < threshold[i])]. A leaf
+        tests feature 0 against +inf and both its children are itself, so
+        rows that reached a leaf stay there.
+        """
         if self._flat is None:
             feats: list[int] = []
             thrs: list[float] = []
-            lefts: list[int] = []
-            rights: list[int] = []
+            children: list[int] = []
             values: list[float] = []
 
             def walk(node: TreeNode) -> int:
                 i = len(feats)
-                feats.append(-1 if node.is_leaf else node.feature)
-                thrs.append(0.0 if node.is_leaf else node.threshold)
-                lefts.append(-1)
-                rights.append(-1)
+                feats.append(0 if node.is_leaf else node.feature)
+                thrs.append(math.inf if node.is_leaf else node.threshold)
+                children.extend((i, i))
                 values.append(node.value)
                 if not node.is_leaf:
-                    lefts[i] = walk(node.left)
-                    rights[i] = walk(node.right)
+                    children[2 * i + 1] = walk(node.left)
+                    children[2 * i] = walk(node.right)
                 return i
 
             walk(self.root)
-            depth = _tree_depth(self.root)
             self._flat = (
-                np.array(feats, dtype=np.int64),
+                np.array(feats, dtype=np.intp),
                 np.array(thrs, dtype=np.float64),
-                np.array(lefts, dtype=np.int64),
-                np.array(rights, dtype=np.int64),
+                np.array(children, dtype=np.intp),
                 np.array(values, dtype=np.float64),
-                depth,
+                _tree_depth(self.root),
             )
         return self._flat
 
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Leaf weight reached by each row; goes left when x[feature] < threshold."""
-        feats, thrs, lefts, rights, values, depth = self.flat()
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        rows = np.arange(n)
+    def levels(self, X: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(node, next node) of every row of X, one pair per tree level.
+
+        A row goes left when x[feature] < threshold, so NaN goes right. Rows
+        that reached a leaf have next node equal to node.
+        """
+        feats, thrs, children, _, depth = self.flat()
+        n, width = X.shape
+        if depth and not (0 <= feats.min() and feats.max() < width):
+            raise ValueError(f"tree splits on a feature outside the {width} columns of X")
+        x = X.ravel()
+        offsets = np.arange(n) * width
+        node = np.zeros(n, dtype=np.intp)
         for _ in range(depth):
-            f = feats[node]
-            internal = f >= 0
-            if not internal.any():
-                break
-            x = X[rows, np.where(internal, f, 0)]
-            nxt = np.where(x < thrs[node], lefts[node], rights[node])
-            node = np.where(internal, nxt, node)
-        return values[node]
+            nxt = children[2 * node + (x[offsets + feats[node]] < thrs[node])]
+            yield node, nxt
+            node = nxt
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Leaf weight reached by each row of X."""
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _, node in self.levels(X):
+            pass
+        return self.flat()[3][node]
 
 
 def _tree_depth(node: TreeNode) -> int:

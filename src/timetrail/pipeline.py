@@ -15,6 +15,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -482,14 +483,34 @@ def stage_evaluate(cfg: RunConfig) -> list[tuple[str, str]]:
     ]
 
 
+def explained_rows(
+    probs: np.ndarray, tx_ids: Sequence[str], threshold: float, top_k: int
+) -> list[int]:
+    """The rows explain writes a sequence for, best first.
+
+    Flagged rows (probability >= threshold) by descending probability, then
+    tx_id; a tx_id shared by several rows gets only its best-ranked row, so
+    each sequence file is written once. At most top_k rows.
+    """
+    p = probs.tolist()
+    flagged = sorted(np.flatnonzero(probs >= threshold).tolist(), key=lambda i: (-p[i], tx_ids[i]))
+    chosen: list[int] = []
+    seen: set[str] = set()
+    for i in flagged:
+        if len(chosen) == top_k:
+            break
+        if tx_ids[i] not in seen:
+            seen.add(tx_ids[i])
+            chosen.append(i)
+    return chosen
+
+
 def stage_explain(cfg: RunConfig) -> list[tuple[str, str]]:
     _, enr = _scaled_tables(cfg, "test")
     timetrail = load_model(_out(cfg, "model_timetrail.json"))
     probs = predict_proba(timetrail, enr)
-    flagged = [i for i in range(len(enr)) if probs[i] >= cfg.threshold]
-    flagged.sort(key=lambda i: (-probs[i], enr.tx_ids[i]))
     paths = []
-    for i in flagged[: cfg.top_k_explanations]:
+    for i in explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations):
         seq = explanation_sequence(timetrail, enr, i)
         name = f"sequence_{enr.tx_ids[i]}.json"
         _write_text(_out(cfg, name), sequence_to_json(seq, cfg.temporal_features))
@@ -548,10 +569,12 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     paths.append(("tis_hist.csv", "plot"))
     paths.append(("tis_hist.svg", "plot"))
 
-    for seq_path in sorted(Path(cfg.out_dir).glob("sequence_*.json")):
-        with open(seq_path, "r", encoding="utf-8") as fh:
+    # only this run's sequences: the directory may hold an earlier run's
+    explained = explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations)
+    for seq_name in sorted(f"sequence_{enr.tx_ids[i]}.json" for i in explained):
+        with open(_out(cfg, seq_name), "r", encoding="utf-8") as fh:
             seq = _sequence_from_json(fh.read())
-        name = seq_path.stem + ".svg"
+        name = seq_name.removesuffix(".json") + ".svg"
         _write_text(_out(cfg, name), render_sequence(seq))
         paths.append((name, "plot"))
     return paths

@@ -3,14 +3,16 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from timetrail.cli import main
 from timetrail.data import load_transactions
 from timetrail.enrich import ATTRIBUTE_NAMES, enrich
-from timetrail.pipeline import STAGES, read_enriched_csv
+from timetrail.pipeline import STAGES, explained_rows, load_config, read_enriched_csv, run_stage
 
 
 def tiny_config(out_dir, seed=0):
@@ -127,6 +129,31 @@ def test_explanations_cover_top_flagged(full_run):
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["probability"] >= 0.5
         assert path.with_suffix(".svg").exists()
+
+
+def test_plot_renders_only_this_runs_sequences(full_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    explained = sorted(e["path"] for e in manifest if e["stage"] == "explain")
+    assert explained  # the tiny run flags rows, so there is something to plot
+    (out / "sequence_stale0.json").write_bytes((out / explained[0]).read_bytes())
+    paths = run_stage(load_config(write_config(tmp_path, tiny_config(out))), "plot")
+    rendered = [p for p, _ in paths if p.startswith("sequence_")]
+    assert rendered == [p.removesuffix(".json") + ".svg" for p in explained]
+    assert not (out / "sequence_stale0.svg").exists()
+
+
+def test_explained_rows_rank_flagged_rows_and_keep_one_per_tx_id():
+    probs = np.array([0.9, 0.95, 0.6, 0.4, 0.95, 0.7, 0.6])
+    ids = ("b", "a", "c", "d", "a", "b", "bb")
+    # by (-prob, tx_id): 1 (a), 4 (a again), 0 (b), 5 (b again), 6 (bb), 2 (c);
+    # 3 is not flagged
+    assert explained_rows(probs, ids, 0.5, 10) == [1, 0, 6, 2]
+    assert explained_rows(probs, ids, 0.5, 2) == [1, 0]
+    assert explained_rows(probs, ids, 0.5, 3) == [1, 0, 6]
+    assert explained_rows(probs, ids, 0.5, 0) == []
+    assert explained_rows(probs, ids, 0.96, 5) == []
 
 
 def test_stagewise_run_reproduces_run_all(full_run, tmp_path):

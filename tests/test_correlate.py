@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from timetrail import correlate
 from timetrail.correlate import (
     RunningMoments,
     correlation_matrix,
@@ -289,3 +290,83 @@ def test_matrix_equals_pearson_on_two_rows():
     _assert_cells_equal_pearson(
         {"amount": [1.0, 3.0], "hour_of_day": [2.0, 1.0], "is_night": [4.0, 4.0]}
     )
+
+
+# --- lane-parallel windowed correlation against the per-window loop -------------
+
+
+def reference_dynamic_points(rows, pair, window, stride):
+    """The per-window RunningMoments loop dynamic_correlation replaced."""
+    xs, ys = (rows.column(name).tolist() for name in pair)
+    ts = rows.timestamp
+    starts = np.arange(ts[0], ts[-1] + 1, stride)
+    points = []
+    for start, lo, hi in zip(
+        starts.tolist(),
+        np.searchsorted(ts, starts).tolist(),
+        np.searchsorted(ts, starts + window).tolist(),
+    ):
+        acc = RunningMoments()
+        for i in range(lo, hi):
+            acc.update(xs[i], ys[i])
+        points.append((start, acc.correlation()))
+    return tuple(points)
+
+
+def _dense_table(n=3000, seed=5):
+    """n rows over 60 days with bursts, constant runs, repeats and a wide range."""
+    rng = np.random.default_rng(seed)
+    ts = np.sort(rng.integers(0, 60 * 86400, n)) + 1_700_000_000
+    ts[100:160] = ts[100]  # one second holding 60 rows
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
+    x[500:900] = 2.5  # constant over days: undefined windows
+    y = np.round(rng.normal(size=n), 1)  # coarse: ties and exact repeats
+    y[1500:1510] = -0.0
+    cols = {f.name: np.zeros(n) for f in fields(EnrichedTable)}
+    cols.update(timestamp=ts, amount=x, amount_over_user_mean_30d=y)
+    return EnrichedTable(**cols)
+
+
+@pytest.mark.parametrize(
+    "window, stride",
+    [
+        (86400, 86400),  # daily
+        (3600, 3600),  # hourly: many windows with 0 or 1 rows
+        (86400, 3600),  # overlapping: 24 windows per row
+        (7 * 86400, 86400),
+        (70 * 86400, 70 * 86400),  # one window over all rows
+    ],
+)
+def test_dynamic_correlation_equals_per_window_loop(window, stride):
+    rows = _dense_table()
+    pair = ("amount", "amount_over_user_mean_30d")
+    got = dynamic_correlation(rows, pair, window, stride).points
+    assert repr(got) == repr(reference_dynamic_points(rows, pair, window, stride))
+
+
+def _reference_window_correlations(x, y, lo, hi):
+    out = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        acc = RunningMoments()
+        for i in range(a, b):
+            acc.update(float(x[i]), float(y[i]))
+        out.append(acc.correlation())
+    return out
+
+
+@pytest.mark.parametrize("n_windows", [0, 1, 31, 32, 33, 200])
+@pytest.mark.parametrize("min_lanes", [1, 32, 10_000])
+def test_window_correlations_equal_per_window_loop(n_windows, min_lanes, monkeypatch):
+    # lane counts on both sides of the cut to the per-window loop, which
+    # itself is moved from "lanes to the end" to "no lanes at all"
+    monkeypatch.setattr(correlate, "_MIN_LANES", min_lanes)
+    rng = np.random.default_rng(n_windows)
+    n = 2000
+    x = rng.normal(size=n) * 1e3 + 1e6
+    y = x * 0.5 + rng.normal(size=n)
+    x[300:400] = 7.0  # constant windows
+    lo = rng.integers(0, n - 400, n_windows)
+    size = rng.choice([0, 1, 2, 3, 50, 120, 399], n_windows)  # many equal lengths
+    hi = lo + size
+    got = correlate._window_correlations(x, y, lo, hi)
+    assert repr(got) == repr(_reference_window_correlations(x, y, lo, hi))

@@ -17,6 +17,7 @@ from timetrail.explain import (
     ExplanationSequence,
     SequenceStep,
     TEMPORAL_FEATURES,
+    TISReport,
     aggregate_tis,
     attribute_prediction,
     attribution_matrix,
@@ -28,7 +29,15 @@ from timetrail.explain import (
     tis_report_from_json,
 )
 from timetrail.features import FeatureTable
-from timetrail.model import GBTConfig, LogisticModel, predict_proba, train_gbt
+from timetrail.model import (
+    GBTConfig,
+    GBTModel,
+    LogisticModel,
+    Tree,
+    TreeNode,
+    predict_proba,
+    train_gbt,
+)
 
 
 def fitted(n_trees, seed=0, n=150, names=("amount", "velocity", "gap")):
@@ -99,6 +108,136 @@ def test_margin_check_detects_corruption():
         probability=seq.probability,
     )
     assert not margin_check(broken)
+
+
+# ---------------------------------------------------------------------------
+# the flat tree walk against the level walk it replaced
+
+
+def reference_flat(tree):
+    """(feature, threshold, left, right, value, depth); leaves have feature -1."""
+    feats, thrs, lefts, rights, values = [], [], [], [], []
+
+    def walk(node):
+        i = len(feats)
+        feats.append(-1 if node.is_leaf else node.feature)
+        thrs.append(0.0 if node.is_leaf else node.threshold)
+        lefts.append(-1)
+        rights.append(-1)
+        values.append(node.value)
+        if not node.is_leaf:
+            lefts[i] = walk(node.left)
+            rights[i] = walk(node.right)
+        return i
+
+    def depth(node):
+        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+
+    walk(tree.root)
+    arrays = (feats, thrs, lefts, rights, values)
+    kinds = (np.int64, np.float64, np.int64, np.int64, np.float64)
+    return (*(np.array(a, dtype=k) for a, k in zip(arrays, kinds)), depth(tree.root))
+
+
+def reference_leaf_values(tree, X):
+    feats, thrs, lefts, rights, values, depth = reference_flat(tree)
+    n = X.shape[0]
+    node = np.zeros(n, dtype=np.int64)
+    rows = np.arange(n)
+    for _ in range(depth):
+        f = feats[node]
+        internal = f >= 0
+        if not internal.any():
+            break
+        x = X[rows, np.where(internal, f, 0)]
+        nxt = np.where(x < thrs[node], lefts[node], rights[node])
+        node = np.where(internal, nxt, node)
+    return values[node]
+
+
+def reference_attribution(model, X):
+    n = X.shape[0]
+    contrib = np.zeros((n, len(model.feature_names)), dtype=np.float64)
+    rows = np.arange(n)
+    for tree in model.trees:
+        feats, thrs, lefts, rights, values, depth = reference_flat(tree)
+        node = np.zeros(n, dtype=np.int64)
+        for _ in range(depth):
+            f = feats[node]
+            internal = f >= 0
+            if not internal.any():
+                break
+            x = X[rows, np.where(internal, f, 0)]
+            nxt = np.where(x < thrs[node], lefts[node], rights[node])
+            nxt = np.where(internal, nxt, node)
+            delta = model.learning_rate * (values[nxt] - values[node])
+            np.add.at(contrib, (rows[internal], f[internal]), delta[internal])
+            node = nxt
+    return contrib
+
+
+def _lopsided_tree():
+    """A leaf at depth 1 beside a chain whose leaves are at depth 4."""
+    node = TreeNode(value=0.4)
+    for depth, f in enumerate((2, 1, 0)):
+        node = TreeNode(
+            value=0.1 * depth - 0.25,
+            feature=f,
+            threshold=0.5 - depth,
+            left=TreeNode(value=-1.5 + depth),
+            right=node,
+        )
+    return Tree(TreeNode(value=0.05, feature=1, threshold=0.0, left=TreeNode(value=-0.7), right=node))
+
+
+@pytest.fixture(scope="module")
+def walk_cases():
+    """(models, tables) by name: every model is scored on every table."""
+    names = ("amount", "velocity", "gap")
+    trained, table = fitted(40, seed=21)
+    models = {
+        "trained": trained,
+        "depth4": train_gbt(table, GBTConfig(n_trees=30, max_depth=4, learning_rate=0.3)),
+        "lopsided": GBTModel(
+            feature_names=names,
+            base_score=-0.3,
+            learning_rate=0.1,
+            trees=(_lopsided_tree(), Tree(TreeNode(value=0.9)), _lopsided_tree()),
+        ),
+        "single_leaf": GBTModel(names, 0.2, 0.5, (Tree(TreeNode(value=-2.0)),)),
+    }
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(400, 3))
+    X[rng.random(X.shape) < 0.05] = np.nan
+    X[rng.random(X.shape) < 0.05] = np.inf
+    X[rng.random(X.shape) < 0.05] = -np.inf
+    X[:3] = [0.0, 0.0, 0.0]  # equal to thresholds: goes right
+    X[3:6] = [-1.5, -0.5, 0.5]
+    tables = {
+        "train_rows": table,
+        "odd_rows": FeatureTable(feature_names=names, rows=X),
+        "no_rows": FeatureTable(feature_names=names, rows=np.zeros((0, 3))),
+    }
+    return models, tables
+
+
+@pytest.mark.parametrize("model_name", ["trained", "depth4", "lopsided", "single_leaf"])
+@pytest.mark.parametrize("table_name", ["train_rows", "odd_rows", "no_rows"])
+def test_tree_walks_equal_the_level_walk_bit_for_bit(walk_cases, model_name, table_name):
+    model, table = walk_cases[0][model_name], walk_cases[1][table_name]
+    X = table.rows
+    for tree in model.trees:
+        got = tree.leaf_values(X)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), reference_leaf_values(tree, X).view(np.int64))
+    contrib, _ = attribution_matrix(model, table)
+    assert np.array_equal(contrib.view(np.int64), reference_attribution(model, X).view(np.int64))
+
+
+def test_tree_walk_rejects_a_feature_outside_the_rows():
+    tree = Tree(TreeNode(value=0.0, feature=3, threshold=0.0, left=TreeNode(1.0), right=TreeNode(2.0)))
+    with pytest.raises(ValueError, match="outside"):
+        tree.leaf_values(np.zeros((4, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +430,99 @@ def test_step_deltas_scale_with_learning_rate():
     raw = seq.steps[0]
     assert isinstance(raw, SequenceStep)
     assert math.isfinite(raw.delta)
+
+
+# ---------------------------------------------------------------------------
+# JSON writers against json.dumps of the documents they replaced
+
+
+def reference_sequence_json(seq, temporal_feature_set=TEMPORAL_FEATURES):
+    totals = {}
+    for s in seq.steps:
+        totals[s.feature_name] = totals.get(s.feature_name, 0.0) + s.delta
+    doc = {
+        "tx_id": seq.tx_id,
+        "bias": seq.bias,
+        "steps": [
+            {
+                "tree": s.tree_index,
+                "feature": s.feature_name,
+                "threshold": s.threshold,
+                "branch": s.branch,
+                "delta": s.delta,
+            }
+            for s in seq.steps
+        ],
+        "feature_contributions": {k: totals[k] for k in sorted(totals)},
+        "margin": seq.margin,
+        "probability": seq.probability,
+        "tis": tis(totals, temporal_feature_set),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def reference_tis_report_json(report):
+    doc = {
+        "temporal_feature_set": list(report.temporal_feature_set),
+        "threshold": report.threshold,
+        "per_tx": [{"tx_id": t, "tis": v} for t, v in report.per_tx],
+        "flagged_tx_ids": list(report.flagged_tx_ids),
+        "aggregate": report.aggregate,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1)
+ODD_NAMES = ('quote"d', "back\\slash", "caf\u00e9 \u6f22 \U0001f600", "tab\tnew\nline", "50%", "")
+
+
+def test_sequence_json_equals_json_dumps_on_odd_values():
+    steps = tuple(
+        SequenceStep(
+            tree_index=i,
+            feature_name=ODD_NAMES[i % len(ODD_NAMES)],
+            threshold=ODD_FLOATS[i % len(ODD_FLOATS)],
+            branch="left" if i % 2 else "right",
+            delta=ODD_FLOATS[(i + 3) % len(ODD_FLOATS)],
+        )
+        for i in range(2 * len(ODD_FLOATS))
+    )
+    for tx_id in ODD_NAMES:
+        seq = ExplanationSequence(tx_id=tx_id, bias=-0.0, steps=steps, margin=math.nan, probability=5e-324)
+        assert sequence_to_json(seq, ODD_NAMES[:3]) == reference_sequence_json(seq, ODD_NAMES[:3])
+
+
+def test_sequence_json_equals_json_dumps_without_steps():
+    seq = ExplanationSequence(tx_id='a"\\b', bias=0.25, steps=(), margin=0.25, probability=0.5)
+    assert sequence_to_json(seq) == reference_sequence_json(seq)
+
+
+def test_sequence_json_equals_json_dumps_on_trained_paths():
+    model, table = fitted(30, seed=15)
+    for i in (0, 9, 77):
+        seq = explanation_sequence(model, table, i)
+        assert sequence_to_json(seq, ("gap",)) == reference_sequence_json(seq, ("gap",))
+
+
+@given(
+    st.lists(st.tuples(st.text(), st.floats(allow_nan=True, allow_infinity=True)), max_size=20),
+    st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+    st.lists(st.text(), max_size=5),
+)
+@settings(max_examples=200)
+def test_tis_report_json_equals_json_dumps(per_tx, aggregate, names):
+    report = TISReport(
+        temporal_feature_set=tuple(names),
+        threshold=0.5,
+        per_tx=tuple(per_tx),
+        flagged_tx_ids=tuple(t for t, _ in per_tx[:3]),
+        aggregate=aggregate,
+    )
+    assert report.to_json() == reference_tis_report_json(report)
+
+
+def test_tis_report_json_equals_json_dumps_on_odd_values():
+    per_tx = tuple((name, v) for name in ODD_NAMES for v in ODD_FLOATS)
+    for rows in (per_tx, ()):
+        report = TISReport(ODD_NAMES, 0.5, rows, ODD_NAMES[:2], -math.inf)
+        assert report.to_json() == reference_tis_report_json(report)
