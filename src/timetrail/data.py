@@ -1,18 +1,26 @@
 """Transaction data model and CSV ingestion.
 
+A Dataset holds transactions as numpy columns sorted by (timestamp, tx_id).
 Timestamps are integer epoch seconds, UTC. Input CSV may carry either epoch
 seconds or ISO-8601 UTC strings; output always uses epoch seconds.
+
+Numbers are ASCII, read after surrounding whitespace is stripped: a timestamp
+is [+-]?[0-9]{1,18} epoch seconds or an ISO-8601 string (naive means UTC),
+and positive; an amount is a decimal or exponent literal, [+-]?(d+[.d*] | .d+)
+([eE][+-]?d+), finite and >= 0. The '_' separators and non-ASCII digits that
+int() and float() also read are rejected.
 """
 from __future__ import annotations
 
 import csv
 import io
-import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 TX_TYPES = ("purchase", "withdrawal", "transfer", "deposit")
 LABELS = ("legit", "fraud")
@@ -21,9 +29,15 @@ LABELS = ("legit", "fraud")
 # auxiliary tag produced by the synthetic generator.
 BASE_COLUMNS = ("tx_id", "timestamp", "user_id", "terminal_id", "amount", "tx_type")
 OPTIONAL_COLUMNS = ("label", "scenario")
+STRING_COLUMNS = ("tx_id", "user_id", "terminal_id", "tx_type", "label", "scenario")
 
 # tx_ids name artifact files (sequence_<tx_id>.json), so they stay path-safe.
 TX_ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
+# rows converted to or from text at a time: a chunk's text stays in small
+# allocations, and a whole table's Python values never coexist
+CHUNK_ROWS = 1024
+# 18 digits at most, so every epoch value fits int64
+_EPOCH = re.compile(r"[+-]?[0-9]{1,18}", re.ASCII)
 
 
 class ParseError(ValueError):
@@ -32,7 +46,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
-    """One transaction. Fields may be None only between parse and cleanse."""
+    """One literal row for Dataset.from_rows; None marks a missing value."""
 
     tx_id: str
     timestamp: int
@@ -42,9 +56,6 @@ class Transaction:
     tx_type: str | None
     label: str | None = None
     scenario: str | None = None
-
-    def sort_key(self) -> tuple[int, str]:
-        return (self.timestamp, self.tx_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,48 +67,73 @@ class DatasetMeta:
     t_max: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable, sorted by (timestamp, tx_id). Build via from_rows."""
+    """Transactions as numpy columns, sorted by (timestamp, tx_id).
 
-    transactions: tuple[Transaction, ...]
-    meta: DatasetMeta
+    The string columns are object arrays holding "" for a missing value;
+    timestamp is int64 and amount float64 with NaN for a missing amount.
+    """
+
+    tx_id: np.ndarray
+    timestamp: np.ndarray
+    user_id: np.ndarray
+    terminal_id: np.ndarray
+    amount: np.ndarray
+    tx_type: np.ndarray
+    label: np.ndarray
+    scenario: np.ndarray
 
     @staticmethod
     def from_rows(rows: Iterable[Transaction]) -> "Dataset":
-        txs = tuple(sorted(rows, key=Transaction.sort_key))
-        return Dataset(transactions=txs, meta=_meta_of(txs))
+        rows = list(rows)
+        return Dataset(
+            timestamp=np.array([t.timestamp for t in rows], dtype=np.int64),
+            amount=np.array([np.nan if t.amount is None else t.amount for t in rows], dtype=float),
+            **{
+                name: np.array([getattr(t, name) or "" for t in rows], dtype=object)
+                for name in STRING_COLUMNS
+            },
+        )._sorted()
+
+    @classmethod
+    def concat(cls, parts: Sequence["Dataset"]):
+        """The parts' rows one after another, as a table of this type."""
+        return cls(**{f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)})
+
+    def _sorted(self) -> "Dataset":
+        """The rows in (timestamp, tx_id) order; ties keep their order."""
+        return self[np.lexsort((self.tx_id, self.timestamp))]
 
     def __len__(self) -> int:
-        return len(self.transactions)
+        return len(self.tx_id)
 
+    def __getitem__(self, rows):
+        """The rows a slice or an index array picks, as the same type."""
+        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
-def _meta_of(txs: Sequence[Transaction]) -> DatasetMeta:
-    n = len(txs)
-    fraud = sum(1 for t in txs if t.label == "fraud")
-    labeled = any(t.label is not None for t in txs)
-    rate = fraud / n if (labeled and n > 0) else None
-    t_min = min((t.timestamp for t in txs), default=None)
-    t_max = max((t.timestamp for t in txs), default=None)
-    return DatasetMeta(row_count=n, fraud_count=fraud, fraud_rate=rate, t_min=t_min, t_max=t_max)
+    @property
+    def meta(self) -> DatasetMeta:
+        n, fraud = len(self), int((self.label == "fraud").sum())
+        return DatasetMeta(
+            row_count=n,
+            fraud_count=fraud,
+            fraud_rate=fraud / n if (self.label != "").any() else None,
+            t_min=int(self.timestamp.min()) if n else None,
+            t_max=int(self.timestamp.max()) if n else None,
+        )
 
 
 def parse_timestamp(raw: str) -> int:
-    """Epoch seconds from an integer string or an ISO-8601 UTC string."""
+    """Epoch seconds from an ASCII integer string or an ISO-8601 UTC string."""
     text = raw.strip()
-    try:
+    if _EPOCH.fullmatch(text):
         return int(text)
-    except ValueError:
-        pass
     iso = text[:-1] + "+00:00" if text.endswith("Z") else text
     dt = datetime.fromisoformat(iso)  # raises ValueError on junk
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return round(dt.timestamp())
-
-
-def format_timestamp(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def hour_of_day(ts: int) -> int:
@@ -109,70 +145,9 @@ def day_of_week(ts: int) -> int:
     return (ts // 86400 + 3) % 7
 
 
-def _row_error(line: int, field: str, detail: str) -> ParseError:
-    return ParseError(f"line {line}, field '{field}': {detail}")
-
-
-def _parse_row(values: list[str], columns: tuple[str, ...], line: int) -> Transaction:
-    if len(values) != len(columns):
-        raise ParseError(f"line {line}: expected {len(columns)} fields, got {len(values)}")
-    rec = dict(zip(columns, (v.strip() for v in values)))
-
-    tx_id = rec["tx_id"]
-    if not tx_id:
-        raise _row_error(line, "tx_id", "missing value")
-    if not TX_ID_PATTERN.fullmatch(tx_id):
-        raise _row_error(line, "tx_id", f"{tx_id!r} has characters outside [A-Za-z0-9_.-]")
-
-    raw_ts = rec["timestamp"]
-    if not raw_ts:
-        raise _row_error(line, "timestamp", "missing value")
-    try:
-        ts = parse_timestamp(raw_ts)
-    except ValueError:
-        raise _row_error(line, "timestamp", f"not epoch seconds or ISO-8601: {raw_ts!r}") from None
-    if ts <= 0:
-        raise _row_error(line, "timestamp", f"must be positive epoch seconds, got {ts}")
-
-    amount: float | None = None
-    if rec["amount"]:
-        try:
-            amount = float(rec["amount"])
-        except ValueError:
-            raise _row_error(line, "amount", f"not a number: {rec['amount']!r}") from None
-        if not math.isfinite(amount):
-            raise _row_error(line, "amount", "must be finite")
-        if amount < 0:
-            raise _row_error(line, "amount", f"must be non-negative, got {amount}")
-
-    tx_type = rec["tx_type"] or None
-    if tx_type is not None and tx_type not in TX_TYPES:
-        raise _row_error(line, "tx_type", f"unknown type {tx_type!r}; expected one of {TX_TYPES}")
-
-    label = rec.get("label") or None
-    if label is not None and label not in LABELS:
-        raise _row_error(line, "label", f"unknown label {label!r}; expected one of {LABELS}")
-
-    return Transaction(
-        tx_id=tx_id,
-        timestamp=ts,
-        user_id=rec["user_id"] or None,
-        terminal_id=rec["terminal_id"] or None,
-        amount=amount,
-        tx_type=tx_type,
-        label=label,
-        scenario=rec.get("scenario") or None,
-    )
-
-
 def _check_header(header: list[str]) -> tuple[str, ...]:
     cleaned = tuple(h.strip() for h in header)
-    allowed = (
-        BASE_COLUMNS,
-        BASE_COLUMNS + ("label",),
-        BASE_COLUMNS + ("label", "scenario"),
-    )
-    if cleaned not in allowed:
+    if cleaned not in (BASE_COLUMNS, BASE_COLUMNS + ("label",), BASE_COLUMNS + OPTIONAL_COLUMNS):
         raise ParseError(
             f"line 1: bad header {list(cleaned)}; expected {list(BASE_COLUMNS)} "
             "with optional trailing 'label' and 'scenario' columns"
@@ -180,11 +155,72 @@ def _check_header(header: list[str]) -> tuple[str, ...]:
     return cleaned
 
 
+def _amount(text: str) -> float | None:
+    """float() of ASCII text without '_' (the amount grammar, inf and nan), else None."""
+    try:
+        return float(text) if text.isascii() and "_" not in text else None
+    except ValueError:
+        return None
+
+
+def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
+    """CSV rows, each ending in its line number, as a Dataset in file order,
+    converted and checked a column at a time; ParseError names the first bad
+    row and its first bad field. `shared` keeps one copy of each string."""
+    *text, lines = zip(*rows) if rows else [()] * (len(columns) + 1)
+    raw = {name: [""] * len(rows) for name in OPTIONAL_COLUMNS}
+    raw.update(zip(columns, (list(map(str.strip, col)) for col in text)))
+    # epoch seconds, else ISO-8601; missing and unreadable values read as 1
+    ts_text, digits = raw["timestamp"], "".join(raw["timestamp"])
+    if digits.isdigit() and digits.isascii() and all(ts_text) and max(map(len, ts_text)) <= 18:
+        ts_values = list(map(int, ts_text))  # all of them plain epoch seconds
+    else:
+        ts_values = [int(s) if _EPOCH.fullmatch(s) else s for s in ts_text]
+    ts_bad = np.zeros(len(ts_values), dtype=bool)
+    for i in [i for i, v in enumerate(ts_values) if isinstance(v, str)]:
+        try:
+            ts_values[i] = parse_timestamp(ts_values[i]) if ts_values[i] else 1
+        except ValueError:
+            ts_values[i], ts_bad[i] = 1, True
+    amounts = list(map(_amount, raw["amount"]))
+    readable = np.array([a is not None for a in amounts], dtype=bool)
+    d = Dataset(
+        timestamp=np.array(ts_values, dtype=np.int64),
+        amount=np.array(amounts, dtype=np.float64),  # None reads as NaN
+        **{n: np.array(list(map(shared.setdefault, raw[n], raw[n])), dtype=object) for n in STRING_COLUMNS},
+    )
+    given = np.array(raw["amount"], dtype=object) != ""
+    # (field, failing rows, detail, the values it shows); a mask may be
+    # wrong only at rows that an earlier check fails
+    checks = (
+        ("tx_id", d.tx_id == "", "missing value", raw["tx_id"]),
+        ("tx_id", [TX_ID_PATTERN.fullmatch(s) is None for s in raw["tx_id"]],
+         "{!r} has characters outside [A-Za-z0-9_.-]", raw["tx_id"]),
+        ("timestamp", [not s for s in ts_text], "missing value", ts_text),
+        ("timestamp", ts_bad, "not epoch seconds or ISO-8601: {!r}", ts_text),
+        ("timestamp", d.timestamp <= 0, "must be positive epoch seconds, got {}", ts_values),
+        ("amount", given & ~readable, "not a number: {!r}", raw["amount"]),
+        ("amount", readable & ~np.isfinite(d.amount), "must be finite", amounts),
+        ("amount", d.amount < 0, "must be non-negative, got {}", amounts),
+        ("tx_type", ~np.isin(d.tx_type, ("",) + TX_TYPES),
+         f"unknown type {{!r}}; expected one of {TX_TYPES}", raw["tx_type"]),
+        ("label", ~np.isin(d.label, ("",) + LABELS),
+         f"unknown label {{!r}}; expected one of {LABELS}", raw["label"]),
+    )
+    failures = [(int(hits[0]), k) for k, c in enumerate(checks) if len(hits := np.flatnonzero(c[1]))]
+    if failures:
+        row, k = min(failures)
+        field, _, detail, values = checks[k]
+        raise ParseError(f"line {lines[row]}, field '{field}': {detail.format(values[row])}")
+    return d
+
+
 def parse_transactions(source: str | Iterable[str]) -> Dataset:
     """Parse CSV text (or an iterable of lines) into a sorted Dataset.
 
     Rows are preserved verbatim apart from type conversion; duplicate tx_ids
-    and missing field values survive until cleanse.
+    and missing field values survive until cleanse. An error names the first
+    bad row in file order.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -194,12 +230,30 @@ def parse_transactions(source: str | Iterable[str]) -> Dataset:
     except StopIteration:
         raise ParseError("line 1: empty input, header row required") from None
     columns = _check_header(header)
-    rows = []
-    for values in reader:
-        if not values:
-            continue  # blank line
-        rows.append(_parse_row(values, columns, reader.line_num))
-    return Dataset.from_rows(rows)
+    parts: list[Dataset] = []
+    shared: dict[str, str] = {}
+    rows: list[list] = []
+    stop: Exception | None = None  # raised unless a row before it is bad
+    try:
+        for values in reader:
+            if not values:
+                continue  # blank line
+            if len(values) != len(columns):
+                stop = ParseError(
+                    f"line {reader.line_num}: expected {len(columns)} fields, got {len(values)}"
+                )
+                break
+            values.append(reader.line_num)
+            rows.append(values)
+            if len(rows) == CHUNK_ROWS:
+                parts.append(_convert(rows, columns, shared))
+                rows = []
+    except csv.Error as e:
+        stop = e
+    parts.append(_convert(rows, columns, shared))
+    if stop is not None:
+        raise stop
+    return Dataset.concat(parts)._sorted()
 
 
 def load_transactions(path: str | Path) -> Dataset:
@@ -221,35 +275,41 @@ def load_tx_ids(path: str | Path) -> list[str]:
         return [values[0].strip() for values in reader if values]
 
 
-def _format_amount(a: float | None) -> str:
-    return "" if a is None else repr(a)
+def transaction_columns(d: Dataset) -> tuple[str, ...]:
+    """BASE_COLUMNS and label, then scenario if some row carries a scenario tag."""
+    return BASE_COLUMNS + OPTIONAL_COLUMNS[: 2 if (d.scenario != "").any() else 1]
+
+
+def _csv_text(column: np.ndarray) -> list[str]:
+    if column.dtype == np.float64:  # NaN is a missing amount
+        return [repr(a) if a == a else "" for a in column.tolist()]
+    return column.tolist() if column.dtype == object else list(map(str, column.tolist()))
+
+
+def columns_to_csv(table: Dataset, columns: Sequence[str]) -> str:
+    """CSV text of the named columns as csv.writer writes it, floats via repr
+    and "" for NaN, converted CHUNK_ROWS rows at a time. A chunk with no ',',
+    '"', CR or LF in its values needs no quoting and is joined directly.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for lo in range(0, len(table), CHUNK_ROWS):
+        values = [_csv_text(getattr(table, name)[lo : lo + CHUNK_ROWS]) for name in columns]
+        if any(c in text for text in map("".join, values) for c in ',"\r\n'):
+            writer.writerows(zip(*values))
+        else:
+            out.write("\n".join(map(",".join, zip(*values))) + "\n")
+    return out.getvalue()
 
 
 def serialize_transactions(d: Dataset) -> str:
     """CSV text for a dataset; inverse of parse_transactions.
 
-    Timestamps are emitted as epoch seconds. The scenario column appears only
-    when some row carries a scenario tag.
+    Timestamps are emitted as epoch seconds, amounts via repr. The scenario
+    column appears only when some row carries a scenario tag.
     """
-    with_scenario = any(t.scenario is not None for t in d.transactions)
-    columns = BASE_COLUMNS + (("label", "scenario") if with_scenario else ("label",))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for t in d.transactions:
-        row = [
-            t.tx_id,
-            str(t.timestamp),
-            t.user_id or "",
-            t.terminal_id or "",
-            _format_amount(t.amount),
-            t.tx_type or "",
-            t.label or "",
-        ]
-        if with_scenario:
-            row.append(t.scenario or "")
-        writer.writerow(row)
-    return out.getvalue()
+    return columns_to_csv(d, transaction_columns(d))
 
 
 def save_transactions(d: Dataset, path: str | Path) -> None:

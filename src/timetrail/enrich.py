@@ -47,21 +47,13 @@ class EnrichConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class EnrichedTable:
-    """Enriched transactions as numpy columns, one entry per row.
+class EnrichedTable(Dataset):
+    """Enriched transactions: the Dataset's columns, then one numpy column per
+    temporal attribute, in ATTRIBUTE_NAMES order.
 
-    String columns hold "" where a label or scenario tag is absent. The
-    attribute columns are int64 apart from amount_over_user_mean_30d.
+    The attribute columns are int64 apart from amount_over_user_mean_30d.
     """
 
-    tx_id: np.ndarray
-    timestamp: np.ndarray
-    user_id: np.ndarray
-    terminal_id: np.ndarray
-    amount: np.ndarray
-    tx_type: np.ndarray
-    label: np.ndarray
-    scenario: np.ndarray
     hour_of_day: np.ndarray
     day_of_week: np.ndarray
     is_night: np.ndarray
@@ -71,12 +63,6 @@ class EnrichedTable:
     user_tx_count_7d: np.ndarray
     terminal_tx_count_48h: np.ndarray
     amount_over_user_mean_30d: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.tx_id)
-
-    def __getitem__(self, rows: slice) -> "EnrichedTable":
-        return EnrichedTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
     def column(self, name: str) -> np.ndarray:
         """A temporal attribute, or the base amount, as float64."""
@@ -177,28 +163,17 @@ def enrich(d: Dataset, cfg: EnrichConfig | None = None) -> EnrichedTable:
     """Attach the nine temporal attributes to every row, in dataset order."""
     cfg = cfg or EnrichConfig()
     cfg.validate()
-    rows = d.transactions
-    for t in rows:
-        if t.user_id is None or t.terminal_id is None or t.amount is None:
-            raise ValueError(
-                f"transaction {t.tx_id} has missing fields; cleanse the dataset before enriching"
-            )
-    ts = np.array([t.timestamp for t in rows], dtype=np.int64)
-    amount = np.array([t.amount for t in rows], dtype=np.float64)
-    users = np.array([t.user_id for t in rows], dtype=object)
-    terminals = np.array([t.terminal_id for t in rows], dtype=object)
-    by_user = _group_keys(users, ts)
-    recency, ratio = _recency_and_ratio(*by_user, ts, amount, cfg.recency_cap_seconds)
+    bad = (d.user_id == "") | (d.terminal_id == "") | np.isnan(d.amount)
+    if bad.any():
+        raise ValueError(
+            f"transaction {d.tx_id[bad.argmax()]} has missing fields; cleanse the dataset before enriching"
+        )
+    ts = d.timestamp
+    by_user = _group_keys(d.user_id, ts)
+    recency, ratio = _recency_and_ratio(*by_user, ts, d.amount, cfg.recency_cap_seconds)
     hour = hour_of_day(ts)
     return EnrichedTable(
-        tx_id=np.array([t.tx_id for t in rows], dtype=object),
-        timestamp=ts,
-        user_id=users,
-        terminal_id=terminals,
-        amount=amount,
-        tx_type=np.array([t.tx_type or "" for t in rows], dtype=object),
-        label=np.array([t.label or "" for t in rows], dtype=object),
-        scenario=np.array([t.scenario or "" for t in rows], dtype=object),
+        **{f.name: getattr(d, f.name) for f in fields(Dataset)},
         hour_of_day=hour,
         day_of_week=day_of_week(ts),
         is_night=(hour < NIGHT_END_HOUR).astype(np.int64),
@@ -206,6 +181,6 @@ def enrich(d: Dataset, cfg: EnrichConfig | None = None) -> EnrichedTable:
         user_tx_count_24h=_window_counts(*by_user, DAY),
         user_tx_count_48h=_window_counts(*by_user, 2 * DAY),
         user_tx_count_7d=_window_counts(*by_user, 7 * DAY),
-        terminal_tx_count_48h=_window_counts(*_group_keys(terminals, ts), 2 * DAY),
+        terminal_tx_count_48h=_window_counts(*_group_keys(d.terminal_id, ts), 2 * DAY),
         amount_over_user_mean_30d=ratio,
     )

@@ -14,13 +14,25 @@ import io
 import json
 import os
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .correlate import correlation_matrix, dynamic_correlation
-from .data import load_transactions, load_tx_ids, parse_timestamp, save_transactions
+from .data import (
+    BASE_COLUMNS,
+    CHUNK_ROWS,
+    OPTIONAL_COLUMNS,
+    STRING_COLUMNS,
+    columns_to_csv,
+    load_transactions,
+    load_tx_ids,
+    parse_timestamp,
+    save_transactions,
+    transaction_columns,
+)
 from .enrich import ATTRIBUTE_NAMES, EnrichConfig, EnrichedTable, enrich
 from .explain import (
     ExplanationSequence,
@@ -267,46 +279,20 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-_ENRICHED_BASE = ("tx_id", "timestamp", "user_id", "terminal_id", "amount", "tx_type", "label")
 _FLOAT_COLUMNS = ("amount", "amount_over_user_mean_30d")
-_STRING_COLUMNS = ("tx_id", "user_id", "terminal_id", "tx_type", "label", "scenario")
-_WRITE_CHUNK_ROWS = 4096
 
 
 def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
-    """Base columns plus the nine attributes; floats via repr so reads are exact."""
-    with_scenario = bool((rows.scenario != "").any())
-    header = list(_ENRICHED_BASE) + (["scenario"] if with_scenario else []) + list(ATTRIBUTE_NAMES)
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    # a chunk at a time, so the Python values of a whole table never coexist
-    for lo in range(0, len(rows), _WRITE_CHUNK_ROWS):
-        chunk = rows[lo : lo + _WRITE_CHUNK_ROWS]
-        columns = [
-            map(repr, getattr(chunk, name).tolist()) if name in _FLOAT_COLUMNS
-            else getattr(chunk, name).tolist()
-            for name in header
-        ]
-        w.writerows(zip(*columns))
-    _write_text(path, out.getvalue())
+    """Transaction columns plus the nine attributes; floats via repr so reads are exact."""
+    _write_text(path, columns_to_csv(rows, transaction_columns(rows) + ATTRIBUTE_NAMES))
 
 
-def read_enriched_csv(path: Path) -> EnrichedTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty enriched file")
-        want_tail = list(ATTRIBUTE_NAMES)
-        if header[: len(_ENRICHED_BASE)] != list(_ENRICHED_BASE) or header[-9:] != want_tail:
-            raise ValueError(f"{path}: unexpected enriched header")
-        raw = dict(zip(header, zip(*reader)))
-    n = len(raw["tx_id"]) if raw else 0
+def _enriched_rows(header: list[str], rows: list[list[str]]) -> EnrichedTable:
+    raw, n = dict(zip(header, zip(*rows))), len(rows)
     columns = {}
     for name in (f.name for f in fields(EnrichedTable)):
         values = raw.get(name, ("",) * n)
-        if name in _STRING_COLUMNS:
+        if name in STRING_COLUMNS:
             columns[name] = np.array(values, dtype=object)
         elif name in _FLOAT_COLUMNS:
             columns[name] = np.fromiter(map(float, values), np.float64, n)
@@ -315,11 +301,25 @@ def read_enriched_csv(path: Path) -> EnrichedTable:
     return EnrichedTable(**columns)
 
 
+def read_enriched_csv(path: Path) -> EnrichedTable:
+    """An enriched file's table, converted CHUNK_ROWS rows at a time."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty enriched file")
+        base = list(BASE_COLUMNS + OPTIONAL_COLUMNS[:1])
+        if header[: len(base)] != base or header[-9:] != list(ATTRIBUTE_NAMES):
+            raise ValueError(f"{path}: unexpected enriched header")
+        chunks = iter(lambda: list(islice(reader, CHUNK_ROWS)), [])
+        parts = [_enriched_rows(header, rows) for rows in chunks]
+    return EnrichedTable.concat(parts or [_enriched_rows(header, [])])
+
+
 def _read_all_enriched(cfg: RunConfig) -> EnrichedTable:
     """Train, val, and test back to back: chronological because the split is."""
-    parts = [read_enriched_csv(_out(cfg, f"enriched_{p}.csv")) for p in ("train", "val", "test")]
-    return EnrichedTable(
-        **{f.name: np.concatenate([getattr(t, f.name) for t in parts]) for f in fields(EnrichedTable)}
+    return EnrichedTable.concat(
+        [read_enriched_csv(_out(cfg, f"enriched_{p}.csv")) for p in ("train", "val", "test")]
     )
 
 

@@ -1,4 +1,4 @@
-"""Dataset cleansing and chronological splitting."""
+"""Dataset cleansing and chronological splitting, on the Dataset's columns."""
 from __future__ import annotations
 
 import json
@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Transaction
+from .data import Dataset
 
 # Fields a row must carry to be usable downstream.
 MANDATORY_FIELDS = ("user_id", "terminal_id", "amount", "tx_type")
@@ -43,10 +43,18 @@ class CleanseReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _dup_key(t: Transaction, policy: CleansePolicy):
+def _first_rows(d: Dataset, policy: CleansePolicy) -> np.ndarray:
+    """Ascending positions of the first row of each duplicate key; keys
+    compare as Python values, so -0.0 == 0.0 and missing == missing."""
     if policy.dedupe_key == "tx_id":
-        return t.tx_id
-    return tuple(getattr(t, f) for f in COMPOSITE_KEY_FIELDS)
+        keys = d.tx_id.tolist()
+    else:
+        columns = [getattr(d, name).tolist() for name in COMPOSITE_KEY_FIELDS]
+        i = COMPOSITE_KEY_FIELDS.index("amount")
+        columns[i] = [None if a != a else a for a in columns[i]]  # NaN != NaN, None == None
+        keys = list(zip(*columns))
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.sort(np.fromiter(first.values(), np.int64, len(first)))
 
 
 def amount_fences(amounts: Sequence[float], k: float) -> tuple[float, float]:
@@ -59,7 +67,8 @@ def amount_fences(amounts: Sequence[float], k: float) -> tuple[float, float]:
 
 def cleanse(d: Dataset, policy: CleansePolicy | None = None) -> tuple[Dataset, CleanseReport]:
     """Drop duplicates (first kept), rows with missing mandatory fields, and
-    optionally amount outliers beyond the IQR fences.
+    optionally amount outliers beyond the IQR fences. A missing field is ""
+    or, for the amount, NaN.
 
     Each removed row is counted once, in the first category that catches it;
     rows_in == rows_out + duplicates_dropped + missing_dropped + outliers_removed.
@@ -67,39 +76,27 @@ def cleanse(d: Dataset, policy: CleansePolicy | None = None) -> tuple[Dataset, C
     policy = policy or CleansePolicy()
     policy.validate()
 
-    seen: set = set()
-    deduped: list[Transaction] = []
-    duplicates = 0
-    for t in d.transactions:  # dataset order, so "first" is earliest (timestamp, tx_id)
-        key = _dup_key(t, policy)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        deduped.append(t)
+    # dataset order, so "first" is earliest (timestamp, tx_id)
+    kept = _first_rows(d, policy)
+    duplicates = len(d) - len(kept)
 
-    complete: list[Transaction] = []
-    missing = 0
-    for t in deduped:
-        if any(getattr(t, f) is None for f in MANDATORY_FIELDS):
-            missing += 1
-            continue
-        complete.append(t)
+    missing_mask = np.isnan(d.amount)
+    for name in MANDATORY_FIELDS:
+        if name != "amount":
+            missing_mask |= getattr(d, name) == ""
+    complete = kept[~missing_mask[kept]]
+    missing = len(kept) - len(complete)
 
-    outliers = 0
     fence_low: float | None = None
     fence_high: float | None = None
     kept = complete
-    if policy.remove_outliers and complete:
-        fence_low, fence_high = amount_fences([t.amount for t in complete], policy.iqr_k)
-        kept = []
-        for t in complete:
-            if t.amount < fence_low or t.amount > fence_high:
-                outliers += 1
-            else:
-                kept.append(t)
+    if policy.remove_outliers and len(complete):
+        amount = d.amount[complete]
+        fence_low, fence_high = amount_fences(amount, policy.iqr_k)
+        kept = complete[(amount >= fence_low) & (amount <= fence_high)]
+    outliers = len(complete) - len(kept)
 
-    out = Dataset.from_rows(kept)
+    out = d[kept]
     report = CleanseReport(
         rows_in=len(d),
         rows_out=len(out),
@@ -131,16 +128,13 @@ def temporal_split(d: Dataset, train_frac: float, val_frac: float) -> Split:
         raise ValueError(
             f"train_frac + val_frac must leave room for test, got {train_frac + val_frac}"
         )
-    rows = d.transactions
-    n = len(rows)
+    ts = d.timestamp
+    n = len(ts)
 
     def cut(frac: float, lo: int) -> int:
-        c = int(n * frac)
-        if c < lo:
-            c = lo
-        # ties on the boundary timestamp stay with the earlier part
-        while 0 < c < n and rows[c].timestamp == rows[c - 1].timestamp:
-            c += 1
+        c = max(int(n * frac), lo)
+        if 0 < c < n:  # ties on the boundary timestamp stay with the earlier part
+            c = int(np.searchsorted(ts, ts[c - 1], "right"))
         return c
 
     c1 = cut(train_frac, 0)
@@ -149,8 +143,4 @@ def temporal_split(d: Dataset, train_frac: float, val_frac: float) -> Split:
         raise ValueError(
             "dataset too small to populate train, val, and test at these fractions"
         )
-    return Split(
-        train=Dataset.from_rows(rows[:c1]),
-        val=Dataset.from_rows(rows[c1:c2]),
-        test=Dataset.from_rows(rows[c2:]),
-    )
+    return Split(train=d[:c1], val=d[c1:c2], test=d[c2:])

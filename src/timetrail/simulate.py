@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import TX_TYPES, Dataset, Transaction
+from .data import LABELS, TX_TYPES, Dataset
 
 SCENARIOS = ("burst", "night_owl", "new_account_abuse", "terminal_compromise", "amount_spike")
 
@@ -116,39 +116,20 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 class _Columns:
-    """Column buffers for generated rows; scenario -1 means none."""
+    """Column buffers for generated rows: ts, user, terminal, amount, tx_type,
+    fraud and scenario (-1 means none). fraud and scenario may be scalars."""
+
+    DTYPES = (np.int64, np.int64, np.int64, np.float64, np.int64, np.int8, np.int8)
 
     def __init__(self) -> None:
-        self.ts: list[np.ndarray] = []
-        self.user: list[np.ndarray] = []
-        self.terminal: list[np.ndarray] = []
-        self.amount: list[np.ndarray] = []
-        self.tx_type: list[np.ndarray] = []
-        self.fraud: list[np.ndarray] = []
-        self.scenario: list[np.ndarray] = []
+        self.parts: list[list[np.ndarray]] = [[] for _ in self.DTYPES]
 
-    def add(self, ts, user, terminal, amount, tx_type, fraud, scenario) -> None:
-        n = len(ts)
-        self.ts.append(np.asarray(ts, dtype=np.int64))
-        self.user.append(np.asarray(user, dtype=np.int64))
-        self.terminal.append(np.asarray(terminal, dtype=np.int64))
-        self.amount.append(np.asarray(amount, dtype=np.float64))
-        self.tx_type.append(np.asarray(tx_type, dtype=np.int64))
-        self.fraud.append(np.full(n, fraud, dtype=np.int8) if np.isscalar(fraud) else np.asarray(fraud, dtype=np.int8))
-        self.scenario.append(
-            np.full(n, scenario, dtype=np.int8) if np.isscalar(scenario) else np.asarray(scenario, dtype=np.int8)
-        )
+    def add(self, ts, *columns) -> None:
+        for part, column, dtype in zip(self.parts, (ts, *columns), self.DTYPES):
+            part.append(np.broadcast_to(np.asarray(column, dtype=dtype), len(ts)))
 
-    def merged(self):
-        return (
-            np.concatenate(self.ts) if self.ts else np.zeros(0, dtype=np.int64),
-            np.concatenate(self.user) if self.user else np.zeros(0, dtype=np.int64),
-            np.concatenate(self.terminal) if self.terminal else np.zeros(0, dtype=np.int64),
-            np.concatenate(self.amount) if self.amount else np.zeros(0),
-            np.concatenate(self.tx_type) if self.tx_type else np.zeros(0, dtype=np.int64),
-            np.concatenate(self.fraud) if self.fraud else np.zeros(0, dtype=np.int8),
-            np.concatenate(self.scenario) if self.scenario else np.zeros(0, dtype=np.int8),
-        )
+    def merged(self) -> list[np.ndarray]:
+        return [np.concatenate(p) if p else np.zeros(0, dt) for p, dt in zip(self.parts, self.DTYPES)]
 
 
 @dataclass
@@ -336,7 +317,7 @@ def generate(cfg: ScenarioConfig) -> Dataset:
         if scenario_counts[i] > 0:
             _SCENARIO_GENERATORS[name](scenario_counts[i], _rng(cfg.seed, _STREAM_SCENARIO, i), world, cols)
 
-    rows_so_far = sum(len(a) for a in cols.ts)
+    rows_so_far = sum(map(len, cols.parts[0]))
     n_legit = cfg.target_rows - rows_so_far
     if n_legit < 0:
         raise ValueError(
@@ -377,37 +358,31 @@ def generate(cfg: ScenarioConfig) -> Dataset:
     ]
     terminal_ids = [f"t{i:04d}" for i in range(cfg.n_terminals)]
     width = max(6, len(str(cfg.target_rows)))
-
-    txs = []
-    for pos, i in enumerate(order):
-        txs.append(
-            Transaction(
-                tx_id=f"tx{pos:0{width}d}",
-                timestamp=int(ts[i]),
-                user_id=user_ids[user[i]],
-                terminal_id=terminal_ids[terminal[i]],
-                amount=float(amount[i]),
-                tx_type=TX_TYPES[tx_type[i]],
-                label="fraud" if fraud[i] else "legit",
-                scenario=SCENARIOS[scenario[i]] if scenario[i] >= 0 else None,
-            )
-        )
-    return Dataset.from_rows(txs)
+    # fixed-width sequential ids in timestamp order: already (timestamp, tx_id) sorted
+    return Dataset(
+        tx_id=np.array([f"tx{pos:0{width}d}" for pos in range(len(order))], dtype=object),
+        timestamp=ts[order],
+        user_id=np.array(user_ids, dtype=object)[user[order]],
+        terminal_id=np.array(terminal_ids, dtype=object)[terminal[order]],
+        amount=amount[order],
+        tx_type=np.array(TX_TYPES, dtype=object)[tx_type[order]],
+        label=np.array(LABELS, dtype=object)[fraud[order]],
+        # scenario -1 (none) picks the trailing ""
+        scenario=np.array(SCENARIOS + ("",), dtype=object)[scenario[order]],
+    )
 
 
 def describe(d: Dataset) -> dict:
     """Row, fraud, per-scenario, and per-day counts; JSON-ready."""
-    per_scenario: dict[str, int] = {}
-    per_day: dict[str, int] = {}
-    for t in d.transactions:
-        if t.scenario is not None:
-            per_scenario[t.scenario] = per_scenario.get(t.scenario, 0) + 1
-        day = datetime.fromtimestamp(t.timestamp, tz=timezone.utc).strftime("%Y-%m-%d")
-        per_day[day] = per_day.get(day, 0) + 1
+    scenarios, per_scenario = np.unique(d.scenario[d.scenario != ""], return_counts=True)
+    days, per_day = np.unique(d.timestamp // DAY, return_counts=True)
+    day_names = [
+        datetime.fromtimestamp(int(day) * DAY, tz=timezone.utc).strftime("%Y-%m-%d") for day in days
+    ]
     return {
         "rows": d.meta.row_count,
         "fraud_count": d.meta.fraud_count,
         "fraud_rate": d.meta.fraud_rate,
-        "per_scenario": dict(sorted(per_scenario.items())),
-        "per_day_volume": dict(sorted(per_day.items())),
+        "per_scenario": dict(zip(scenarios.tolist(), per_scenario.tolist())),
+        "per_day_volume": dict(zip(day_names, per_day.tolist())),
     }

@@ -1,3 +1,6 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +12,6 @@ from timetrail.data import (
     ParseError,
     Transaction,
     day_of_week,
-    format_timestamp,
     hour_of_day,
     load_tx_ids,
     parse_timestamp,
@@ -20,6 +22,15 @@ from timetrail.data import (
 HEADER = "tx_id,timestamp,user_id,terminal_id,amount,tx_type"
 
 
+def assert_same_rows(a, b):
+    """Equal columns, amounts compared by their bits (so NaN equals NaN)."""
+    for f in fields(Dataset):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "amount":
+            x, y = x.view(np.int64), y.view(np.int64)
+        assert x.tolist() == y.tolist(), f.name
+
+
 def test_parse_epoch_and_iso_timestamps_agree():
     csv_text = (
         HEADER + "\n"
@@ -27,7 +38,7 @@ def test_parse_epoch_and_iso_timestamps_agree():
         "b,2023-01-02T00:00:00Z,u1,t1,10.0,purchase\n"
     )
     d = parse_transactions(csv_text)
-    assert d.transactions[0].timestamp == d.transactions[1].timestamp == 1672617600
+    assert d.timestamp.tolist() == [1672617600, 1672617600]
 
 
 def test_parse_timestamp_forms():
@@ -43,7 +54,6 @@ def test_calendar_helpers():
     ts = parse_timestamp("2023-01-02T03:00:00Z")  # a Monday
     assert hour_of_day(ts) == 3
     assert day_of_week(ts) == 0
-    assert format_timestamp(ts) == "2023-01-02T03:00:00Z"
 
 
 def test_rows_sorted_by_timestamp_then_id():
@@ -54,7 +64,7 @@ def test_rows_sorted_by_timestamp_then_id():
         "a,200,u1,t1,1.0,purchase\n"
     )
     d = parse_transactions(csv_text)
-    assert [t.tx_id for t in d.transactions] == ["c", "a", "b"]
+    assert d.tx_id.tolist() == ["c", "a", "b"]
 
 
 def test_meta_counts():
@@ -76,10 +86,10 @@ def test_unlabeled_meta_rate_is_none():
 
 
 def test_missing_optional_fields_become_none():
+    # a missing string reads as "" and a missing amount as NaN
     d = parse_transactions(HEADER + "\na,100,,,,\n")
-    t = d.transactions[0]
-    assert t.user_id is None and t.terminal_id is None
-    assert t.amount is None and t.tx_type is None
+    assert d.user_id[0] == "" and d.terminal_id[0] == ""
+    assert np.isnan(d.amount[0]) and d.tx_type[0] == ""
 
 
 @pytest.mark.parametrize(
@@ -103,6 +113,25 @@ def test_malformed_rows_name_line_and_field(row, field):
         parse_transactions(HEADER + "\n" + row + "\n")
     assert "line 2" in str(err.value)
     assert f"field '{field}'" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row,field",
+    [
+        # int() and float() read digit-group underscores and non-ASCII digits
+        ("a,100,u1,t1,1_0.5,purchase", "amount"),
+        ("a,1_672_532_445,u1,t1,1.0,purchase", "timestamp"),
+        ("a,\uff11\uff16\uff17\uff12\uff15\uff13\uff12\uff14\uff14\uff15,u1,t1,1.0,purchase", "timestamp"),
+        ("a,100,u1,t1,\uff11.\uff15,purchase", "amount"),
+    ],
+)
+def test_numbers_outside_the_ascii_grammar_are_rejected(row, field):
+    with pytest.raises(ParseError) as err:
+        parse_transactions(HEADER + "\n" + row + "\n")
+    assert "line 2" in str(err.value)
+    assert f"field '{field}'" in str(err.value)
+    with pytest.raises(ValueError):
+        parse_timestamp("1_672_532_445")
 
 
 def test_bad_label_rejected():
@@ -143,8 +172,7 @@ def test_serialize_emits_epoch_and_round_trips():
     d = parse_transactions(csv_text)
     out = serialize_transactions(d)
     assert "1672617600" in out and "2023" not in out
-    again = parse_transactions(out)
-    assert again.transactions == d.transactions
+    assert_same_rows(parse_transactions(out), d)
 
 
 def test_scenario_column_only_when_tagged():
@@ -157,7 +185,7 @@ def test_scenario_column_only_when_tagged():
     assert "scenario" not in serialize_transactions(plain).splitlines()[0]
     assert serialize_transactions(tagged).splitlines()[0].endswith("label,scenario")
     rt = parse_transactions(serialize_transactions(tagged))
-    assert rt.transactions[0].scenario == "burst"
+    assert rt.scenario.tolist() == ["burst"]
 
 
 _ids = st.text(
@@ -194,4 +222,4 @@ def _transactions(draw):
 
 @given(_transactions())
 def test_round_trip_property(d):
-    assert parse_transactions(serialize_transactions(d)).transactions == d.transactions
+    assert_same_rows(parse_transactions(serialize_transactions(d)), d)

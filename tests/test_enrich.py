@@ -29,6 +29,12 @@ def _enrich_rows(rows, cfg=None):
     return enrich(Dataset.from_rows(rows), cfg)
 
 
+def _rows(d):
+    """The dataset's rows as records, read from its columns ("" where unset)."""
+    names = [f.name for f in fields(Transaction)]
+    return [Transaction(*row) for row in zip(*(getattr(d, n).tolist() for n in names))]
+
+
 # --- brute-force oracles -----------------------------------------------------
 
 
@@ -228,7 +234,7 @@ def test_all_window_attributes_match_oracles():
         rows = _random_rows(rng, 120)
         d = Dataset.from_rows(rows)
         out = enrich(d)
-        sorted_rows = d.transactions
+        sorted_rows = _rows(d)
         user = lambda t: t.user_id
         term = lambda t: t.terminal_id
         assert out.tx_id.tolist() == [t.tx_id for t in sorted_rows]
@@ -260,7 +266,7 @@ def test_dense_tie_fixture_matches_oracles():
     ]
     d = Dataset.from_rows(rows)
     out = enrich(d)
-    sorted_rows = d.transactions
+    sorted_rows = _rows(d)
     for i in range(len(out)):
         assert out.user_tx_count_24h[i] == oracle_window_count(
             sorted_rows, i, DAY, lambda t: t.user_id
@@ -286,11 +292,11 @@ def test_no_lookahead_property(timestamps, user_count):
     ]
     d = Dataset.from_rows(rows)
     full = enrich(d)
-    cut = len(d.transactions) // 2 + 1
-    prefix = Dataset.from_rows(d.transactions[:cut])
+    cut = len(d) // 2 + 1
+    prefix = d[:cut]
     partial = enrich(prefix)
     # identical timestamps at the cut boundary may see rows beyond it
-    boundary_ts = d.transactions[cut - 1].timestamp
+    boundary_ts = d.timestamp[cut - 1]
     keep = partial.timestamp != boundary_ts
     for name in ATTRIBUTE_NAMES:
         assert (full[:cut].column(name)[keep] == partial.column(name)[keep]).all()

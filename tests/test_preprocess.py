@@ -43,7 +43,7 @@ def test_outlier_example_removes_only_extreme():
     clean, report = cleanse(_dataset(rows), CleansePolicy())
     assert report.outliers_removed == 1
     assert report.rows_out == 5
-    assert all(t.amount < 1e6 for t in clean.transactions)
+    assert (clean.amount < 1e6).all()
     assert report.amount_fence_low == pytest.approx(5.75)
     assert report.amount_fence_high == pytest.approx(16.25)
 
@@ -56,8 +56,8 @@ def test_dedupe_keeps_first_occurrence():
     ]
     clean, report = cleanse(_dataset(rows), CleansePolicy(remove_outliers=False))
     assert report.duplicates_dropped == 1
-    kept = {t.tx_id: t for t in clean.transactions}
-    assert kept["dup"].timestamp == 100  # earliest instance survives
+    kept = dict(zip(clean.tx_id.tolist(), clean.timestamp.tolist()))
+    assert kept["dup"] == 100  # earliest instance survives
 
 
 def test_composite_dedupe_key():
@@ -123,20 +123,16 @@ def test_bad_policy_rejected():
 def test_split_example_counts():
     rows = [_tx(i, i + 1) for i in range(10)]  # ts 1..10
     split = temporal_split(_dataset(rows), 0.6, 0.2)
-    assert [t.timestamp for t in split.train.transactions] == [1, 2, 3, 4, 5, 6]
-    assert [t.timestamp for t in split.val.transactions] == [7, 8]
-    assert [t.timestamp for t in split.test.transactions] == [9, 10]
+    assert split.train.timestamp.tolist() == [1, 2, 3, 4, 5, 6]
+    assert split.val.timestamp.tolist() == [7, 8]
+    assert split.test.timestamp.tolist() == [9, 10]
 
 
 def test_split_is_chronological():
     rows = [_tx(i, 1000 + 7 * i) for i in range(50)]
     split = temporal_split(_dataset(rows), 0.6, 0.2)
-    assert max(t.timestamp for t in split.train.transactions) < min(
-        t.timestamp for t in split.val.transactions
-    )
-    assert max(t.timestamp for t in split.val.transactions) < min(
-        t.timestamp for t in split.test.transactions
-    )
+    assert split.train.timestamp.max() < split.val.timestamp.min()
+    assert split.val.timestamp.max() < split.test.timestamp.min()
 
 
 def test_split_ties_do_not_straddle():
@@ -151,18 +147,14 @@ def test_split_boundary_ties_go_earlier():
     ts = [1, 2, 3, 4, 5, 6, 6, 6, 9, 10, 11, 12]
     rows = [_tx(i, t) for i, t in enumerate(ts)]
     split = temporal_split(_dataset(rows), 0.5, 0.25)
-    train_ts = [t.timestamp for t in split.train.transactions]
+    train_ts = split.train.timestamp.tolist()
     assert train_ts.count(6) == 3  # the tie run stays in train
 
 
 def test_split_conservation_property():
     rows = [_tx(i, 100 + 13 * i) for i in range(37)]
     split = temporal_split(_dataset(rows), 0.6, 0.2)
-    ids = (
-        [t.tx_id for t in split.train.transactions]
-        + [t.tx_id for t in split.val.transactions]
-        + [t.tx_id for t in split.test.transactions]
-    )
+    ids = split.train.tx_id.tolist() + split.val.tx_id.tolist() + split.test.tx_id.tolist()
     assert sorted(ids) == sorted(t.tx_id for t in rows)
 
 

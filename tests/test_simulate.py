@@ -1,9 +1,11 @@
 """Synthetic generator tests: exact counts, determinism, scenario structure."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from timetrail.data import hour_of_day, serialize_transactions
+from timetrail.data import Transaction, hour_of_day, serialize_transactions
 from timetrail.simulate import (
     DAY,
     HOUR,
@@ -17,6 +19,12 @@ from timetrail.simulate import (
 
 START = 1672531200  # 2023-01-01T00:00:00Z
 END = 1688169600  # 2023-07-01T00:00:00Z
+
+
+def _rows(d):
+    """The dataset's rows as records, read from its columns ("" where unset)."""
+    names = [f.name for f in fields(Transaction)]
+    return [Transaction(*row) for row in zip(*(getattr(d, n).tolist() for n in names))]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +76,7 @@ def test_exact_row_and_fraud_counts(small):
     assert small.meta.row_count == 10_000
     assert small.meta.fraud_count == 13  # round_half_up(10000 * 0.0013)
     assert small.meta.fraud_rate == pytest.approx(0.0013)
-    assert len(small.transactions) == 10_000
+    assert len(small) == 10_000
 
 
 def test_regeneration_is_byte_identical(small):
@@ -83,28 +91,29 @@ def test_different_seed_changes_data(small):
 
 
 def test_rows_are_chronological_with_sequential_ids(small):
-    txs = small.transactions
-    for a, b in zip(txs, txs[1:]):
-        assert a.timestamp <= b.timestamp
-    assert txs[0].tx_id == "tx000000"
-    assert [t.tx_id for t in txs] == sorted(t.tx_id for t in txs)
+    ts = small.timestamp.tolist()
+    for a, b in zip(ts, ts[1:]):
+        assert a <= b
+    ids = small.tx_id.tolist()
+    assert ids[0] == "tx000000"
+    assert ids == sorted(ids)
 
 
 def test_timestamps_stay_inside_period(small):
-    for t in small.transactions:
-        assert START <= t.timestamp < END
+    for ts in small.timestamp.tolist():
+        assert START <= ts < END
 
 
 def test_fraud_rows_and_scenario_tags_coincide(small):
-    for t in small.transactions:
-        assert (t.label == "fraud") == (t.scenario is not None)
+    for label, scenario in zip(small.label.tolist(), small.scenario.tolist()):
+        assert (label == "fraud") == (scenario != "")
 
 
 def test_scenario_counts_split_by_largest_remainder(small):
     per = {}
-    for t in small.transactions:
-        if t.scenario is not None:
-            per[t.scenario] = per.get(t.scenario, 0) + 1
+    for scenario in small.scenario.tolist():
+        if scenario != "":
+            per[scenario] = per.get(scenario, 0) + 1
     expected = largest_remainder([0.2] * 5, 13)
     assert [per.get(s, 0) for s in SCENARIOS] == expected
 
@@ -138,10 +147,10 @@ def heavy():
 
 def test_burst_rows_see_five_in_48h(heavy):
     by_user: dict[str, list[int]] = {}
-    for t in heavy.transactions:
+    for t in _rows(heavy):
         by_user.setdefault(t.user_id, []).append(t.timestamp)
     checked = 0
-    for t in heavy.transactions:
+    for t in _rows(heavy):
         if t.scenario != "burst":
             continue
         window = [
@@ -153,25 +162,25 @@ def test_burst_rows_see_five_in_48h(heavy):
 
 
 def test_night_owl_rows_land_in_dead_hours(heavy):
-    hours = {hour_of_day(t.timestamp) for t in heavy.transactions if t.scenario == "night_owl"}
+    hours = {hour_of_day(t.timestamp) for t in _rows(heavy) if t.scenario == "night_owl"}
     assert hours  # scenario must be present
     assert hours <= {1, 2, 3, 4}
 
 
 def test_new_account_users_live_fast(heavy):
     spans: dict[str, list[int]] = {}
-    for t in heavy.transactions:
+    for t in _rows(heavy):
         if t.user_id.startswith("n"):
             spans.setdefault(t.user_id, []).append(t.timestamp)
     assert spans
     for ts in spans.values():
         assert max(ts) - min(ts) <= 90 * 60
-    tagged = {t.user_id for t in heavy.transactions if t.scenario == "new_account_abuse"}
+    tagged = {t.user_id for t in _rows(heavy) if t.scenario == "new_account_abuse"}
     assert tagged == set(spans)  # synthetic accounts exist only for this scenario
 
 
 def test_terminal_compromise_concentrates_on_terminals(heavy):
-    rows = [t for t in heavy.transactions if t.scenario == "terminal_compromise"]
+    rows = [t for t in _rows(heavy) if t.scenario == "terminal_compromise"]
     assert len(rows) >= 50
     per_terminal: dict[str, list[int]] = {}
     for t in rows:
@@ -182,8 +191,8 @@ def test_terminal_compromise_concentrates_on_terminals(heavy):
 
 
 def test_amount_spike_rows_are_outsized(heavy):
-    spikes = [t.amount for t in heavy.transactions if t.scenario == "amount_spike"]
-    legit = [t.amount for t in heavy.transactions if t.label == "legit"]
+    spikes = [t.amount for t in _rows(heavy) if t.scenario == "amount_spike"]
+    legit = [t.amount for t in _rows(heavy) if t.label == "legit"]
     assert spikes
     assert np.mean(spikes) > 3.0 * np.mean(legit)
 
@@ -221,7 +230,7 @@ def test_single_scenario_mix():
     data = generate(
         ScenarioConfig(target_rows=5000, fraud_rate=0.01, scenario_mix=mix, seed=2)
     )
-    tags = {t.scenario for t in data.transactions if t.scenario is not None}
+    tags = {s for s in data.scenario.tolist() if s != ""}
     assert tags == {"amount_spike"}
     assert data.meta.fraud_count == 50
 
