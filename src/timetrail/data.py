@@ -5,10 +5,10 @@ Timestamps are integer epoch seconds, UTC. Input CSV may carry either epoch
 seconds or ISO-8601 UTC strings; output always uses epoch seconds.
 
 Numbers are ASCII, read after surrounding whitespace is stripped: a timestamp
-is [+-]?[0-9]{1,18} epoch seconds or an ISO-8601 string (naive means UTC),
-and positive; an amount is a decimal or exponent literal, [+-]?(d+[.d*] | .d+)
-([eE][+-]?d+), finite and >= 0. The '_' separators and non-ASCII digits that
-int() and float() also read are rejected.
+is [+-]?[0-9]+ epoch seconds within int64 or an ISO-8601 string (naive means
+UTC), and positive; an amount is a decimal or exponent literal,
+[+-]?(d+[.d*] | .d+)([eE][+-]?d+), finite and >= 0. The '_' separators and
+non-ASCII digits that int() and float() also read are rejected.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ TX_ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 # rows converted to or from text at a time: a chunk's text stays in small
 # allocations, and a whole table's Python values never coexist
 CHUNK_ROWS = 1024
-# 18 digits at most, so every epoch value fits int64
-_EPOCH = re.compile(r"[+-]?[0-9]{1,18}", re.ASCII)
+_EPOCH = re.compile(r"[+-]?[0-9]+", re.ASCII)
+_INT64 = np.iinfo(np.int64)
 
 
 class ParseError(ValueError):
@@ -171,21 +171,27 @@ def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
     raw = {name: [""] * len(rows) for name in OPTIONAL_COLUMNS}
     raw.update(zip(columns, (list(map(str.strip, col)) for col in text)))
     # epoch seconds, else ISO-8601; missing and unreadable values read as 1
-    ts_text, digits = raw["timestamp"], "".join(raw["timestamp"])
-    if digits.isdigit() and digits.isascii() and all(ts_text) and max(map(len, ts_text)) <= 18:
-        ts_values = list(map(int, ts_text))  # all of them plain epoch seconds
-    else:
-        ts_values = [int(s) if _EPOCH.fullmatch(s) else s for s in ts_text]
+    ts_text = raw["timestamp"]
+    ts_values = [int(s) if _EPOCH.fullmatch(s) else s for s in ts_text]
     ts_bad = np.zeros(len(ts_values), dtype=bool)
     for i in [i for i, v in enumerate(ts_values) if isinstance(v, str)]:
         try:
             ts_values[i] = parse_timestamp(ts_values[i]) if ts_values[i] else 1
         except ValueError:
             ts_values[i], ts_bad[i] = 1, True
+    try:
+        timestamp = np.array(ts_values, dtype=np.int64)
+    except OverflowError:  # epoch text beyond int64: too large reads as 1, too small as 0
+        ts_big = np.array([v > _INT64.max for v in ts_values], dtype=bool)
+        timestamp = np.array(
+            [1 if v > _INT64.max else 0 if v < _INT64.min else v for v in ts_values], dtype=np.int64
+        )
+    else:
+        ts_big = np.zeros(len(ts_values), dtype=bool)
     amounts = list(map(_amount, raw["amount"]))
     readable = np.array([a is not None for a in amounts], dtype=bool)
     d = Dataset(
-        timestamp=np.array(ts_values, dtype=np.int64),
+        timestamp=timestamp,
         amount=np.array(amounts, dtype=np.float64),  # None reads as NaN
         **{n: np.array(list(map(shared.setdefault, raw[n], raw[n])), dtype=object) for n in STRING_COLUMNS},
     )
@@ -198,6 +204,7 @@ def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
          "{!r} has characters outside [A-Za-z0-9_.-]", raw["tx_id"]),
         ("timestamp", [not s for s in ts_text], "missing value", ts_text),
         ("timestamp", ts_bad, "not epoch seconds or ISO-8601: {!r}", ts_text),
+        ("timestamp", ts_big, "out of the int64 range: {!r}", ts_text),
         ("timestamp", d.timestamp <= 0, "must be positive epoch seconds, got {}", ts_values),
         ("amount", given & ~readable, "not a number: {!r}", raw["amount"]),
         ("amount", readable & ~np.isfinite(d.amount), "must be finite", amounts),
@@ -287,19 +294,14 @@ def _csv_text(column: np.ndarray) -> list[str]:
 
 
 def columns_to_csv(table: Dataset, columns: Sequence[str]) -> str:
-    """CSV text of the named columns as csv.writer writes it, floats via repr
-    and "" for NaN, converted CHUNK_ROWS rows at a time. A chunk with no ',',
-    '"', CR or LF in its values needs no quoting and is joined directly.
-    """
+    """CSV text of the named columns, floats via repr and "" for NaN,
+    converted and written CHUNK_ROWS rows at a time."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     for lo in range(0, len(table), CHUNK_ROWS):
         values = [_csv_text(getattr(table, name)[lo : lo + CHUNK_ROWS]) for name in columns]
-        if any(c in text for text in map("".join, values) for c in ',"\r\n'):
-            writer.writerows(zip(*values))
-        else:
-            out.write("\n".join(map(",".join, zip(*values))) + "\n")
+        writer.writerows(zip(*values))
     return out.getvalue()
 
 

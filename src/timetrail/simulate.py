@@ -116,20 +116,39 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 class _Columns:
-    """Column buffers for generated rows: ts, user, terminal, amount, tx_type,
-    fraud and scenario (-1 means none). fraud and scenario may be scalars."""
-
-    DTYPES = (np.int64, np.int64, np.int64, np.float64, np.int64, np.int8, np.int8)
+    """Column buffers for generated rows; scenario -1 means none."""
 
     def __init__(self) -> None:
-        self.parts: list[list[np.ndarray]] = [[] for _ in self.DTYPES]
+        self.ts: list[np.ndarray] = []
+        self.user: list[np.ndarray] = []
+        self.terminal: list[np.ndarray] = []
+        self.amount: list[np.ndarray] = []
+        self.tx_type: list[np.ndarray] = []
+        self.fraud: list[np.ndarray] = []
+        self.scenario: list[np.ndarray] = []
 
-    def add(self, ts, *columns) -> None:
-        for part, column, dtype in zip(self.parts, (ts, *columns), self.DTYPES):
-            part.append(np.broadcast_to(np.asarray(column, dtype=dtype), len(ts)))
+    def add(self, ts, user, terminal, amount, tx_type, fraud, scenario) -> None:
+        n = len(ts)
+        self.ts.append(np.asarray(ts, dtype=np.int64))
+        self.user.append(np.asarray(user, dtype=np.int64))
+        self.terminal.append(np.asarray(terminal, dtype=np.int64))
+        self.amount.append(np.asarray(amount, dtype=np.float64))
+        self.tx_type.append(np.asarray(tx_type, dtype=np.int64))
+        self.fraud.append(np.full(n, fraud, dtype=np.int8) if np.isscalar(fraud) else np.asarray(fraud, dtype=np.int8))
+        self.scenario.append(
+            np.full(n, scenario, dtype=np.int8) if np.isscalar(scenario) else np.asarray(scenario, dtype=np.int8)
+        )
 
-    def merged(self) -> list[np.ndarray]:
-        return [np.concatenate(p) if p else np.zeros(0, dt) for p, dt in zip(self.parts, self.DTYPES)]
+    def merged(self):
+        return (
+            np.concatenate(self.ts) if self.ts else np.zeros(0, dtype=np.int64),
+            np.concatenate(self.user) if self.user else np.zeros(0, dtype=np.int64),
+            np.concatenate(self.terminal) if self.terminal else np.zeros(0, dtype=np.int64),
+            np.concatenate(self.amount) if self.amount else np.zeros(0),
+            np.concatenate(self.tx_type) if self.tx_type else np.zeros(0, dtype=np.int64),
+            np.concatenate(self.fraud) if self.fraud else np.zeros(0, dtype=np.int8),
+            np.concatenate(self.scenario) if self.scenario else np.zeros(0, dtype=np.int8),
+        )
 
 
 @dataclass
@@ -317,7 +336,7 @@ def generate(cfg: ScenarioConfig) -> Dataset:
         if scenario_counts[i] > 0:
             _SCENARIO_GENERATORS[name](scenario_counts[i], _rng(cfg.seed, _STREAM_SCENARIO, i), world, cols)
 
-    rows_so_far = sum(map(len, cols.parts[0]))
+    rows_so_far = sum(len(a) for a in cols.ts)
     n_legit = cfg.target_rows - rows_so_far
     if n_legit < 0:
         raise ValueError(

@@ -296,7 +296,7 @@ _bad_timestamps = st.sampled_from(["junk", "-5", "0", "1969-12-31T00:00:00Z", "2
 @st.composite
 def _timestamps(draw):
     epoch = 1_672_531_200 + 3600 * draw(st.integers(0, 5))  # few values, so keys collide
-    form = draw(st.sampled_from(["epoch", "iso_z", "iso_offset", "iso_naive", "padded"]))
+    form = draw(st.sampled_from(["epoch", "iso_z", "iso_offset", "iso_naive", "padded", "zeros"]))
     dt = datetime.fromtimestamp(epoch, tz=timezone.utc)
     return {
         "epoch": str(epoch),
@@ -304,6 +304,7 @@ def _timestamps(draw):
         "iso_offset": dt.isoformat(),
         "iso_naive": dt.strftime("%Y-%m-%d %H:%M:%S"),
         "padded": f" {epoch} ",
+        "zeros": f"{epoch:020d}",
     }[form]
 
 

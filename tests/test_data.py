@@ -134,6 +134,30 @@ def test_numbers_outside_the_ascii_grammar_are_rejected(row, field):
         parse_timestamp("1_672_532_445")
 
 
+def test_epoch_digit_count_is_not_limited():
+    rows = "a,0000000001672531200,u1,t1,1.0,purchase\nb,+00000000000000000000100,u1,t1,1.0,purchase\n"
+    d = parse_transactions(HEADER + "\n" + rows)
+    assert d.timestamp.tolist() == [100, 1672531200]
+    assert parse_timestamp("0000000001672531200") == 1672531200
+
+
+@pytest.mark.parametrize(
+    "ts,detail",
+    [
+        ("9223372036854775808", "out of the int64 range: '9223372036854775808'"),
+        ("-9223372036854775809", "must be positive epoch seconds, got -9223372036854775809"),
+    ],
+)
+def test_epoch_beyond_int64_is_rejected(ts, detail):
+    text = HEADER + f"\na,100,u1,t1,1.0,purchase\nb,{ts},u1,t1,1.0,purchase\n"
+    with pytest.raises(ParseError) as err:
+        parse_transactions(text)
+    assert str(err.value) == f"line 3, field 'timestamp': {detail}"
+    # the largest int64 value still reads
+    d = parse_transactions(text.replace(ts, "9223372036854775807"))
+    assert d.timestamp.tolist() == [100, 2**63 - 1]
+
+
 def test_bad_label_rejected():
     with pytest.raises(ParseError) as err:
         parse_transactions(HEADER + ",label\na,100,u1,t1,1.0,purchase,sus\n")
