@@ -47,9 +47,6 @@ def main(argv: list[str] | None = None) -> int:
             entries = run_all(cfg)
             print(f"wrote {len(entries)} artifacts to {cfg.out_dir} (see manifest.json)")
         else:
-            import os
-
-            os.makedirs(cfg.out_dir, exist_ok=True)
             paths = run_stage(cfg, args.command.replace("-", "_"))
             for rel, _ in paths:
                 print(f"wrote {cfg.out_dir}/{rel}")

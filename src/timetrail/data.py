@@ -166,7 +166,8 @@ def _amount(text: str) -> float | None:
 def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
     """CSV rows, each ending in its line number, as a Dataset in file order,
     converted and checked a column at a time; ParseError names the first bad
-    row and its first bad field. `shared` keeps one copy of each string."""
+    row and its first bad field. `shared` keeps one copy of each string of
+    the columns whose values repeat, all but tx_id."""
     *text, lines = zip(*rows) if rows else [()] * (len(columns) + 1)
     raw = {name: [""] * len(rows) for name in OPTIONAL_COLUMNS}
     raw.update(zip(columns, (list(map(str.strip, col)) for col in text)))
@@ -191,10 +192,13 @@ def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
     amounts = list(map(_amount, raw["amount"]))
     readable = np.array([a is not None for a in amounts], dtype=bool)
     d = Dataset(
+        tx_id=np.array(raw["tx_id"], dtype=object),
         timestamp=timestamp,
         amount=np.array(amounts, dtype=np.float64),  # None reads as NaN
-        **{n: np.array(list(map(shared.setdefault, raw[n], raw[n])), dtype=object) for n in STRING_COLUMNS},
+        **{n: np.array(list(map(shared.setdefault, raw[n], raw[n])), dtype=object) for n in STRING_COLUMNS[1:]},
     )
+    # no CR or LF: csv.writer leaves a lone CR unquoted, and the file would not read back
+    breaks = {n: ["\r" in s or "\n" in s for s in raw[n]] for n in ("user_id", "terminal_id", "scenario")}
     given = np.array(raw["amount"], dtype=object) != ""
     # (field, failing rows, detail, the values it shows); a mask may be
     # wrong only at rows that an earlier check fails
@@ -206,6 +210,8 @@ def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
         ("timestamp", ts_bad, "not epoch seconds or ISO-8601: {!r}", ts_text),
         ("timestamp", ts_big, "out of the int64 range: {!r}", ts_text),
         ("timestamp", d.timestamp <= 0, "must be positive epoch seconds, got {}", ts_values),
+        ("user_id", breaks["user_id"], "{!r} holds a CR or LF", raw["user_id"]),
+        ("terminal_id", breaks["terminal_id"], "{!r} holds a CR or LF", raw["terminal_id"]),
         ("amount", given & ~readable, "not a number: {!r}", raw["amount"]),
         ("amount", readable & ~np.isfinite(d.amount), "must be finite", amounts),
         ("amount", d.amount < 0, "must be non-negative, got {}", amounts),
@@ -213,6 +219,7 @@ def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
          f"unknown type {{!r}}; expected one of {TX_TYPES}", raw["tx_type"]),
         ("label", ~np.isin(d.label, ("",) + LABELS),
          f"unknown label {{!r}}; expected one of {LABELS}", raw["label"]),
+        ("scenario", breaks["scenario"], "{!r} holds a CR or LF", raw["scenario"]),
     )
     failures = [(int(hits[0]), k) for k, c in enumerate(checks) if len(hits := np.flatnonzero(c[1]))]
     if failures:

@@ -31,12 +31,6 @@ TEMPORAL_FEATURES = ATTRIBUTE_NAMES
 
 
 @dataclass(frozen=True, slots=True)
-class FeatureContribution:
-    feature_name: str
-    contribution: float  # signed, in margin (log-odds) units
-
-
-@dataclass(frozen=True, slots=True)
 class SequenceStep:
     tree_index: int
     feature_name: str
@@ -62,32 +56,27 @@ def _require_ensemble(model: Model) -> GBTModel:
 
 def _walk_row(model: GBTModel, row: np.ndarray):
     """Yield (tree_index, feature_index, threshold, branch, raw_delta) steps."""
+    x = row.tolist()
     for t_i, tree in enumerate(model.trees):
-        node = tree.root
-        while not node.is_leaf:
-            child = node.left if row[node.feature] < node.threshold else node.right
-            yield (
-                t_i,
-                node.feature,
-                node.threshold,
-                "left" if child is node.left else "right",
-                child.value - node.value,
-            )
-            node = child
+        feature, threshold, children, value = tree.feature, tree.threshold, tree.children, tree.value
+        i = 0
+        while children.item(2 * i) != i:  # not a leaf
+            f, thr = feature.item(i), threshold.item(i)
+            left = x[f] < thr
+            child = children.item(2 * i + left)
+            yield t_i, f, thr, "left" if left else "right", value.item(child) - value.item(i)
+            i = child
 
 
 def ensemble_bias(model: GBTModel) -> float:
-    return model.base_score + model.learning_rate * sum(t.root.value for t in model.trees)
+    return model.base_score + model.learning_rate * sum(t.value.item(0) for t in model.trees)
 
 
-def attribute_prediction(
-    model: Model, row: Sequence[float]
-) -> tuple[list[FeatureContribution], float]:
-    """Per-feature contributions and the bias for one feature row.
+def attribute_prediction(model: Model, row: Sequence[float]) -> np.ndarray:
+    """One row's per-feature contributions, as its row of attribution_matrix.
 
-    The row must already be in the model's feature order. Contributions of
-    features never visited are 0 and are still reported, keeping the output
-    aligned with feature_names.
+    The row must already be in the model's feature order; features its path
+    never tests contribute 0.
     """
     gbt = _require_ensemble(model)
     vec = np.asarray(row, dtype=np.float64)
@@ -98,11 +87,7 @@ def attribute_prediction(
     totals = [0.0] * len(gbt.feature_names)
     for _, f, _, _, delta in _walk_row(gbt, vec):
         totals[f] += gbt.learning_rate * delta
-    contribs = [
-        FeatureContribution(feature_name=name, contribution=totals[i])
-        for i, name in enumerate(gbt.feature_names)
-    ]
-    return contribs, ensemble_bias(gbt)
+    return np.array(totals, dtype=np.float64)
 
 
 def explanation_sequence(model: Model, table: FeatureTable, row_index: int) -> ExplanationSequence:
@@ -149,7 +134,7 @@ def attribution_matrix(model: Model, table: FeatureTable) -> tuple[np.ndarray, f
     cells = contrib.ravel()  # a view: (row, feature) is cell row * width + feature
     row_cells = np.arange(n) * width
     for tree in gbt.trees:
-        feats, _, _, values, _ = tree.flat()
+        feats, values = tree.feature, tree.value
         for node, nxt in tree.levels(X):
             moved = np.flatnonzero(nxt != node)
             src, dst = node[moved], nxt[moved]
@@ -162,18 +147,13 @@ def attribution_matrix(model: Model, table: FeatureTable) -> tuple[np.ndarray, f
 
 
 def tis(
-    contributions: Sequence[FeatureContribution] | Mapping[str, float],
-    temporal_feature_set: Sequence[str] = TEMPORAL_FEATURES,
+    contributions: Mapping[str, float], temporal_feature_set: Sequence[str] = TEMPORAL_FEATURES
 ) -> float:
     """Share of absolute contribution mass on temporal features, in [0, 1]."""
-    if isinstance(contributions, Mapping):
-        items = contributions.items()
-    else:
-        items = ((c.feature_name, c.contribution) for c in contributions)
     temporal = set(temporal_feature_set)
     total = 0.0
     t_mass = 0.0
-    for name, value in items:
+    for name, value in contributions.items():
         mass = abs(value)
         total += mass
         if name in temporal:
@@ -307,10 +287,3 @@ def _dumps_with_records(doc: dict, key: str, records: Sequence[dict]) -> str:
         template % tuple([_json_value(rec[k]) for k in keys]) for rec in records
     )
     return f"{head}{marker[:-2]}[\n    {items}\n  ]{tail}"
-
-
-def margin_check(seq: ExplanationSequence, tolerance: float = 1e-9) -> bool:
-    """True when bias plus step deltas reproduces the margin within tolerance."""
-    return math.isclose(
-        seq.bias + sum(s.delta for s in seq.steps), seq.margin, abs_tol=tolerance, rel_tol=0.0
-    )

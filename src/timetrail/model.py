@@ -13,12 +13,17 @@ fully deterministic; there is no stochastic component at all.
 
 Every node records its would-be leaf weight, which downstream attribution
 uses as the node value for decision-path deltas.
+
+A tree has one form, the node arrays of Tree: training and model_from_json
+build them, scoring and attribution walk them, and model_to_json writes the
+nested JSON by following their children. Only the root's index (0) is fixed;
+the other nodes may be numbered in any order.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -80,61 +85,37 @@ class LogisticConfig:
 # trees
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """value is the leaf weight this node would emit if it were a leaf."""
-
-    value: float
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Tree:
-    root: TreeNode
-    _flat: tuple | None = field(default=None, repr=False, compare=False)
+    """One regression tree as node arrays; node 0 is the root.
 
-    def flat(self) -> tuple:
-        """Walk form of the tree: node arrays (feature, threshold, children,
-        value) and the depth.
+    Node i tests feature[i]: its left child is children[2*i + 1] and its
+    right one children[2*i], so one level step is
+    children[2*i + (x < threshold[i])]. A leaf tests feature 0 against +inf
+    and both its children are itself, so rows that reached a leaf stay there.
+    value[i] is the weight node i would emit as a leaf; depth is the number
+    of levels below the root.
+    """
 
-        children[2*i + 1] is node i's left child and children[2*i] its right
-        one, so one level step is children[2*i + (x < threshold[i])]. A leaf
-        tests feature 0 against +inf and both its children are itself, so
-        rows that reached a leaf stay there.
-        """
-        if self._flat is None:
-            feats: list[int] = []
-            thrs: list[float] = []
-            children: list[int] = []
-            values: list[float] = []
+    feature: np.ndarray  # intp
+    threshold: np.ndarray  # float64
+    children: np.ndarray  # intp, two per node
+    value: np.ndarray  # float64
+    depth: int
 
-            def walk(node: TreeNode) -> int:
-                i = len(feats)
-                feats.append(0 if node.is_leaf else node.feature)
-                thrs.append(math.inf if node.is_leaf else node.threshold)
-                children.extend((i, i))
-                values.append(node.value)
-                if not node.is_leaf:
-                    children[2 * i + 1] = walk(node.left)
-                    children[2 * i] = walk(node.right)
-                return i
-
-            walk(self.root)
-            self._flat = (
-                np.array(feats, dtype=np.intp),
-                np.array(thrs, dtype=np.float64),
-                np.array(children, dtype=np.intp),
-                np.array(values, dtype=np.float64),
-                _tree_depth(self.root),
-            )
-        return self._flat
+    @staticmethod
+    def from_nodes(nodes: list[list]) -> "Tree":
+        """Tree of [feature, threshold, left, right, value, depth] nodes."""
+        feature, threshold, left, right, value, depth = zip(*nodes)
+        children = np.empty(2 * len(nodes), dtype=np.intp)
+        children[1::2], children[0::2] = left, right
+        return Tree(
+            np.array(feature, dtype=np.intp),
+            np.array(threshold, dtype=np.float64),
+            children,
+            np.array(value, dtype=np.float64),
+            max(depth),
+        )
 
     def levels(self, X: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(node, next node) of every row of X, one pair per tree level.
@@ -142,14 +123,14 @@ class Tree:
         A row goes left when x[feature] < threshold, so NaN goes right. Rows
         that reached a leaf have next node equal to node.
         """
-        feats, thrs, children, _, depth = self.flat()
+        feats, thrs, children = self.feature, self.threshold, self.children
         n, width = X.shape
-        if depth and not (0 <= feats.min() and feats.max() < width):
+        if self.depth and not (0 <= feats.min() and feats.max() < width):
             raise ValueError(f"tree splits on a feature outside the {width} columns of X")
         x = X.ravel()
         offsets = np.arange(n) * width
         node = np.zeros(n, dtype=np.intp)
-        for _ in range(depth):
+        for _ in range(self.depth):
             nxt = children[2 * node + (x[offsets + feats[node]] < thrs[node])]
             yield node, nxt
             node = nxt
@@ -159,13 +140,7 @@ class Tree:
         node = np.zeros(X.shape[0], dtype=np.intp)
         for _, node in self.levels(X):
             pass
-        return self.flat()[3][node]
-
-
-def _tree_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(_tree_depth(node.left), _tree_depth(node.right))
+        return self.value[node]
 
 
 def _leaf_weight(residual_sum: float, count: int, cfg: GBTConfig) -> float:
@@ -230,24 +205,26 @@ def _best_split(X: np.ndarray, ranks: np.ndarray, r: np.ndarray, idx: np.ndarray
 
 
 def _build_node(
-    X: np.ndarray, ranks: np.ndarray, r: np.ndarray, idx: np.ndarray, depth: int, cfg: GBTConfig
-) -> TreeNode:
-    value = _leaf_weight(float(r[idx].sum()), idx.size, cfg)
+    X: np.ndarray, ranks: np.ndarray, r: np.ndarray, idx: np.ndarray, depth: int, cfg: GBTConfig,
+    nodes: list[list],
+) -> int:
+    """Append the node of rows idx, then its subtree, to nodes; return its index.
+
+    A node is [feature, threshold, left, right, value, depth], as
+    Tree.from_nodes reads it; a leaf is [0, inf, itself, itself, ...].
+    """
+    i = len(nodes)
+    nodes.append([0, math.inf, i, i, _leaf_weight(float(r[idx].sum()), idx.size, cfg), depth])
     if depth >= cfg.max_depth or idx.size < 2:
-        return TreeNode(value=value)
+        return i
     found = _best_split(X, ranks, r, idx, cfg)
     if found is None:
-        return TreeNode(value=value)
+        return i
     _, f, threshold, order, p = found
-    left_idx = idx[order[:p]]
-    right_idx = idx[order[p:]]
-    return TreeNode(
-        value=value,
-        feature=f,
-        threshold=threshold,
-        left=_build_node(X, ranks, r, left_idx, depth + 1, cfg),
-        right=_build_node(X, ranks, r, right_idx, depth + 1, cfg),
-    )
+    left = _build_node(X, ranks, r, idx[order[:p]], depth + 1, cfg, nodes)
+    right = _build_node(X, ranks, r, idx[order[p:]], depth + 1, cfg, nodes)
+    nodes[i][:4] = f, threshold, left, right
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +280,6 @@ def predict_proba(model: Model, table: FeatureTable) -> np.ndarray:
     return np.asarray(sigmoid(model.margin(table)))
 
 
-def classify(probabilities: Sequence[float], threshold: float = 0.5) -> np.ndarray:
-    """1 where probability >= threshold. The threshold must be in (0, 1)."""
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    p = np.asarray(probabilities, dtype=np.float64)
-    return (p >= threshold).astype(np.int64)
-
-
 def _check_training_table(table: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
     if table.labels is None:
         raise ValueError("training requires a labeled feature table")
@@ -340,7 +309,9 @@ def train_gbt(table: FeatureTable, cfg: GBTConfig | None = None) -> GBTModel:
     for _ in range(cfg.n_trees):
         p = sigmoid(margin)
         residual = y - p
-        tree = Tree(root=_build_node(X, ranks, residual, all_idx, 0, cfg))
+        nodes: list[list] = []
+        _build_node(X, ranks, residual, all_idx, 0, cfg, nodes)
+        tree = Tree.from_nodes(nodes)
         margin += cfg.learning_rate * tree.leaf_values(X)
         trees.append(tree)
     return GBTModel(
@@ -432,28 +403,32 @@ def undersample(table: FeatureTable, majority_ratio: float = 10.0, seed: int = 0
 # serialization
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "value": node.value,
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _node_to_dict(tree: Tree, i: int) -> dict:
+    doc = {"value": tree.value.item(i)}
+    left, right = tree.children.item(2 * i + 1), tree.children.item(2 * i)
+    if right != i:
+        doc["feature"] = tree.feature.item(i)
+        doc["threshold"] = tree.threshold.item(i)
+        doc["left"] = _node_to_dict(tree, left)
+        doc["right"] = _node_to_dict(tree, right)
+    return doc
 
 
-def _node_from_dict(doc: dict) -> TreeNode:
-    if "feature" not in doc:
-        return TreeNode(value=float(doc["value"]))
-    return TreeNode(
-        value=float(doc["value"]),
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
+def _node_from_dict(doc: dict, depth: int, nodes: list[list]) -> int:
+    """Append the node of doc, then its subtree, as _build_node does."""
+    i = len(nodes)
+    nodes.append([0, math.inf, i, i, float(doc["value"]), depth])
+    if "feature" in doc:
+        left = _node_from_dict(doc["left"], depth + 1, nodes)
+        right = _node_from_dict(doc["right"], depth + 1, nodes)
+        nodes[i][:4] = int(doc["feature"]), float(doc["threshold"]), left, right
+    return i
+
+
+def _tree_from_dict(doc: dict) -> Tree:
+    nodes: list[list] = []
+    _node_from_dict(doc, 0, nodes)
+    return Tree.from_nodes(nodes)
 
 
 def model_to_json(model: Model) -> str:
@@ -464,7 +439,7 @@ def model_to_json(model: Model) -> str:
             "feature_names": list(model.feature_names),
             "base_score": model.base_score,
             "learning_rate": model.learning_rate,
-            "trees": [_node_to_dict(t.root) for t in model.trees],
+            "trees": [_node_to_dict(t, 0) for t in model.trees],
         }
     elif isinstance(model, LogisticModel):
         doc = {
@@ -490,7 +465,7 @@ def model_from_json(text: str) -> Model:
             feature_names=tuple(doc["feature_names"]),
             base_score=float(doc["base_score"]),
             learning_rate=float(doc["learning_rate"]),
-            trees=tuple(Tree(root=_node_from_dict(d)) for d in doc["trees"]),
+            trees=tuple(_tree_from_dict(d) for d in doc["trees"]),
         )
     if kind == "logistic":
         return LogisticModel(

@@ -51,7 +51,7 @@ from .features import (
     raw_feature_table,
     save_scaler,
 )
-from .metrics import compare, evaluate, load_report, report_to_json, save_report
+from .metrics import compare, evaluate, save_report
 from .model import (
     GBTConfig,
     LogisticConfig,
@@ -64,7 +64,6 @@ from .model import (
 )
 from .plots import (
     flagged_frequency_series,
-    heatmap_data,
     heatmap_from_json,
     heatmap_to_csv,
     heatmap_to_json,
@@ -544,7 +543,7 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
 
     with open(_out(cfg, "heatmap_all.json"), "r", encoding="utf-8") as fh:
         m = heatmap_from_json(fh.read())
-    _write_text(_out(cfg, "heatmap_all.svg"), heatmap_to_svg(heatmap_data(m)))
+    _write_text(_out(cfg, "heatmap_all.svg"), heatmap_to_svg(m))
     paths.append(("heatmap_all.svg", "plot"))
 
     _, enr = _scaled_tables(cfg, "test")
@@ -595,6 +594,7 @@ _STAGE_FUNCS = {
 def run_stage(cfg: RunConfig, stage: str) -> list[tuple[str, str]]:
     if stage not in _STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     return _STAGE_FUNCS[stage](cfg)
 
 

@@ -58,17 +58,6 @@ def _esc(text: str) -> str:
 # correlation heatmap
 
 
-@dataclass(frozen=True)
-class HeatmapSpec:
-    labels: tuple[str, ...]
-    window: tuple[int, int] | None
-    values: tuple[tuple[float | None, ...], ...]
-
-
-def heatmap_data(m: CorrelationMatrix) -> HeatmapSpec:
-    return HeatmapSpec(labels=m.attributes, window=m.window, values=m.values)
-
-
 def heatmap_to_csv(m: CorrelationMatrix) -> str:
     """Long form, one row per ordered cell; undefined cells have no value."""
     out = io.StringIO()
@@ -102,37 +91,37 @@ def heatmap_from_json(text: str) -> CorrelationMatrix:
     )
 
 
-def heatmap_to_svg(spec: HeatmapSpec) -> str:
+def heatmap_to_svg(m: CorrelationMatrix) -> str:
     """One rect per cell; the margin carries row and column labels."""
     cell = 34
-    left = 10 + max((len(l) for l in spec.labels), default=0) * 7
+    left = 10 + max((len(l) for l in m.attributes), default=0) * 7
     top = 112
-    k = len(spec.labels)
+    k = len(m.attributes)
     width = left + k * cell + 20
     height = top + k * cell + 20
     parts = [_HATCH_DEF]
-    for j, label in enumerate(spec.labels):
+    for j, label in enumerate(m.attributes):
         x = left + j * cell + cell // 2
         parts.append(
             f'<text x="{x}" y="{top - 8}" font-size="11" text-anchor="start" '
             f'transform="rotate(-60 {x} {top - 8})" font-family="monospace">{_esc(label)}</text>'
         )
-    for i, label in enumerate(spec.labels):
+    for i, label in enumerate(m.attributes):
         y = top + i * cell + cell // 2 + 4
         parts.append(
             f'<text x="{left - 6}" y="{y}" font-size="11" text-anchor="end" '
             f'font-family="monospace">{_esc(label)}</text>'
         )
         for j in range(k):
-            v = spec.values[i][j]
+            v = m.values[i][j]
             x = left + j * cell
             y0 = top + i * cell
             fill_attr = "url(#undef)" if v is None else diverging_color(v)
             title = "undefined" if v is None else f"{v:.4f}"
             parts.append(
                 f'<rect x="{x}" y="{y0}" width="{cell}" height="{cell}" fill="{fill_attr}" '
-                f'stroke="#ffffff" stroke-width="1"><title>{_esc(spec.labels[i])} / '
-                f"{_esc(spec.labels[j])}: {title}</title></rect>"
+                f'stroke="#ffffff" stroke-width="1"><title>{_esc(m.attributes[i])} / '
+                f"{_esc(m.attributes[j])}: {title}</title></rect>"
             )
             if v is not None:
                 tx = x + cell // 2

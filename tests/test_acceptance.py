@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from timetrail.correlate import RunningMoments, pearson
-from timetrail.explain import attribute_prediction, attribution_matrix
+from timetrail.explain import attribute_prediction, attribution_matrix, ensemble_bias
 from timetrail.features import FeatureTable
 from timetrail.metrics import (
     accuracy_of,
@@ -180,8 +180,7 @@ def test_criterion_04_attribution_completeness_at_scale():
     assert gap.max() <= 1e-9
     # spot-check the per-row walker against the vectorized matrix
     for i in range(0, n, 97):
-        per_row, b2 = attribute_prediction(model, X[i])
-        total = b2 + sum(c.contribution for c in per_row)
+        total = ensemble_bias(model) + sum(attribute_prediction(model, X[i]))
         assert abs(total - margins[i]) <= 1e-9
 
 
@@ -286,7 +285,7 @@ def test_criterion_07_boosting_monotone_loss_and_split_oracle():
             feature_names=tuple(f"f{i}" for i in range(d)), rows=Xs, labels=ys
         )
         stump_cfg = GBTConfig(n_trees=1, max_depth=1)
-        root = train_gbt(small, stump_cfg).trees[0].root
+        tree = train_gbt(small, stump_cfg).trees[0]
 
         resid = ys - sigmoid(math.log(ys.sum() / (n - ys.sum())))
         total = resid.sum()
@@ -308,9 +307,9 @@ def test_criterion_07_boosting_monotone_loss_and_split_oracle():
                 if gain > 0.0 and (best is None or gain > best[0] + 1e-12):
                     best = (gain, f, thr)
         if best is None:
-            assert root.is_leaf
+            assert tree.children[0] == 0  # the root is a leaf
         else:
-            assert (root.feature, root.threshold) == (best[1], best[2])
+            assert (tree.feature[0], tree.threshold[0]) == (best[1], best[2])
 
 
 def test_criterion_08_undersampling_exact_and_deterministic():

@@ -67,6 +67,17 @@ def test_generate_writes_exact_fraud_count(tmp_path):
     assert sum(1 for r in rows if r["label"] == "fraud") == 13
 
 
+def test_run_stage_one_stage_at_a_time_writes_what_run_all_writes(tmp_path, full_run):
+    out = tmp_path / "not" / "yet"  # run_stage makes the directory
+    cfg = load_config(write_config(tmp_path, tiny_config(out)))
+    written = [rel for stage in STAGES for rel, _ in run_stage(cfg, stage)]
+    manifest = json.loads((full_run / "manifest.json").read_text(encoding="utf-8"))
+    assert written == [e["path"] for e in manifest]
+    for entry in manifest:
+        blob = (out / entry["path"]).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == entry["sha256"], entry["path"]
+
+
 def test_run_all_writes_manifest_with_true_hashes(full_run):
     manifest = json.loads((full_run / "manifest.json").read_text(encoding="utf-8"))
     assert len(manifest) > 20

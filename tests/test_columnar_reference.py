@@ -101,6 +101,9 @@ def ref_parse_row(values: list[str], columns: tuple[str, ...], line: int) -> Ref
         raise _row_error(line, "timestamp", f"not epoch seconds or ISO-8601: {raw_ts!r}") from None
     if ts <= 0:
         raise _row_error(line, "timestamp", f"must be positive epoch seconds, got {ts}")
+    for field in ("user_id", "terminal_id"):
+        if "\r" in rec[field] or "\n" in rec[field]:
+            raise _row_error(line, field, f"{rec[field]!r} holds a CR or LF")
 
     amount: float | None = None
     if rec["amount"]:
@@ -120,6 +123,9 @@ def ref_parse_row(values: list[str], columns: tuple[str, ...], line: int) -> Ref
     label = rec.get("label") or None
     if label is not None and label not in LABELS:
         raise _row_error(line, "label", f"unknown label {label!r}; expected one of {LABELS}")
+    scenario = rec.get("scenario", "")
+    if "\r" in scenario or "\n" in scenario:
+        raise _row_error(line, "scenario", f"{scenario!r} holds a CR or LF")
 
     return RefTx(
         tx_id=tx_id,
@@ -129,7 +135,7 @@ def ref_parse_row(values: list[str], columns: tuple[str, ...], line: int) -> Ref
         amount=amount,
         tx_type=tx_type,
         label=label,
-        scenario=rec.get("scenario") or None,
+        scenario=scenario or None,
     )
 
 
@@ -281,10 +287,16 @@ def outcome(fn, *args):
 
 _tx_ids = st.sampled_from(["a", "b", "tx1", "tx_2", "x.y-z", " a ", "b\t"])
 _bad_tx_ids = st.sampled_from(["", "a b", "../x", "é"])
+# quoted in CSV; a CR or LF survives the strip only inside the text
 _users = st.one_of(
     st.sampled_from(["", "u1"]),
-    st.text(alphabet=st.sampled_from(list('ab,"\n\r u1')), max_size=5),  # quoted in CSV
+    st.tuples(
+        st.sampled_from(["", "\n", "\r\n", " \r"]),
+        st.text(alphabet=st.sampled_from(list('ab," u1')), max_size=5),
+        st.sampled_from(["", "\r", "\n "]),
+    ).map("".join),
 )
+_line_breaks = st.sampled_from(["u\rx", "u\nx", "a\r\nb"])
 _amounts = st.one_of(
     st.sampled_from(["", "-0.0", "0.0", "0", "1.5", "1e3", ".5", "+2.25", "1E-3", " 3.0 ", "7."]),
     st.floats(0, 1e6, allow_nan=False, allow_infinity=False).map(repr),
@@ -328,8 +340,9 @@ def csv_texts(draw, malformed: bool):
             draw(st.sampled_from(["", "burst", "night_owl"])),
         ][: len(columns)]
         if malformed and draw(st.integers(0, 15)) == 0:
-            i = draw(st.sampled_from([0, 1, 4, 5, 6, 7][: len(columns) - 2]))
-            bad = {0: _bad_tx_ids, 1: _bad_timestamps, 4: _bad_amounts}.get(i, st.just("bribe"))
+            i = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7][: len(columns)]))
+            bad = {0: _bad_tx_ids, 1: _bad_timestamps, 4: _bad_amounts, 5: st.just("bribe"),
+                   6: st.just("bribe")}.get(i, _line_breaks)
             row[i] = draw(bad)
         if malformed and draw(st.integers(0, 30)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["x"]
@@ -408,7 +421,14 @@ MALFORMED = {
     "later bad field of an earlier row wins": HL
     + "\na,100,u1,t1,1.0,purchase,sus\nb b,100,u1,t1,1.0,purchase,legit\n",
     "after a multi-line quoted user and a blank line": H
-    + '\na,100,"u\n1",t1,1.0,purchase\n\nb,100,u1,t1,-1.0,purchase\n',
+    + '\na,100,"u1\n",t1,1.0,purchase\n\nb,100,u1,t1,-1.0,purchase\n',
+    "LF inside a user": H + '\na,100,"u\n1",t1,1.0,purchase\n',
+    "CR inside a terminal": H + '\na,100,u1,"t\r1",1.0,purchase\n',
+    "CR inside a scenario": HL + ',scenario\na,100,u1,t1,1.0,purchase,fraud,"bu\rrst"\n',
+    "CR in a user before a bad amount": H + '\na,100,"u\rx",t1,abc,purchase\n',
+    "bad timestamp before a CR in a user": H + '\na,junk,"u\rx",t1,1.0,purchase\n',
+    "CR in a user in a later chunk": H
+    + '\na,100,u1,t1,1.0,purchase\nb,100,u1,t1,1.0,purchase\nc,100,"u\rx",t1,1.0,purchase\n',
     "bad header": "tx,when,who\na,1,b\n",
     "empty input": "",
 }

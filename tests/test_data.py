@@ -134,6 +134,21 @@ def test_numbers_outside_the_ascii_grammar_are_rejected(row, field):
         parse_timestamp("1_672_532_445")
 
 
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        # csv.writer leaves a lone CR unquoted, so such a value would not read back
+        (HEADER + '\na,100,"u\rx",t1,1.0,purchase\n', "line 2, field 'user_id'"),
+        (HEADER + '\na,100,"u\nx",t1,1.0,purchase\n', "line 3, field 'user_id'"),
+        (HEADER + '\na,100,u1,"t\r\n1",1.0,purchase\n', "line 3, field 'terminal_id'"),
+        (HEADER + ',label,scenario\na,100,u1,t1,1.0,purchase,fraud,"b\rurst"\n', "line 2, field 'scenario'"),
+    ],
+)
+def test_line_breaks_inside_string_fields_are_rejected(text, where):
+    with pytest.raises(ParseError, match=f"^{where}: .* holds a CR or LF$"):
+        parse_transactions(text)
+
+
 def test_epoch_digit_count_is_not_limited():
     rows = "a,0000000001672531200,u1,t1,1.0,purchase\nb,+00000000000000000000100,u1,t1,1.0,purchase\n"
     d = parse_transactions(HEADER + "\n" + rows)

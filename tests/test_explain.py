@@ -23,18 +23,17 @@ from timetrail.explain import (
     attribution_matrix,
     ensemble_bias,
     explanation_sequence,
-    margin_check,
     sequence_to_json,
     tis,
     tis_report_from_json,
 )
 from timetrail.features import FeatureTable
 from timetrail.model import (
+    FORMAT_VERSION,
     GBTConfig,
-    GBTModel,
     LogisticModel,
-    Tree,
-    TreeNode,
+    model_from_json,
+    model_to_json,
     predict_proba,
     train_gbt,
 )
@@ -63,9 +62,9 @@ def fitted(n_trees, seed=0, n=150, names=("amount", "velocity", "gap")):
 def test_contributions_sum_to_margin(n_trees):
     model, table = fitted(n_trees)
     margins = model.margin(table)
+    bias = ensemble_bias(model)
     for i in range(0, len(table), 7):
-        contribs, bias = attribute_prediction(model, table.rows[i])
-        total = bias + sum(c.contribution for c in contribs)
+        total = bias + sum(attribute_prediction(model, table.rows[i]))
         assert abs(total - margins[i]) <= 1e-9
 
 
@@ -82,8 +81,8 @@ def test_matrix_agrees_with_per_row_walk():
     model, table = fitted(25, seed=4)
     contrib, _ = attribution_matrix(model, table)
     for i in (0, 17, len(table) - 1):
-        per_row, _ = attribute_prediction(model, table.rows[i])
-        walked = np.array([c.contribution for c in per_row])
+        walked = attribute_prediction(model, table.rows[i])
+        assert walked.dtype == np.float64 and walked.shape == (len(model.feature_names),)
         assert np.abs(contrib[i] - walked).max() <= 1e-12
 
 
@@ -92,55 +91,62 @@ def test_sequence_margin_and_probability():
     probs = predict_proba(model, table)
     seq = explanation_sequence(model, table, 11)
     assert seq.tx_id == "tx0011"
-    assert margin_check(seq)
+    assert abs(seq.bias + sum(s.delta for s in seq.steps) - seq.margin) <= 1e-9
     assert seq.probability == pytest.approx(probs[11], abs=1e-12)
     assert seq.bias == ensemble_bias(model)
-
-
-def test_margin_check_detects_corruption():
-    model, table = fitted(10)
-    seq = explanation_sequence(model, table, 0)
-    broken = ExplanationSequence(
-        tx_id=seq.tx_id,
-        bias=seq.bias + 0.5,
-        steps=seq.steps,
-        margin=seq.margin,
-        probability=seq.probability,
-    )
-    assert not margin_check(broken)
 
 
 # ---------------------------------------------------------------------------
 # the flat tree walk against the level walk it replaced
 
 
-def reference_flat(tree):
-    """(feature, threshold, left, right, value, depth); leaves have feature -1."""
+def tree_docs(model):
+    """The model's trees as the nested dicts model_to_json writes."""
+    return json.loads(model_to_json(model))["trees"]
+
+
+def gbt_of(names, base_score, learning_rate, trees):
+    """A boosted model of trees written as nested dicts."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "type": "gbt",
+        "feature_names": list(names),
+        "base_score": base_score,
+        "learning_rate": learning_rate,
+        "trees": trees,
+    }
+    return model_from_json(json.dumps(doc))
+
+
+def reference_flat(doc):
+    """(feature, threshold, left, right, value, depth) of a tree dict; leaves
+    have feature -1."""
     feats, thrs, lefts, rights, values = [], [], [], [], []
 
     def walk(node):
         i = len(feats)
-        feats.append(-1 if node.is_leaf else node.feature)
-        thrs.append(0.0 if node.is_leaf else node.threshold)
+        leaf = "feature" not in node
+        feats.append(-1 if leaf else node["feature"])
+        thrs.append(0.0 if leaf else node["threshold"])
         lefts.append(-1)
         rights.append(-1)
-        values.append(node.value)
-        if not node.is_leaf:
-            lefts[i] = walk(node.left)
-            rights[i] = walk(node.right)
+        values.append(node["value"])
+        if not leaf:
+            lefts[i] = walk(node["left"])
+            rights[i] = walk(node["right"])
         return i
 
     def depth(node):
-        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+        return 0 if "feature" not in node else 1 + max(depth(node["left"]), depth(node["right"]))
 
-    walk(tree.root)
+    walk(doc)
     arrays = (feats, thrs, lefts, rights, values)
     kinds = (np.int64, np.float64, np.int64, np.int64, np.float64)
-    return (*(np.array(a, dtype=k) for a, k in zip(arrays, kinds)), depth(tree.root))
+    return (*(np.array(a, dtype=k) for a, k in zip(arrays, kinds)), depth(doc))
 
 
-def reference_leaf_values(tree, X):
-    feats, thrs, lefts, rights, values, depth = reference_flat(tree)
+def reference_leaf_values(doc, X):
+    feats, thrs, lefts, rights, values, depth = reference_flat(doc)
     n = X.shape[0]
     node = np.zeros(n, dtype=np.int64)
     rows = np.arange(n)
@@ -159,8 +165,8 @@ def reference_attribution(model, X):
     n = X.shape[0]
     contrib = np.zeros((n, len(model.feature_names)), dtype=np.float64)
     rows = np.arange(n)
-    for tree in model.trees:
-        feats, thrs, lefts, rights, values, depth = reference_flat(tree)
+    for doc in tree_docs(model):
+        feats, thrs, lefts, rights, values, depth = reference_flat(doc)
         node = np.zeros(n, dtype=np.int64)
         for _ in range(depth):
             f = feats[node]
@@ -176,18 +182,16 @@ def reference_attribution(model, X):
     return contrib
 
 
+def _split(value, feature, threshold, left, right):
+    return {"value": value, "feature": feature, "threshold": threshold, "left": left, "right": right}
+
+
 def _lopsided_tree():
     """A leaf at depth 1 beside a chain whose leaves are at depth 4."""
-    node = TreeNode(value=0.4)
+    node = {"value": 0.4}
     for depth, f in enumerate((2, 1, 0)):
-        node = TreeNode(
-            value=0.1 * depth - 0.25,
-            feature=f,
-            threshold=0.5 - depth,
-            left=TreeNode(value=-1.5 + depth),
-            right=node,
-        )
-    return Tree(TreeNode(value=0.05, feature=1, threshold=0.0, left=TreeNode(value=-0.7), right=node))
+        node = _split(0.1 * depth - 0.25, f, 0.5 - depth, {"value": -1.5 + depth}, node)
+    return _split(0.05, 1, 0.0, {"value": -0.7}, node)
 
 
 @pytest.fixture(scope="module")
@@ -198,13 +202,8 @@ def walk_cases():
     models = {
         "trained": trained,
         "depth4": train_gbt(table, GBTConfig(n_trees=30, max_depth=4, learning_rate=0.3)),
-        "lopsided": GBTModel(
-            feature_names=names,
-            base_score=-0.3,
-            learning_rate=0.1,
-            trees=(_lopsided_tree(), Tree(TreeNode(value=0.9)), _lopsided_tree()),
-        ),
-        "single_leaf": GBTModel(names, 0.2, 0.5, (Tree(TreeNode(value=-2.0)),)),
+        "lopsided": gbt_of(names, -0.3, 0.1, [_lopsided_tree(), {"value": 0.9}, _lopsided_tree()]),
+        "single_leaf": gbt_of(names, 0.2, 0.5, [{"value": -2.0}]),
     }
     rng = np.random.default_rng(22)
     X = rng.normal(size=(400, 3))
@@ -226,16 +225,17 @@ def walk_cases():
 def test_tree_walks_equal_the_level_walk_bit_for_bit(walk_cases, model_name, table_name):
     model, table = walk_cases[0][model_name], walk_cases[1][table_name]
     X = table.rows
-    for tree in model.trees:
+    for tree, doc in zip(model.trees, tree_docs(model)):
         got = tree.leaf_values(X)
         assert got.dtype == np.float64
-        assert np.array_equal(got.view(np.int64), reference_leaf_values(tree, X).view(np.int64))
+        assert np.array_equal(got.view(np.int64), reference_leaf_values(doc, X).view(np.int64))
     contrib, _ = attribution_matrix(model, table)
     assert np.array_equal(contrib.view(np.int64), reference_attribution(model, X).view(np.int64))
 
 
 def test_tree_walk_rejects_a_feature_outside_the_rows():
-    tree = Tree(TreeNode(value=0.0, feature=3, threshold=0.0, left=TreeNode(1.0), right=TreeNode(2.0)))
+    model = gbt_of(("a", "b", "c"), 0.0, 1.0, [_split(0.0, 3, 0.0, {"value": 1.0}, {"value": 2.0})])
+    tree = model.trees[0]
     with pytest.raises(ValueError, match="outside"):
         tree.leaf_values(np.zeros((4, 3)))
 
@@ -296,13 +296,6 @@ def test_tis_extremes_and_halves():
     assert tis({"amount": 1.0, "velocity": -1.0}, ("velocity",)) == 0.5
     assert tis({}, ("velocity",)) == 0.0
     assert tis({"amount": 0.0, "velocity": 0.0}, ("velocity",)) == 0.0
-
-
-def test_tis_accepts_contribution_lists():
-    model, table = fitted(15, seed=7)
-    contribs, _ = attribute_prediction(model, table.rows[3])
-    as_map = {c.feature_name: c.contribution for c in contribs}
-    assert tis(contribs, ("velocity", "gap")) == tis(as_map, ("velocity", "gap"))
 
 
 @settings(max_examples=100)
@@ -391,14 +384,12 @@ def test_sequence_rollup_matches_attribution():
     model, table = fitted(18, seed=12)
     seq = explanation_sequence(model, table, 5)
     doc = json.loads(sequence_to_json(seq))
-    contribs, _ = attribute_prediction(model, table.rows[5])
-    for c in contribs:
-        if c.feature_name in doc["feature_contributions"]:
-            assert doc["feature_contributions"][c.feature_name] == pytest.approx(
-                c.contribution, abs=1e-12
-            )
+    contribs = attribute_prediction(model, table.rows[5])
+    for name, c in zip(model.feature_names, contribs):
+        if name in doc["feature_contributions"]:
+            assert doc["feature_contributions"][name] == pytest.approx(c, abs=1e-12)
         else:
-            assert c.contribution == 0.0
+            assert c == 0.0
 
 
 def test_tis_report_json_round_trip():

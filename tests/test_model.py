@@ -12,11 +12,9 @@ import timetrail.model
 from timetrail.features import FeatureTable
 from timetrail.model import (
     GBTConfig,
-    GBTModel,
     LogisticConfig,
     LogisticModel,
     aligned_rows,
-    classify,
     logistic_loss_and_grad,
     model_from_json,
     model_to_json,
@@ -123,12 +121,13 @@ def reference_best_split(X, r, idx, cfg):
     return best
 
 
-def walk_features(node, found):
-    if node.feature is None:
-        return
-    found.add(node.feature)
-    walk_features(node.left, found)
-    walk_features(node.right, found)
+def is_leaf(tree, i):
+    return tree.children[2 * i] == i
+
+
+def walk_features(tree, found):
+    internal = tree.children[0::2] != np.arange(tree.value.size)
+    found.update(tree.feature[internal].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +138,12 @@ def test_stump_splits_at_midpoint():
     table = make_table([0.0, 1.0, 2.0, 3.0], y=[0, 0, 1, 1])
     cfg = GBTConfig(n_trees=1, max_depth=1, learning_rate=1.0, l2=0.0)
     model = train_gbt(table, cfg)
-    root = model.trees[0].root
-    assert root.feature == 0
-    assert root.threshold == 1.5
-    assert root.left.is_leaf and root.right.is_leaf
-    assert root.left.value < 0.0 < root.right.value
+    tree = model.trees[0]
+    left, right = tree.children[1], tree.children[0]
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == 1.5
+    assert is_leaf(tree, left) and is_leaf(tree, right)
+    assert tree.value[left] < 0.0 < tree.value[right]
 
 
 def test_zero_trees_predicts_prior():
@@ -164,7 +164,7 @@ def test_constant_feature_never_chosen():
     model = train_gbt(make_table(X, y=y), GBTConfig(n_trees=20, max_depth=3))
     used: set[int] = set()
     for tree in model.trees:
-        walk_features(tree.root, used)
+        walk_features(tree, used)
     assert 1 not in used
     assert used  # something informative was split on
 
@@ -180,12 +180,12 @@ def test_first_split_matches_exhaustive_oracle(seed):
         y[0] = 1 - y[0]
     cfg = GBTConfig(n_trees=1, max_depth=1)
     model = train_gbt(make_table(X, y=y), cfg)
-    root = model.trees[0].root
+    tree = model.trees[0]
     expected = oracle_first_split(X, y, cfg)
     if expected is None:
-        assert root.is_leaf
+        assert is_leaf(tree, 0)
     else:
-        assert (root.feature, root.threshold) == expected
+        assert (tree.feature[0], tree.threshold[0]) == expected
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -234,7 +234,7 @@ def test_deep_tree_fits_conjunction():
     table = make_table(X, y=y)
     shallow = train_gbt(table, GBTConfig(n_trees=60, max_depth=1, learning_rate=0.3))
     deep = train_gbt(table, GBTConfig(n_trees=60, max_depth=2, learning_rate=0.3))
-    assert (classify(predict_proba(deep, table)) == y).all()
+    assert ((predict_proba(deep, table) >= 0.5) == y).all()
     assert log_loss(y, predict_proba(deep, table)) < log_loss(y, predict_proba(shallow, table))
 
 
@@ -243,7 +243,7 @@ def test_zero_gain_symmetry_stops_splitting():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 8)
     y = (X[:, 0] != X[:, 1]).astype(np.int64)
     model = train_gbt(make_table(X, y=y), GBTConfig(n_trees=3, max_depth=2))
-    assert all(t.root.is_leaf for t in model.trees)
+    assert all(is_leaf(t, 0) for t in model.trees)
 
 
 def test_gbt_determinism():
@@ -277,7 +277,7 @@ def test_logistic_separates_blobs():
     y = np.array([0] * 60 + [1] * 60, dtype=np.int64)
     table = make_table(X, y=y)
     model = train_logistic(table, LogisticConfig(l2=1e-4))
-    preds = classify(predict_proba(model, table))
+    preds = predict_proba(model, table) >= 0.5
     assert (preds == y).all()
 
 
@@ -380,12 +380,6 @@ def test_gbt_config_validation(kwargs):
 def test_logistic_config_validation(kwargs):
     with pytest.raises(ValueError):
         LogisticConfig(**kwargs).validate()
-
-
-def test_classify_threshold():
-    assert classify([0.49, 0.5, 0.51], threshold=0.5).tolist() == [0, 1, 1]
-    with pytest.raises(ValueError, match="threshold"):
-        classify([0.5], threshold=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from timetrail.plots import (
     HistogramSpec,
     diverging_color,
     flagged_frequency_series,
-    heatmap_data,
     heatmap_from_json,
     heatmap_to_csv,
     heatmap_to_json,
@@ -104,7 +103,7 @@ def test_heatmap_round_trip_without_window():
 
 
 def test_heatmap_svg_structure(matrix):
-    svg = heatmap_to_svg(heatmap_data(matrix))
+    svg = heatmap_to_svg(matrix)
     svg_ok(svg)
     # 9 cells plus the 6x6 hatch swatch inside <defs>
     assert count_rects(svg) == 9 + 1
@@ -114,8 +113,7 @@ def test_heatmap_svg_structure(matrix):
 
 
 def test_heatmap_svg_is_deterministic(matrix):
-    spec = heatmap_data(matrix)
-    assert heatmap_to_svg(spec) == heatmap_to_svg(spec)
+    assert heatmap_to_svg(matrix) == heatmap_to_svg(matrix)
 
 
 # ---------------------------------------------------------------------------
