@@ -12,6 +12,13 @@ where bias is base_score plus the learning-rate-scaled sum of root values.
 
 TIS for one prediction is the share of absolute contribution mass carried by
 temporal features; it is 0 when the total mass is 0, and always in [0, 1].
+
+An explanation is one JSON document from explanation_sequence through
+sequence_to_json and the sequence file to render_sequence: tx_id, bias,
+steps (the path in (tree, depth) order, one {tree, feature, threshold,
+branch, delta} per split: branch "left" when value < threshold, else "right",
+delta the learning-rate-scaled change in node value), feature_contributions
+(the deltas summed per feature), margin, probability and tis.
 """
 from __future__ import annotations
 
@@ -28,24 +35,6 @@ from .features import FeatureTable
 from .model import GBTModel, Model, aligned_rows, predict_proba, sigmoid
 
 TEMPORAL_FEATURES = ATTRIBUTE_NAMES
-
-
-@dataclass(frozen=True, slots=True)
-class SequenceStep:
-    tree_index: int
-    feature_name: str
-    threshold: float
-    branch: str  # "left" when value < threshold, else "right"
-    delta: float  # learning-rate-scaled change in node value
-
-
-@dataclass(frozen=True)
-class ExplanationSequence:
-    tx_id: str
-    bias: float
-    steps: tuple[SequenceStep, ...]
-    margin: float
-    probability: float
 
 
 def _require_ensemble(model: Model) -> GBTModel:
@@ -90,33 +79,33 @@ def attribute_prediction(model: Model, row: Sequence[float]) -> np.ndarray:
     return np.array(totals, dtype=np.float64)
 
 
-def explanation_sequence(model: Model, table: FeatureTable, row_index: int) -> ExplanationSequence:
-    """Ordered decision path for one row, steps in (tree, depth) order."""
+def explanation_sequence(
+    model: Model,
+    table: FeatureTable,
+    row_index: int,
+    temporal_feature_set: Sequence[str] = TEMPORAL_FEATURES,
+) -> dict:
+    """One row's explanation document (see the module docstring)."""
     gbt = _require_ensemble(model)
     X = aligned_rows(gbt.feature_names, table)
     if not (0 <= row_index < X.shape[0]):
         raise ValueError(f"row_index {row_index} out of range for {X.shape[0]} rows")
-    row = X[row_index]
-    steps = tuple(
-        SequenceStep(
-            tree_index=t_i,
-            feature_name=gbt.feature_names[f],
-            threshold=thr,
-            branch=branch,
-            delta=gbt.learning_rate * delta,
-        )
-        for t_i, f, thr, branch, delta in _walk_row(gbt, row)
-    )
+    steps, totals = [], {}
+    for t_i, f, thr, branch, delta in _walk_row(gbt, X[row_index]):
+        name, delta = gbt.feature_names[f], gbt.learning_rate * delta
+        steps.append({"tree": t_i, "feature": name, "threshold": thr, "branch": branch, "delta": delta})
+        totals[name] = totals.get(name, 0.0) + delta
     bias = ensemble_bias(gbt)
-    margin = bias + sum(s.delta for s in steps)
-    tx_id = table.tx_ids[row_index] if table.tx_ids is not None else f"row{row_index}"
-    return ExplanationSequence(
-        tx_id=tx_id,
-        bias=bias,
-        steps=steps,
-        margin=margin,
-        probability=float(sigmoid(margin)),
-    )
+    margin = bias + sum(s["delta"] for s in steps)
+    return {
+        "tx_id": table.tx_ids[row_index] if table.tx_ids is not None else f"row{row_index}",
+        "bias": bias,
+        "feature_contributions": {k: totals[k] for k in sorted(totals)},
+        "margin": margin,
+        "probability": float(sigmoid(margin)),
+        "tis": tis(totals, temporal_feature_set),
+        "steps": steps,
+    }
 
 
 def attribution_matrix(model: Model, table: FeatureTable) -> tuple[np.ndarray, float]:
@@ -226,30 +215,9 @@ def aggregate_tis(
     )
 
 
-def sequence_to_json(seq: ExplanationSequence, temporal_feature_set: Sequence[str] = TEMPORAL_FEATURES) -> str:
-    """Sequence JSON with the per-feature rollup and this prediction's TIS."""
-    totals: dict[str, float] = {}
-    for s in seq.steps:
-        totals[s.feature_name] = totals.get(s.feature_name, 0.0) + s.delta
-    doc = {
-        "tx_id": seq.tx_id,
-        "bias": seq.bias,
-        "feature_contributions": {k: totals[k] for k in sorted(totals)},
-        "margin": seq.margin,
-        "probability": seq.probability,
-        "tis": tis(totals, temporal_feature_set),
-    }
-    steps = [
-        {
-            "tree": s.tree_index,
-            "feature": s.feature_name,
-            "threshold": s.threshold,
-            "branch": s.branch,
-            "delta": s.delta,
-        }
-        for s in seq.steps
-    ]
-    return _dumps_with_records(doc, "steps", steps)
+def sequence_to_json(seq: dict) -> str:
+    """json.dumps(seq, indent=2, sort_keys=True) of an explanation document."""
+    return _dumps_with_records(seq, "steps", seq["steps"])
 
 
 def _json_value(v) -> str:

@@ -7,9 +7,10 @@ L2-regularized variance gain
     0.5 * (GL^2/(nL + l2) + GR^2/(nR + l2) - G^2/(n + l2))
 
 over every midpoint between consecutive distinct sorted feature values, and a
-leaf's weight is sum(residual) / (count + l2), clamped. Ties in gain break
-toward the lower feature index, then the lower threshold, so training is
-fully deterministic; there is no stochastic component at all.
+leaf's weight is sum(residual) / (count + l2), within [-1, 1] as every
+residual is. Ties in gain break toward the lower feature index, then the
+lower threshold, so training is fully deterministic; there is no stochastic
+component at all.
 
 Every node records its would-be leaf weight, which downstream attribution
 uses as the node value for decision-path deltas.
@@ -49,7 +50,6 @@ class GBTConfig:
     learning_rate: float = 0.1
     l2: float = 1.0
     min_child_weight: float = 1.0
-    leaf_clamp: float = 10.0
 
     def validate(self) -> None:
         if self.n_trees < 0:
@@ -62,8 +62,6 @@ class GBTConfig:
             raise ValueError(f"l2 must be >= 0, got {self.l2}")
         if self.min_child_weight < 0.0:
             raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
-        if self.leaf_clamp <= 0.0:
-            raise ValueError(f"leaf_clamp must be positive, got {self.leaf_clamp}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,11 +141,6 @@ class Tree:
         return self.value[node]
 
 
-def _leaf_weight(residual_sum: float, count: int, cfg: GBTConfig) -> float:
-    w = residual_sum / (count + cfg.l2)
-    return max(-cfg.leaf_clamp, min(cfg.leaf_clamp, w))
-
-
 def _value_ranks(X: np.ndarray) -> np.ndarray:
     """Each value's index among its column's distinct sorted values."""
     ranks = np.empty(X.shape, dtype=np.int64)
@@ -214,7 +207,7 @@ def _build_node(
     Tree.from_nodes reads it; a leaf is [0, inf, itself, itself, ...].
     """
     i = len(nodes)
-    nodes.append([0, math.inf, i, i, _leaf_weight(float(r[idx].sum()), idx.size, cfg), depth])
+    nodes.append([0, math.inf, i, i, float(r[idx].sum()) / (idx.size + cfg.l2), depth])
     if depth >= cfg.max_depth or idx.size < 2:
         return i
     found = _best_split(X, ranks, r, idx, cfg)
@@ -461,11 +454,17 @@ def model_from_json(text: str) -> Model:
         raise ValueError(f"unsupported model format_version {version!r}")
     kind = doc.get("type")
     if kind == "gbt":
+        names = tuple(doc["feature_names"])
+        trees = tuple(_tree_from_dict(d) for d in doc["trees"])
+        for t_i, tree in enumerate(trees):
+            bad = [f for f in tree.feature.tolist() if not 0 <= f < len(names)]
+            if tree.depth and bad:  # a leaf tests feature 0, even without names
+                raise ValueError(f"tree {t_i} splits on feature {bad[0]}, outside the {len(names)} names")
         return GBTModel(
-            feature_names=tuple(doc["feature_names"]),
+            feature_names=names,
             base_score=float(doc["base_score"]),
             learning_rate=float(doc["learning_rate"]),
-            trees=tuple(_tree_from_dict(d) for d in doc["trees"]),
+            trees=trees,
         )
     if kind == "logistic":
         return LogisticModel(

@@ -26,6 +26,7 @@ from .data import (
     CHUNK_ROWS,
     OPTIONAL_COLUMNS,
     STRING_COLUMNS,
+    TX_ID_PATTERN,
     columns_to_csv,
     load_transactions,
     load_tx_ids,
@@ -34,14 +35,7 @@ from .data import (
     transaction_columns,
 )
 from .enrich import ATTRIBUTE_NAMES, EnrichConfig, EnrichedTable, enrich
-from .explain import (
-    ExplanationSequence,
-    SequenceStep,
-    aggregate_tis,
-    explanation_sequence,
-    sequence_to_json,
-    tis_report_from_json,
-)
+from .explain import aggregate_tis, explanation_sequence, sequence_to_json, tis_report_from_json
 from .features import (
     ENRICHED_FEATURES,
     apply_scaler,
@@ -286,12 +280,15 @@ def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
     _write_text(path, columns_to_csv(rows, transaction_columns(rows) + ATTRIBUTE_NAMES))
 
 
-def _enriched_rows(header: list[str], rows: list[list[str]]) -> EnrichedTable:
+def _enriched_rows(header: list[str], rows: list[list[str]], shared: dict) -> EnrichedTable:
+    """One chunk's table; `shared` keeps one copy of each string but tx_ids."""
     raw, n = dict(zip(header, zip(*rows))), len(rows)
     columns = {}
     for name in (f.name for f in fields(EnrichedTable)):
         values = raw.get(name, ("",) * n)
-        if name in STRING_COLUMNS:
+        if name in STRING_COLUMNS[1:]:
+            columns[name] = np.array(list(map(shared.setdefault, values, values)), dtype=object)
+        elif name == "tx_id":
             columns[name] = np.array(values, dtype=object)
         elif name in _FLOAT_COLUMNS:
             columns[name] = np.fromiter(map(float, values), np.float64, n)
@@ -300,8 +297,24 @@ def _enriched_rows(header: list[str], rows: list[list[str]]) -> EnrichedTable:
     return EnrichedTable(**columns)
 
 
+def _bad_row_error(path: Path, width: int) -> ValueError:
+    """The error naming path's first row with a bad field count or tx_id."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in islice(reader, 1, None):
+            line = f"{path}: line {reader.line_num}"
+            if len(row) != width:
+                return ValueError(f"{line}: expected {width} fields, got {len(row)}")
+            if not TX_ID_PATTERN.fullmatch(row[0]):
+                return ValueError(f"{line}: tx_id {row[0]!r} has characters outside [A-Za-z0-9_.-]")
+    return ValueError(f"{path}: changed while it was read")
+
+
 def read_enriched_csv(path: Path) -> EnrichedTable:
-    """An enriched file's table, converted CHUNK_ROWS rows at a time."""
+    """An enriched file's table, converted CHUNK_ROWS rows at a time. Each row
+    needs the header's field count and a tx_id that TX_ID_PATTERN matches."""
+    shared: dict[str, str] = {}
+    parts = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -310,9 +323,13 @@ def read_enriched_csv(path: Path) -> EnrichedTable:
         base = list(BASE_COLUMNS + OPTIONAL_COLUMNS[:1])
         if header[: len(base)] != base or header[-9:] != list(ATTRIBUTE_NAMES):
             raise ValueError(f"{path}: unexpected enriched header")
-        chunks = iter(lambda: list(islice(reader, CHUNK_ROWS)), [])
-        parts = [_enriched_rows(header, rows) for rows in chunks]
-    return EnrichedTable.concat(parts or [_enriched_rows(header, [])])
+        for rows in iter(lambda: list(islice(reader, CHUNK_ROWS)), []):
+            # a chunk of good rows passes in a few calls over the whole chunk
+            ids = [r[0] for r in rows] if set(map(len, rows)) == {len(header)} else [""]
+            if "" in ids or not TX_ID_PATTERN.fullmatch("".join(ids)):
+                raise _bad_row_error(path, len(header))
+            parts.append(_enriched_rows(header, rows, shared))
+    return EnrichedTable.concat(parts or [_enriched_rows(header, [], shared)])
 
 
 def _read_all_enriched(cfg: RunConfig) -> EnrichedTable:
@@ -510,32 +527,11 @@ def stage_explain(cfg: RunConfig) -> list[tuple[str, str]]:
     probs = predict_proba(timetrail, enr)
     paths = []
     for i in explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations):
-        seq = explanation_sequence(timetrail, enr, i)
+        seq = explanation_sequence(timetrail, enr, i, cfg.temporal_features)
         name = f"sequence_{enr.tx_ids[i]}.json"
-        _write_text(_out(cfg, name), sequence_to_json(seq, cfg.temporal_features))
+        _write_text(_out(cfg, name), sequence_to_json(seq))
         paths.append((name, "explain"))
     return paths
-
-
-def _sequence_from_json(text: str) -> ExplanationSequence:
-    doc = json.loads(text)
-    steps = tuple(
-        SequenceStep(
-            tree_index=int(s["tree"]),
-            feature_name=s["feature"],
-            threshold=float(s["threshold"]),
-            branch=s["branch"],
-            delta=float(s["delta"]),
-        )
-        for s in doc["steps"]
-    )
-    return ExplanationSequence(
-        tx_id=doc["tx_id"],
-        bias=float(doc["bias"]),
-        steps=steps,
-        margin=float(doc["margin"]),
-        probability=float(doc["probability"]),
-    )
 
 
 def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
@@ -572,7 +568,7 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     explained = explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations)
     for seq_name in sorted(f"sequence_{enr.tx_ids[i]}.json" for i in explained):
         with open(_out(cfg, seq_name), "r", encoding="utf-8") as fh:
-            seq = _sequence_from_json(fh.read())
+            seq = json.load(fh)
         name = seq_name.removesuffix(".json") + ".svg"
         _write_text(_out(cfg, name), render_sequence(seq))
         paths.append((name, "plot"))

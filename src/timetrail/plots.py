@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .correlate import CorrelationMatrix
-from .explain import ExplanationSequence, TISReport
+from .explain import TISReport
 
 # Diverging scale anchors: -1 cold, 0 neutral, +1 hot.
 _COLD = (33, 102, 172)
@@ -253,11 +253,11 @@ def series_to_svg(spec: TimeSeriesSpec) -> str:
 # decision-path sequence diagram
 
 
-def render_sequence(seq: ExplanationSequence) -> str:
-    """n splits render as n+1 nodes: the bias node plus one per step."""
+def render_sequence(seq: dict) -> str:
+    """An explanation document's n splits as n+1 nodes: bias, then one per step."""
     row_h = 26
     width = 560
-    n = len(seq.steps)
+    n = len(seq["steps"])
     height = 20 + (n + 1) * row_h + 30
     parts = []
 
@@ -268,15 +268,12 @@ def render_sequence(seq: ExplanationSequence) -> str:
             f'<text x="24" y="{y + 14}" font-size="11" font-family="monospace">{_esc(text)}</text>'
         )
 
-    parts.append(node(10, f"bias = {seq.bias:+.6f}", "#f0f0f0"))
+    parts.append(node(10, f"bias = {seq['bias']:+.6f}", "#f0f0f0"))
     y = 10 + row_h
-    for s in seq.steps:
-        op = "<" if s.branch == "left" else ">="
-        text = (
-            f"t{s.tree_index}: {s.feature_name} {op} {s.threshold:.6g}  "
-            f"delta {s.delta:+.6f}"
-        )
-        fill = "#fbe4e1" if s.delta > 0 else "#e2ecf6" if s.delta < 0 else "#f0f0f0"
+    for s in seq["steps"]:
+        op = "<" if s["branch"] == "left" else ">="
+        text = f"t{s['tree']}: {s['feature']} {op} {s['threshold']:.6g}  delta {s['delta']:+.6f}"
+        fill = "#fbe4e1" if s["delta"] > 0 else "#e2ecf6" if s["delta"] < 0 else "#f0f0f0"
         parts.append(node(y, text, fill))
         parts.append(
             f'<line x1="{width // 2}" y1="{y - 6}" x2="{width // 2}" y2="{y}" '
@@ -285,7 +282,7 @@ def render_sequence(seq: ExplanationSequence) -> str:
         y += row_h
     parts.append(
         f'<text x="16" y="{y + 16}" font-size="11" font-family="monospace">'
-        f"{_esc(seq.tx_id)}: margin {seq.margin:+.6f}, p = {seq.probability:.6f}</text>"
+        f"{_esc(seq['tx_id'])}: margin {seq['margin']:+.6f}, p = {seq['probability']:.6f}</text>"
     )
     return _svg(width, height, "".join(parts))
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -153,6 +154,26 @@ def test_plot_renders_only_this_runs_sequences(full_run, tmp_path):
     rendered = [p for p, _ in paths if p.startswith("sequence_")]
     assert rendered == [p.removesuffix(".json") + ".svg" for p in explained]
     assert not (out / "sequence_stale0.svg").exists()
+
+
+def test_explain_rejects_a_tx_id_that_leaves_the_out_dir(full_run, tmp_path):
+    out = tmp_path / "a" / "b" / "out"
+    shutil.copytree(full_run, out)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    explained = sorted(e["path"] for e in manifest if e["stage"] == "explain")
+    tx_id = explained[0].removeprefix("sequence_").removesuffix(".json")
+    # unchecked, this tx_id makes explain create sequence_x/ in out and write
+    # the sequence two directories above out
+    enriched = out / "enriched_test.csv"
+    text = enriched.read_text(encoding="utf-8")
+    assert text.count(f"\n{tx_id},") == 1
+    enriched.write_text(text.replace(f"\n{tx_id},", f"\nx/../../../escaped_{tx_id},"), encoding="utf-8")
+    line = text[: text.index(f"\n{tx_id},")].count("\n") + 2
+    cfg = load_config(write_config(tmp_path, tiny_config(out)))
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(ValueError, match=re.escape(f"enriched_test.csv: line {line}: tx_id 'x/../../../escaped_")):
+        run_stage(cfg, "explain")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_explained_rows_rank_flagged_rows_and_keep_one_per_tx_id():

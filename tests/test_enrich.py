@@ -1,5 +1,6 @@
 """Temporal attribute tests, anchored by independent brute-force oracles."""
 import random
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -207,6 +208,36 @@ def test_enriched_csv_round_trip_is_exact(tmp_path, labeled):
         assert getattr(back, f.name).tolist() == getattr(table, f.name).tolist(), f.name
     labels = enriched_feature_table(back).labels
     assert (labels is not None) == labeled
+    assert back.user_id[0] is back.user_id[3]  # repeated strings are shared
+
+
+def _quoted_user(line):
+    fields_ = line.split(",")
+    fields_[2] = '"u\nx"'  # one row on two lines
+    return ",".join(fields_)
+
+
+@pytest.mark.parametrize(
+    "edits, problem",
+    [
+        ({4: lambda line: line + ",9"}, "line 5: expected 16 fields, got 17"),
+        ({4: lambda line: line.rsplit(",", 1)[0]}, "line 5: expected 16 fields, got 15"),
+        ({4: lambda line: ""}, "line 5: expected 16 fields, got 0"),
+        ({4: lambda line: "../x" + line[6:]}, "line 5: tx_id '../x' has characters outside"),
+        ({4: lambda line: line[6:]}, "line 5: tx_id '' has characters outside"),
+        ({2: _quoted_user, 4: lambda line: "a b" + line[6:]}, "line 6: tx_id 'a b' has characters outside"),
+    ],
+)
+def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):
+    path = tmp_path / "enriched.csv"
+    write_enriched_csv(path, enrich(Dataset.from_rows([_tx(i, 1_000_000 + 977 * i) for i in range(12)])))
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert len(lines[0].split(",")) == 16 and lines[4].startswith("tx0003,")
+    for i, edit in edits.items():
+        lines[i] = edit(lines[i])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+        read_enriched_csv(path)
 
 
 # --- randomized fixtures vs oracles -----------------------------------------

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from timetrail.enrich import ATTRIBUTE_NAMES
 from timetrail.explain import (
-    ExplanationSequence,
-    SequenceStep,
     TEMPORAL_FEATURES,
     TISReport,
     aggregate_tis,
@@ -32,6 +30,7 @@ from timetrail.model import (
     FORMAT_VERSION,
     GBTConfig,
     LogisticModel,
+    Tree,
     model_from_json,
     model_to_json,
     predict_proba,
@@ -90,10 +89,10 @@ def test_sequence_margin_and_probability():
     model, table = fitted(20, seed=5)
     probs = predict_proba(model, table)
     seq = explanation_sequence(model, table, 11)
-    assert seq.tx_id == "tx0011"
-    assert abs(seq.bias + sum(s.delta for s in seq.steps) - seq.margin) <= 1e-9
-    assert seq.probability == pytest.approx(probs[11], abs=1e-12)
-    assert seq.bias == ensemble_bias(model)
+    assert seq["tx_id"] == "tx0011"
+    assert abs(seq["bias"] + sum(s["delta"] for s in seq["steps"]) - seq["margin"]) <= 1e-9
+    assert seq["probability"] == pytest.approx(probs[11], abs=1e-12)
+    assert seq["bias"] == ensemble_bias(model)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +233,24 @@ def test_tree_walks_equal_the_level_walk_bit_for_bit(walk_cases, model_name, tab
 
 
 def test_tree_walk_rejects_a_feature_outside_the_rows():
-    model = gbt_of(("a", "b", "c"), 0.0, 1.0, [_split(0.0, 3, 0.0, {"value": 1.0}, {"value": 2.0})])
-    tree = model.trees[0]
+    inf = math.inf
+    tree = Tree.from_nodes([[3, 0.0, 1, 2, 0.0, 0], [0, inf, 1, 1, 1.0, 1], [0, inf, 2, 2, 2.0, 1]])
     with pytest.raises(ValueError, match="outside"):
         tree.leaf_values(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("feature", [-1, 3])
+def test_model_file_with_a_feature_outside_its_names_is_rejected(feature):
+    leaf = {"value": 0.5}
+    trees = [leaf, _split(0.0, 0, 0.0, leaf, _split(0.1, feature, 1.0, leaf, leaf))]
+    with pytest.raises(ValueError, match=f"tree 1 splits on feature {feature}, outside the 3 names"):
+        gbt_of(("a", "b", "c"), 0.0, 1.0, trees)
+
+
+def test_model_file_without_feature_names_may_hold_only_leaves():
+    assert gbt_of((), 0.0, 1.0, [{"value": 0.5}]).trees[0].depth == 0
+    with pytest.raises(ValueError, match="tree 0 splits on feature 0, outside the 0 names"):
+        gbt_of((), 0.0, 1.0, [_split(0.0, 0, 0.0, {"value": 1.0}, {"value": 2.0})])
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +261,23 @@ def test_steps_follow_tree_order_and_branches():
     model, table = fitted(30, seed=6)
     row = {name: table.rows[8][j] for j, name in enumerate(model.feature_names)}
     seq = explanation_sequence(model, table, 8)
-    trees = [s.tree_index for s in seq.steps]
+    trees = [s["tree"] for s in seq["steps"]]
     assert trees == sorted(trees)
     max_depth = 3
-    assert len(seq.steps) <= 30 * max_depth
-    for s in seq.steps:
-        if s.branch == "left":
-            assert row[s.feature_name] < s.threshold
+    assert len(seq["steps"]) <= 30 * max_depth
+    for s in seq["steps"]:
+        if s["branch"] == "left":
+            assert row[s["feature"]] < s["threshold"]
         else:
-            assert s.branch == "right"
-            assert row[s.feature_name] >= s.threshold
+            assert s["branch"] == "right"
+            assert row[s["feature"]] >= s["threshold"]
 
 
 def test_zero_tree_sequence_is_bias_only():
     model, table = fitted(0)
     seq = explanation_sequence(model, table, 0)
-    assert seq.steps == ()
-    assert seq.margin == seq.bias == model.base_score
+    assert seq["steps"] == []
+    assert seq["margin"] == seq["bias"] == model.base_score
 
 
 def test_row_index_bounds():
@@ -367,16 +380,16 @@ def test_temporal_names_missing_from_model_carry_no_mass():
 
 def test_sequence_json_fields():
     model, table = fitted(12, seed=11)
-    seq = explanation_sequence(model, table, 2)
-    doc = json.loads(sequence_to_json(seq, temporal_feature_set=("velocity", "gap")))
-    assert doc["tx_id"] == seq.tx_id
-    assert doc["margin"] == pytest.approx(seq.margin)
-    assert doc["probability"] == pytest.approx(seq.probability)
-    assert len(doc["steps"]) == len(seq.steps)
+    seq = explanation_sequence(model, table, 2, temporal_feature_set=("velocity", "gap"))
+    doc = json.loads(sequence_to_json(seq))
+    assert doc["tx_id"] == seq["tx_id"]
+    assert doc["margin"] == pytest.approx(seq["margin"])
+    assert doc["probability"] == pytest.approx(seq["probability"])
+    assert len(doc["steps"]) == len(seq["steps"])
     first = doc["steps"][0]
     assert set(first) == {"tree", "feature", "threshold", "branch", "delta"}
     rollup = doc["feature_contributions"]
-    assert sum(rollup.values()) + doc["bias"] == pytest.approx(seq.margin, abs=1e-9)
+    assert sum(rollup.values()) + doc["bias"] == pytest.approx(seq["margin"], abs=1e-9)
     assert doc["tis"] == pytest.approx(tis(rollup, ("velocity", "gap")))
 
 
@@ -416,40 +429,15 @@ def test_tis_report_round_trip_with_no_flags():
 def test_step_deltas_scale_with_learning_rate():
     model, table = fitted(6, seed=14)
     seq = explanation_sequence(model, table, 1)
-    if not seq.steps:
+    if not seq["steps"]:
         pytest.skip("fixture produced leaf-only trees")
-    raw = seq.steps[0]
-    assert isinstance(raw, SequenceStep)
-    assert math.isfinite(raw.delta)
+    raw = seq["steps"][0]
+    assert set(raw) == {"tree", "feature", "threshold", "branch", "delta"}
+    assert math.isfinite(raw["delta"])
 
 
 # ---------------------------------------------------------------------------
 # JSON writers against json.dumps of the documents they replaced
-
-
-def reference_sequence_json(seq, temporal_feature_set=TEMPORAL_FEATURES):
-    totals = {}
-    for s in seq.steps:
-        totals[s.feature_name] = totals.get(s.feature_name, 0.0) + s.delta
-    doc = {
-        "tx_id": seq.tx_id,
-        "bias": seq.bias,
-        "steps": [
-            {
-                "tree": s.tree_index,
-                "feature": s.feature_name,
-                "threshold": s.threshold,
-                "branch": s.branch,
-                "delta": s.delta,
-            }
-            for s in seq.steps
-        ],
-        "feature_contributions": {k: totals[k] for k in sorted(totals)},
-        "margin": seq.margin,
-        "probability": seq.probability,
-        "tis": tis(totals, temporal_feature_set),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def reference_tis_report_json(report):
@@ -467,32 +455,68 @@ ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623
 ODD_NAMES = ('quote"d', "back\\slash", "caf\u00e9 \u6f22 \U0001f600", "tab\tnew\nline", "50%", "")
 
 
+def sequence_document(tx_id, bias, steps, margin, probability, temporal_feature_set=TEMPORAL_FEATURES):
+    """An explanation document over literal steps, rolled up as
+    explanation_sequence rolls them up."""
+    totals = {}
+    for step in steps:
+        totals[step["feature"]] = totals.get(step["feature"], 0.0) + step["delta"]
+    return {
+        "tx_id": tx_id,
+        "bias": bias,
+        "feature_contributions": {k: totals[k] for k in sorted(totals)},
+        "margin": margin,
+        "probability": probability,
+        "tis": tis(totals, temporal_feature_set),
+        "steps": steps,
+    }
+
+
 def test_sequence_json_equals_json_dumps_on_odd_values():
-    steps = tuple(
-        SequenceStep(
-            tree_index=i,
-            feature_name=ODD_NAMES[i % len(ODD_NAMES)],
-            threshold=ODD_FLOATS[i % len(ODD_FLOATS)],
-            branch="left" if i % 2 else "right",
-            delta=ODD_FLOATS[(i + 3) % len(ODD_FLOATS)],
-        )
+    steps = [
+        {
+            "tree": i,
+            "feature": ODD_NAMES[i % len(ODD_NAMES)],
+            "threshold": ODD_FLOATS[i % len(ODD_FLOATS)],
+            "branch": "left" if i % 2 else "right",
+            "delta": ODD_FLOATS[(i + 3) % len(ODD_FLOATS)],
+        }
         for i in range(2 * len(ODD_FLOATS))
-    )
+    ]
     for tx_id in ODD_NAMES:
-        seq = ExplanationSequence(tx_id=tx_id, bias=-0.0, steps=steps, margin=math.nan, probability=5e-324)
-        assert sequence_to_json(seq, ODD_NAMES[:3]) == reference_sequence_json(seq, ODD_NAMES[:3])
+        seq = sequence_document(tx_id, -0.0, steps, math.nan, 5e-324, ODD_NAMES[:3])
+        assert sequence_to_json(seq) == json.dumps(seq, indent=2, sort_keys=True)
 
 
 def test_sequence_json_equals_json_dumps_without_steps():
-    seq = ExplanationSequence(tx_id='a"\\b', bias=0.25, steps=(), margin=0.25, probability=0.5)
-    assert sequence_to_json(seq) == reference_sequence_json(seq)
+    seq = sequence_document('a"\\b', 0.25, [], 0.25, 0.5)
+    assert sequence_to_json(seq) == json.dumps(seq, indent=2, sort_keys=True)
 
 
 def test_sequence_json_equals_json_dumps_on_trained_paths():
     model, table = fitted(30, seed=15)
     for i in (0, 9, 77):
-        seq = explanation_sequence(model, table, i)
-        assert sequence_to_json(seq, ("gap",)) == reference_sequence_json(seq, ("gap",))
+        seq = explanation_sequence(model, table, i, ("gap",))
+        assert sequence_to_json(seq) == json.dumps(seq, indent=2, sort_keys=True)
+
+
+@given(
+    st.lists(
+        st.tuples(st.text(), st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(["left", "right"])),
+        max_size=20,
+    ),
+    st.text(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.text(), max_size=5),
+)
+@settings(max_examples=200)
+def test_sequence_json_equals_json_dumps(path, tx_id, value, names):
+    steps = [
+        {"tree": i, "feature": name, "threshold": value, "branch": branch, "delta": delta}
+        for i, (name, delta, branch) in enumerate(path)
+    ]
+    seq = sequence_document(tx_id, value, steps, value, value, names)
+    assert sequence_to_json(seq) == json.dumps(seq, indent=2, sort_keys=True)
 
 
 @given(

@@ -368,7 +368,6 @@ def test_unlabeled_table_cannot_train():
         {"max_depth": 0},
         {"learning_rate": 0.0},
         {"l2": -0.5},
-        {"leaf_clamp": 0.0},
     ],
 )
 def test_gbt_config_validation(kwargs):

@@ -4,12 +4,14 @@ SVG output is checked structurally (parseable XML, element counts, markers
 for undefined cells) and for byte determinism, never pixel by pixel.
 """
 
+import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from timetrail.correlate import CorrelationMatrix
-from timetrail.explain import ExplanationSequence, SequenceStep, TISReport
+from timetrail.explain import TISReport, sequence_to_json
 from timetrail.plots import (
     HistogramSpec,
     diverging_color,
@@ -179,24 +181,26 @@ def test_series_svg_is_deterministic():
 
 
 def make_sequence(n_steps):
-    steps = tuple(
-        SequenceStep(
-            tree_index=i,
-            feature_name=f"f{i % 3}",
-            threshold=0.5 * i,
-            branch="left" if i % 2 == 0 else "right",
-            delta=0.1 * (1 if i % 2 else -1),
-        )
+    steps = [
+        {
+            "tree": i,
+            "feature": f"f{i % 3}",
+            "threshold": 0.5 * i,
+            "branch": "left" if i % 2 == 0 else "right",
+            "delta": 0.1 * (1 if i % 2 else -1),
+        }
         for i in range(n_steps)
-    )
-    margin = -0.2 + sum(s.delta for s in steps)
-    return ExplanationSequence(
-        tx_id="tx000042",
-        bias=-0.2,
-        steps=steps,
-        margin=margin,
-        probability=0.5,
-    )
+    ]
+    margin = -0.2 + sum(s["delta"] for s in steps)
+    return {
+        "tx_id": "tx000042",
+        "bias": -0.2,
+        "feature_contributions": {},
+        "margin": margin,
+        "probability": 0.5,
+        "tis": 0.0,
+        "steps": steps,
+    }
 
 
 @pytest.mark.parametrize("n", [0, 1, 7])
@@ -217,6 +221,20 @@ def test_sequence_branch_text():
 def test_sequence_rendering_is_deterministic():
     seq = make_sequence(5)
     assert render_sequence(seq) == render_sequence(seq)
+
+
+def test_sequence_renders_the_same_from_its_file(tmp_path):
+    seq = make_sequence(6)
+    for step, value in zip(seq["steps"], (-0.0, 5e-324, 1e16, -1e-7, math.inf, math.nan)):
+        step["threshold"] = value
+    seq["margin"] = -0.0
+    path = tmp_path / "sequence_tx000042.json"
+    path.write_text(sequence_to_json(seq), encoding="utf-8")
+    back = json.loads(path.read_text(encoding="utf-8"))
+    assert render_sequence(back) == render_sequence(seq)
+    svg = render_sequence(back)
+    assert "t0: f0 &lt; -0  " in svg and "t2: f2 &lt; 1e+16  " in svg
+    assert "tx000042: margin -0.000000, p = 0.500000" in svg
 
 
 # ---------------------------------------------------------------------------
