@@ -15,6 +15,19 @@ component at all.
 Every node records its would-be leaf weight, which downstream attribution
 uses as the node value for decision-path deltas.
 
+The split search sorts each distinct node once per ensemble. A node's rows
+are fixed by its split path from the root, (feature, left row count, side)
+at each level, and do not depend on the residuals; so neither do its rows'
+stable order by each feature's value nor the positions where that value
+changes. train_gbt keeps these node layouts by split path, least recently
+used first, within LAYOUT_CACHE_ROOTS times the root layout's bytes. A tree
+that reaches a known node only gathers the residuals in the stored orders,
+prefix-sums them and evaluates the gain at the stored candidate cuts. The
+bits are those of a per-node stable sort: the prefix sums run sequentially
+in the same order, so tied values add in node order (one presort per
+ensemble would add them in root order and change the bits), and every gain
+is the same arithmetic on the same operands.
+
 A tree has one form, the node arrays of Tree: training and model_from_json
 build them, scoring and attribution walk them, and model_to_json writes the
 nested JSON by following their children. Only the root's index (0) is fixed;
@@ -26,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,10 +71,11 @@ class GBTConfig:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if not (0.0 < self.learning_rate <= 8.0):
             raise ValueError(f"learning_rate must be in (0, 8], got {self.learning_rate}")
-        if self.l2 < 0.0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
-        if self.min_child_weight < 0.0:
-            raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
+        # the comparisons are written so that NaN fails them too
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not 0.0 <= self.min_child_weight < math.inf:
+            raise ValueError(f"min_child_weight must be finite and >= 0, got {self.min_child_weight}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,10 +85,10 @@ class LogisticConfig:
     max_epochs: int = 5000
 
     def validate(self) -> None:
-        if self.l2 < 0.0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
@@ -141,81 +155,139 @@ class Tree:
         return self.value[node]
 
 
+# The node layouts train_gbt keeps may take this many times the bytes of the
+# root's layout; the least recently used go first.
+LAYOUT_CACHE_ROOTS = 16
+
+
 def _value_ranks(X: np.ndarray) -> np.ndarray:
-    """Each value's index among its column's distinct sorted values."""
-    ranks = np.empty(X.shape, dtype=np.int64)
-    for f in range(X.shape[1]):
-        ranks[:, f] = np.unique(X[:, f], return_inverse=True)[1]
-    return ranks
+    """Feature-major (features, rows): each value's index among its column's
+    distinct sorted values, in the smallest unsigned dtype that holds them."""
+    inverse = [np.unique(column, return_inverse=True)[1] for column in X.T]
+    top = max((int(v.max()) for v in inverse if v.size), default=0)
+    return np.array(inverse, dtype=np.min_scalar_type(top)).reshape(X.shape[1], X.shape[0])
 
 
-def _best_split(X: np.ndarray, ranks: np.ndarray, r: np.ndarray, idx: np.ndarray, cfg: GBTConfig):
-    """Best (feature, threshold, gain) at a node, or None if no positive gain.
+class _Layout(NamedTuple):
+    """A node's rows in each feature's order and its candidate cuts.
 
-    Candidates are midpoints between consecutive distinct sorted values of
-    each feature; all features are searched at once on the node's sorted
-    (rows, features) block. The first maximum wins, scanning features
-    ascending and thresholds ascending, which fixes all tie-breaks.
-
-    Each column is ordered as a stable sort by value would order it: by
-    `_value_ranks`, equal values in node order. Sorting per node (not once
-    per ensemble) keeps each prefix sum adding tied values in node order,
-    and so keeps the bits of the gains and leaf values.
+    Only features with a candidate cut are kept, ascending in features.
+    rows[k] lists the node's rows as a stable sort by the value of feature
+    features[k] orders them, equal values in node order. A candidate cut
+    after p rows sits where the sorted value changes and leaves both children
+    at least min_child_weight rows; cand holds k * n + p - 1, ascending, with
+    the gain denominators p + l2 and (n - p) + l2.
     """
-    if X.shape[1] == 0:
+
+    features: np.ndarray  # intp
+    rows: np.ndarray  # (len(features), n), the smallest unsigned dtype for the table's rows
+    cand: np.ndarray  # intp
+    left_den: np.ndarray  # float64
+    right_den: np.ndarray  # float64
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self)
+
+
+class _NodeLayouts:
+    """One training table's node layouts, keyed by split path, LRU-bounded.
+
+    A path is (feature, left row count, side) for each split from the root.
+    The path fixes a node's rows and their order, whatever the residuals, so
+    every tree that reaches the node reuses its layout.
+    """
+
+    def __init__(self, X: np.ndarray, cfg: GBTConfig):
+        self.X, self.cfg = X, cfg
+        self.ranks = _value_ranks(X)
+        self.root = np.arange(X.shape[0], dtype=np.min_scalar_type(X.shape[0] - 1))
+        root = self._build(self.root)
+        self._cache: dict[tuple, _Layout] = {(): root}  # least recently used first
+        self._bytes = root.nbytes
+        self._budget = LAYOUT_CACHE_ROOTS * root.nbytes
+
+    def get(self, path: tuple, idx: np.ndarray) -> _Layout:
+        """The layout of the node at path, whose rows in node order are idx."""
+        layout = self._cache.pop(path, None)
+        if layout is None:
+            layout = self._build(idx)
+            self._bytes += layout.nbytes
+            while self._cache and self._bytes > self._budget:
+                self._bytes -= self._cache.pop(next(iter(self._cache))).nbytes
+        self._cache[path] = layout
+        return layout
+
+    def _build(self, idx: np.ndarray) -> _Layout:
+        n, mcw = idx.size, self.cfg.min_child_weight
+        ranks = self.ranks[:, idx]
+        # 16-bit and narrower ranks sort by radix; stable keeps ties in node order
+        order = np.argsort(ranks, axis=1, kind="stable")
+        ranks = np.take_along_axis(ranks, order, axis=1)
+        cut = np.zeros(ranks.shape, dtype=bool)  # column p - 1: the cut after p rows
+        np.not_equal(ranks[:, 1:], ranks[:, :-1], out=cut[:, :-1])
+        p = np.arange(1, n + 1)
+        cut &= (p >= mcw) & (n - p >= mcw)
+        kept = cut.any(axis=1)
+        cand = np.flatnonzero(cut[kept])
+        p, l2 = cand % n + 1, self.cfg.l2
+        return _Layout(np.flatnonzero(kept), idx[order[kept]], cand, p + l2, (n - p) + l2)
+
+
+def _best_split(layouts: _NodeLayouts, r: np.ndarray, idx: np.ndarray, path: tuple, total: float):
+    """Best (gain, feature, threshold, sorted rows, left count) at a node, or
+    None if no positive gain.
+
+    The node's rows are idx in node order and total is r[idx].sum(). The
+    gain is evaluated at the layout's candidate cuts only, each from a
+    sequential prefix sum of the residuals in the feature's sorted order, so
+    tied values add in node order as a per-node stable sort adds them. The
+    first maximum wins, scanning features ascending and thresholds
+    ascending, which fixes all tie-breaks. The children are sorted rows[:p]
+    and rows[p:].
+    """
+    layout = layouts.get(path, idx)
+    if not layout.cand.size:
         return None
-    n = idx.size
-    total = float(r[idx].sum())
-    base_term = total * total / (n + cfg.l2)
-    # rank * n + position is distinct per row, so an unstable sort of it
-    # gives the stable order, faster than a stable sort of the floats
-    order = np.argsort(ranks[idx] * n + np.arange(n)[:, None], axis=0)
-    xv = np.take_along_axis(X[idx], order, axis=0)
-    prefix = np.cumsum(r[idx][order], axis=0)
-    n_left = np.arange(1.0, n)[:, None]  # row p - 1 holds the cut after p rows
-    n_right = n - n_left
-    ok = (
-        (xv[1:] > xv[:-1])
-        & (n_left >= cfg.min_child_weight)
-        & (n_right >= cfg.min_child_weight)
-    )
-    g_left = prefix[:-1]
+    base_term = total * total / (idx.size + layouts.cfg.l2)
+    # take, unlike r[rows], does not first widen the narrow row indices
+    g_left = np.cumsum(np.take(r, layout.rows), axis=1).ravel()[layout.cand]
     g_right = total - g_left
     gains = 0.5 * (
-        g_left * g_left / (n_left + cfg.l2)
-        + g_right * g_right / (n_right + cfg.l2)
+        g_left * g_left / layout.left_den
+        + g_right * g_right / layout.right_den
         - base_term
     )
-    gains[~ok] = -np.inf
-    cut = np.argmax(gains, axis=0)  # first maximum, so the lowest threshold wins
-    col_best = gains[cut, np.arange(gains.shape[1])]
-    f = int(np.argmax(col_best))  # first maximum, so the lowest feature wins
-    if not col_best[f] > 0.0:
+    best = int(np.argmax(gains))  # first maximum, so the lowest feature, then threshold, wins
+    if not gains[best] > 0.0:
         return None
-    p = int(cut[f]) + 1
-    threshold = float((xv[p - 1, f] + xv[p, f]) / 2.0)
-    return (float(col_best[f]), f, threshold, order[:, f], p)
+    k, j = divmod(int(layout.cand[best]), idx.size)
+    f, rows = int(layout.features[k]), layout.rows[k]
+    threshold = (layouts.X.item(rows[j], f) + layouts.X.item(rows[j + 1], f)) / 2.0
+    return (float(gains[best]), f, threshold, rows, j + 1)
 
 
 def _build_node(
-    X: np.ndarray, ranks: np.ndarray, r: np.ndarray, idx: np.ndarray, depth: int, cfg: GBTConfig,
-    nodes: list[list],
+    layouts: _NodeLayouts, r: np.ndarray, idx: np.ndarray, path: tuple, depth: int, nodes: list[list]
 ) -> int:
-    """Append the node of rows idx, then its subtree, to nodes; return its index.
+    """Append the node of rows idx at path, then its subtree, to nodes; return
+    its index.
 
     A node is [feature, threshold, left, right, value, depth], as
     Tree.from_nodes reads it; a leaf is [0, inf, itself, itself, ...].
     """
+    cfg = layouts.cfg
     i = len(nodes)
-    nodes.append([0, math.inf, i, i, float(r[idx].sum()) / (idx.size + cfg.l2), depth])
+    total = float(np.take(r, idx).sum())
+    nodes.append([0, math.inf, i, i, total / (idx.size + cfg.l2), depth])
     if depth >= cfg.max_depth or idx.size < 2:
         return i
-    found = _best_split(X, ranks, r, idx, cfg)
+    found = _best_split(layouts, r, idx, path, total)
     if found is None:
         return i
-    _, f, threshold, order, p = found
-    left = _build_node(X, ranks, r, idx[order[:p]], depth + 1, cfg, nodes)
-    right = _build_node(X, ranks, r, idx[order[p:]], depth + 1, cfg, nodes)
+    _, f, threshold, rows, p = found
+    left = _build_node(layouts, r, rows[:p], path + (f, p, 0), depth + 1, nodes)
+    right = _build_node(layouts, r, rows[p:], path + (f, p, 1), depth + 1, nodes)
     nodes[i][:4] = f, threshold, left, right
     return i
 
@@ -297,13 +369,12 @@ def train_gbt(table: FeatureTable, cfg: GBTConfig | None = None) -> GBTModel:
     base = math.log(pos / neg)
     margin = np.full(y.size, base, dtype=np.float64)
     trees: list[Tree] = []
-    all_idx = np.arange(y.size)
-    ranks = _value_ranks(X)
+    layouts = _NodeLayouts(X, cfg)
     for _ in range(cfg.n_trees):
         p = sigmoid(margin)
         residual = y - p
         nodes: list[list] = []
-        _build_node(X, ranks, residual, all_idx, 0, cfg, nodes)
+        _build_node(layouts, residual, layouts.root, (), 0, nodes)
         tree = Tree.from_nodes(nodes)
         margin += cfg.learning_rate * tree.leaf_values(X)
         trees.append(tree)
@@ -370,8 +441,8 @@ def undersample(table: FeatureTable, majority_ratio: float = 10.0, seed: int = 0
     preserves the original row order. If fewer majority rows exist than the
     ratio asks for, all of them are kept.
     """
-    if majority_ratio <= 0.0:
-        raise ValueError(f"majority_ratio must be positive, got {majority_ratio}")
+    if not 0.0 < majority_ratio < math.inf:
+        raise ValueError(f"majority_ratio must be finite and positive, got {majority_ratio}")
     if table.labels is None:
         raise ValueError("undersampling requires labels")
     labels = table.labels

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from itertools import islice
@@ -137,8 +138,9 @@ class RunConfig:
         self.correlation.validate()
         self.gbt.validate()
         self.logistic.validate()
-        if self.undersample_ratio is not None and self.undersample_ratio <= 0:
-            raise ValueError("undersample_ratio must be positive or null")
+        ratio = self.undersample_ratio
+        if ratio is not None and not 0.0 < ratio < math.inf:  # NaN fails too
+            raise ValueError(f"undersample_ratio must be finite and positive, or null, got {ratio}")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.top_k_explanations < 0:
@@ -273,6 +275,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 _FLOAT_COLUMNS = ("amount", "amount_over_user_mean_30d")
+_NUMERIC_COLUMNS = {f.name for f in fields(EnrichedTable)}.difference(STRING_COLUMNS)
+_INT64 = np.iinfo(np.int64)
 
 
 def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
@@ -280,8 +284,38 @@ def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
     _write_text(path, columns_to_csv(rows, transaction_columns(rows) + ATTRIBUTE_NAMES))
 
 
+def _number_error(name: str, cell: str) -> str | None:
+    """Why an enriched file's cell of a numeric column does not read, or None.
+
+    A number is ASCII without '_' (the separators and non-ASCII digits that
+    int() and float() also read); an integer must fit int64 and a float must
+    be finite, as enrich writes them.
+    """
+    if cell.isascii() and "_" not in cell:
+        try:
+            if name in _FLOAT_COLUMNS:
+                return None if math.isfinite(float(cell)) else f"must be finite, got {cell!r}"
+            if not _INT64.min <= int(cell) <= _INT64.max:
+                return f"out of the int64 range: {cell!r}"
+            return None
+        except ValueError:
+            pass
+    return f"not {'a number' if name in _FLOAT_COLUMNS else 'an integer'}: {cell!r}"
+
+
+def _ascii(values: tuple[str, ...]) -> tuple[str, ...]:
+    text = "".join(values)
+    if not text.isascii() or "_" in text:
+        raise ValueError("a numeric cell is not ASCII or holds '_'")
+    return values
+
+
 def _enriched_rows(header: list[str], rows: list[list[str]], shared: dict) -> EnrichedTable:
-    """One chunk's table; `shared` keeps one copy of each string but tx_ids."""
+    """One chunk's table; `shared` keeps one copy of each string but tx_ids.
+
+    A numeric cell that _number_error rejects raises ValueError or
+    OverflowError, naming no row: a chunk of good cells passes in a few calls
+    over each whole column."""
     raw, n = dict(zip(header, zip(*rows))), len(rows)
     columns = {}
     for name in (f.name for f in fields(EnrichedTable)):
@@ -291,28 +325,37 @@ def _enriched_rows(header: list[str], rows: list[list[str]], shared: dict) -> En
         elif name == "tx_id":
             columns[name] = np.array(values, dtype=object)
         elif name in _FLOAT_COLUMNS:
-            columns[name] = np.fromiter(map(float, values), np.float64, n)
+            columns[name] = np.fromiter(map(float, _ascii(values)), np.float64, n)
+            if not np.isfinite(columns[name]).all():
+                raise ValueError(f"non-finite {name}")
         else:
-            columns[name] = np.fromiter(map(int, values), np.int64, n)
+            columns[name] = np.fromiter(map(int, _ascii(values)), np.int64, n)
     return EnrichedTable(**columns)
 
 
-def _bad_row_error(path: Path, width: int) -> ValueError:
-    """The error naming path's first row with a bad field count or tx_id."""
+def _bad_row_error(path: Path, header: list[str]) -> ValueError:
+    """The error naming path's first bad row: a field count other than the
+    header's, a tx_id outside TX_ID_PATTERN or a numeric cell that does not
+    read, as '<path>: line N, field '<name>': <why>'."""
+    numeric = [(i, name) for i, name in enumerate(header) if name in _NUMERIC_COLUMNS]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in islice(reader, 1, None):
             line = f"{path}: line {reader.line_num}"
-            if len(row) != width:
-                return ValueError(f"{line}: expected {width} fields, got {len(row)}")
+            if len(row) != len(header):
+                return ValueError(f"{line}: expected {len(header)} fields, got {len(row)}")
             if not TX_ID_PATTERN.fullmatch(row[0]):
                 return ValueError(f"{line}: tx_id {row[0]!r} has characters outside [A-Za-z0-9_.-]")
+            for i, name in numeric:
+                if (why := _number_error(name, row[i])) is not None:
+                    return ValueError(f"{line}, field '{name}': {why}")
     return ValueError(f"{path}: changed while it was read")
 
 
 def read_enriched_csv(path: Path) -> EnrichedTable:
     """An enriched file's table, converted CHUNK_ROWS rows at a time. Each row
-    needs the header's field count and a tx_id that TX_ID_PATTERN matches."""
+    needs the header's field count, a tx_id that TX_ID_PATTERN matches and
+    numeric cells that _number_error reads."""
     shared: dict[str, str] = {}
     parts = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -327,8 +370,11 @@ def read_enriched_csv(path: Path) -> EnrichedTable:
             # a chunk of good rows passes in a few calls over the whole chunk
             ids = [r[0] for r in rows] if set(map(len, rows)) == {len(header)} else [""]
             if "" in ids or not TX_ID_PATTERN.fullmatch("".join(ids)):
-                raise _bad_row_error(path, len(header))
-            parts.append(_enriched_rows(header, rows, shared))
+                raise _bad_row_error(path, header)
+            try:
+                parts.append(_enriched_rows(header, rows, shared))
+            except (ValueError, OverflowError):
+                raise _bad_row_error(path, header) from None
     return EnrichedTable.concat(parts or [_enriched_rows(header, [], shared)])
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -25,8 +26,8 @@ class CleansePolicy:
     def validate(self) -> None:
         if self.dedupe_key not in ("tx_id", "composite"):
             raise ValueError(f"dedupe_key must be 'tx_id' or 'composite', got {self.dedupe_key!r}")
-        if self.iqr_k < 0:
-            raise ValueError(f"iqr_k must be non-negative, got {self.iqr_k}")
+        if not 0.0 <= self.iqr_k < math.inf:
+            raise ValueError(f"iqr_k must be finite and non-negative, got {self.iqr_k}")
 
 
 @dataclass(frozen=True, slots=True)

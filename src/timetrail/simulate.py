@@ -86,8 +86,8 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown scenarios in mix: {sorted(unknown)}")
         weights = [self.scenario_mix.get(s, 0.0) for s in SCENARIOS]
-        if any(w < 0 for w in weights):
-            raise ValueError("scenario weights must be non-negative")
+        if not all(0.0 <= w < math.inf for w in weights):
+            raise ValueError(f"scenario_mix weights must be finite and non-negative, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError(f"scenario weights must sum to 1, got {sum(weights)}")
 

@@ -307,6 +307,34 @@ def test_unknown_top_level_field(tmp_path, capsys):
     assert "thresholdz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, field, literal",
+    [
+        ("gbt", "l2", "NaN"),
+        ("gbt", "min_child_weight", "NaN"),
+        ("logistic", "l2", "NaN"),
+        ("logistic", "tol", "NaN"),
+        (None, "undersample_ratio", "NaN"),
+        (None, "undersample_ratio", "Infinity"),
+        ("cleanse", "iqr_k", "Infinity"),
+        ("generator", "scenario_mix", "NaN"),
+    ],
+)
+def test_non_finite_config_numbers_are_rejected_by_name(tmp_path, capsys, section, field, literal):
+    doc = tiny_config(tmp_path / "out")
+    value = {"burst": 1.0, "night_owl": 0.0} if field == "scenario_mix" else 1.0
+    (doc.setdefault(section, {}) if section else doc)[field] = value
+    # json.load reads the bare literals NaN and Infinity
+    text = json.dumps(doc).replace("1.0", literal, 1)
+    assert literal in text
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run-all", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_json_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

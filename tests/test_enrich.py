@@ -217,6 +217,15 @@ def _quoted_user(line):
     return ",".join(fields_)
 
 
+def _cell(k, text):
+    def edit(line):
+        fields_ = line.split(",")
+        fields_[k] = text
+        return ",".join(fields_)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edits, problem",
     [
@@ -226,6 +235,16 @@ def _quoted_user(line):
         ({4: lambda line: "../x" + line[6:]}, "line 5: tx_id '../x' has characters outside"),
         ({4: lambda line: line[6:]}, "line 5: tx_id '' has characters outside"),
         ({2: _quoted_user, 4: lambda line: "a b" + line[6:]}, "line 6: tx_id 'a b' has characters outside"),
+        ({4: _cell(1, "12x")}, "line 5, field 'timestamp': not an integer: '12x'"),
+        ({4: _cell(1, "1_700_000_000")}, "line 5, field 'timestamp': not an integer: '1_700_000_000'"),
+        ({4: _cell(1, "")}, "line 5, field 'timestamp': not an integer: ''"),
+        ({4: _cell(1, "9" * 19)}, "line 5, field 'timestamp': out of the int64 range: '9999999999999999999'"),
+        ({4: _cell(4, "nan")}, "line 5, field 'amount': must be finite, got 'nan'"),
+        ({4: _cell(4, "1e999")}, "line 5, field 'amount': must be finite, got '1e999'"),
+        ({4: _cell(4, "1.5x")}, "line 5, field 'amount': not a number: '1.5x'"),
+        ({4: _cell(11, "\u0663")}, "line 5, field 'user_tx_count_24h': not an integer: '\u0663'"),
+        ({4: _cell(15, "inf")}, "line 5, field 'amount_over_user_mean_30d': must be finite, got 'inf'"),
+        ({3: _cell(9, "x"), 4: _cell(1, "x")}, "line 4, field 'is_night': not an integer: 'x'"),
     ],
 )
 def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):

@@ -121,6 +121,60 @@ def reference_best_split(X, r, idx, cfg):
     return best
 
 
+def block_best_split(X, r, idx, cfg):
+    """The per-node block search train_gbt used before it kept node layouts:
+    all features at once on the node's sorted (rows, features) block, with
+    the gain evaluated at every row of the block. Nothing is cached."""
+    if X.shape[1] == 0:
+        return None
+    n = idx.size
+    total = float(r[idx].sum())
+    base_term = total * total / (n + cfg.l2)
+    ranks = np.stack([np.unique(column, return_inverse=True)[1] for column in X[idx].T], axis=1)
+    # rank * n + position is distinct per row, so an unstable sort of it
+    # gives the stable order
+    order = np.argsort(ranks * n + np.arange(n)[:, None], axis=0)
+    xv = np.take_along_axis(X[idx], order, axis=0)
+    prefix = np.cumsum(r[idx][order], axis=0)
+    n_left = np.arange(1.0, n)[:, None]  # row p - 1 holds the cut after p rows
+    n_right = n - n_left
+    ok = (
+        (xv[1:] > xv[:-1])
+        & (n_left >= cfg.min_child_weight)
+        & (n_right >= cfg.min_child_weight)
+    )
+    g_left = prefix[:-1]
+    g_right = total - g_left
+    gains = 0.5 * (
+        g_left * g_left / (n_left + cfg.l2)
+        + g_right * g_right / (n_right + cfg.l2)
+        - base_term
+    )
+    gains[~ok] = -np.inf
+    cut = np.argmax(gains, axis=0)  # first maximum, so the lowest threshold wins
+    col_best = gains[cut, np.arange(gains.shape[1])]
+    f = int(np.argmax(col_best))  # first maximum, so the lowest feature wins
+    if not col_best[f] > 0.0:
+        return None
+    p = int(cut[f]) + 1
+    threshold = float((xv[p - 1, f] + xv[p, f]) / 2.0)
+    return (float(col_best[f]), f, threshold, order[:, f], p)
+
+
+def per_node(reference):
+    """train_gbt's _best_split made of a reference search of (X, r, idx, cfg)
+    that returns the node-relative order of the chosen feature."""
+
+    def search(layouts, r, idx, path, total):
+        found = reference(layouts.X, r, idx, layouts.cfg)
+        if found is None:
+            return None
+        gain, f, threshold, order, p = found
+        return gain, f, threshold, idx[order], p
+
+    return search
+
+
 def is_leaf(tree, i):
     return tree.children[2 * i] == i
 
@@ -200,12 +254,79 @@ def test_split_search_matches_per_feature_reference(seed, min_child_weight, monk
     table = make_table(X, y=y)
     cfg = GBTConfig(n_trees=20, max_depth=4, min_child_weight=min_child_weight)
     fast = model_to_json(train_gbt(table, cfg))
-    monkeypatch.setattr(
-        timetrail.model,
-        "_best_split",
-        lambda X, ranks, r, idx, cfg: reference_best_split(X, r, idx, cfg),
-    )
+    monkeypatch.setattr(timetrail.model, "_best_split", per_node(reference_best_split))
     assert model_to_json(train_gbt(table, cfg)) == fast
+
+
+@st.composite
+def gbt_problems(draw):
+    """A small labeled table with many value ties, and a GBT config."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    grid = draw(st.sampled_from([2, 5, 40]))  # distinct values per column at most
+    X = np.array(draw(st.lists(st.integers(0, grid - 1), min_size=n * d, max_size=n * d)), dtype=np.float64)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    if y.min() == y.max():
+        y[draw(st.integers(0, n - 1))] ^= 1  # both classes
+    cfg = GBTConfig(
+        n_trees=draw(st.integers(1, 6)),
+        max_depth=draw(st.integers(1, 5)),
+        learning_rate=draw(st.sampled_from([0.1, 1.0])),
+        l2=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 1.0, 2.5, 7.0])),
+    )
+    return make_table(X.reshape(n, d) / 4.0, y=y), cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(gbt_problems())
+def test_cached_layouts_match_the_uncached_block_search(problem):
+    table, cfg = problem
+    cached = model_to_json(train_gbt(table, cfg))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timetrail.model, "_best_split", per_node(block_best_split))
+        assert model_to_json(train_gbt(table, cfg)) == cached
+
+
+def test_a_one_root_layout_bound_evicts_every_tree_and_keeps_the_model(monkeypatch):
+    rng = np.random.default_rng(2)
+    X = np.round(rng.normal(size=(400, 4)), 1)
+    y = (rng.random(400) < sigmoid(2.0 * X[:, 0] - X[:, 1] * X[:, 2])).astype(np.int64)
+    table, cfg = make_table(X, y=y), GBTConfig(n_trees=15, max_depth=4)
+    built = []  # the row count of each layout built
+    build = timetrail.model._NodeLayouts._build
+
+    def counted(self, idx):
+        built.append(idx.size)
+        return build(self, idx)
+
+    monkeypatch.setattr(timetrail.model._NodeLayouts, "_build", counted)
+    default = model_to_json(train_gbt(table, cfg))
+    assert built.count(400) == 1  # the root, once per ensemble
+    monkeypatch.setattr(timetrail.model, "LAYOUT_CACHE_ROOTS", 1)
+    assert model_to_json(train_gbt(table, cfg)) == default
+    assert built.count(400) == 1 + cfg.n_trees  # and now once per tree
+
+
+def test_a_column_of_more_than_65535_values_uses_wider_ranks(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 70_000
+    X = np.stack([rng.permutation(n) / n, rng.integers(0, 3, size=n) / 2.0], axis=1)
+    y = (rng.random(n) < sigmoid(4.0 * X[:, 0] - 2.0 + X[:, 1])).astype(np.int64)
+    assert timetrail.model._value_ranks(X).dtype == np.uint32
+    assert timetrail.model._value_ranks(X[:, 1:]).dtype == np.uint8
+    table, cfg = make_table(X, y=y), GBTConfig(n_trees=2, max_depth=2)
+    cached = model_to_json(train_gbt(table, cfg))
+    monkeypatch.setattr(timetrail.model, "_best_split", per_node(block_best_split))
+    assert model_to_json(train_gbt(table, cfg)) == cached
+
+
+def test_a_table_without_features_grows_leaves_only():
+    y = np.array([0, 1, 1, 0, 0, 0], dtype=np.int64)
+    table = FeatureTable(feature_names=(), rows=np.empty((6, 0)), labels=y)
+    model = train_gbt(table, GBTConfig(n_trees=3))
+    assert all(tree.depth == 0 for tree in model.trees)
+    assert np.allclose(predict_proba(model, table), 2.0 / 6.0, atol=0.05)
 
 
 def test_training_loss_is_monotone():
@@ -379,6 +500,23 @@ def test_gbt_config_validation(kwargs):
 def test_logistic_config_validation(kwargs):
     with pytest.raises(ValueError):
         LogisticConfig(**kwargs).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        (GBTConfig, "learning_rate"),
+        (GBTConfig, "l2"),
+        (GBTConfig, "min_child_weight"),
+        (LogisticConfig, "l2"),
+        (LogisticConfig, "tol"),
+    ],
+)
+def test_config_rejects_non_finite_floats_by_name(cls, field, value):
+    # NaN fails every comparison, so an unguarded `x < 0` check lets it through
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        cls(**{field: value}).validate()
 
 
 # ---------------------------------------------------------------------------
