@@ -88,6 +88,12 @@ def _check_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return y, s
 
 
+def _tie_runs(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of equal scores in a sorted array."""
+    ends = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])
+    return np.concatenate(([0], ends + 1)), np.append(ends, sorted_scores.size - 1)
+
+
 def auc_roc(labels: Sequence[int], scores: Sequence[float]) -> float | None:
     """Rank-based AUC; ties between classes count half. None if one class."""
     y, s = _check_scores(labels, scores)
@@ -96,15 +102,10 @@ def auc_roc(labels: Sequence[int], scores: Sequence[float]) -> float | None:
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(s, kind="mergesort")
-    sorted_scores = s[order]
+    first, last = _tie_runs(s[order])
     ranks = np.empty(y.size, dtype=np.float64)
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
+    # each run shares its average 1-based rank
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -116,26 +117,12 @@ def average_precision(labels: Sequence[int], scores: Sequence[float]) -> float |
     if n_pos == 0:
         return None
     order = np.argsort(-s, kind="mergesort")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    prev_recall = 0.0
-    i = 0
-    n = y.size
-    while i < n:
-        j = i
-        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i : j + 1].sum())
-        seen += j - i + 1
-        recall = tp / n_pos
-        precision = tp / seen
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return ap
+    _, last = _tie_runs(s[order])
+    tp = np.cumsum(y[order])[last]
+    recall = tp / n_pos
+    terms = np.diff(recall, prepend=0.0) * (tp / (last + 1))
+    # cumsum adds the terms left to right, as a running total would
+    return float(np.cumsum(terms)[-1])
 
 
 def dataset_fingerprint(tx_ids: Sequence[str]) -> str:

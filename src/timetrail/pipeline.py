@@ -14,10 +14,12 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -150,44 +152,62 @@ class RunConfig:
                 raise ValueError(f"unknown temporal feature {name!r}")
 
 
-def _section(doc: dict, key: str, cls, extra: dict | None = None):
-    raw = doc.get(key)
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ValueError(f"config field '{key}' must be an object")
-    allowed = {f.name for f in fields(cls)}
-    kwargs = dict(extra or {})
-    for k, v in raw.items():
-        if k not in allowed:
-            raise ValueError(f"unknown config field '{key}.{k}'")
-        kwargs[k] = v
-    return cls(**kwargs)
+def _rejected(name: str, kind: str, value) -> ValueError:
+    return ValueError(f"config field '{name}' must be {kind}, got {json.dumps(value, default=repr)}")
 
 
-def _period_edge(value) -> int:
-    if isinstance(value, bool):
-        raise ValueError("generator.period values must be epoch seconds or ISO 8601")
-    if isinstance(value, int):
+def _read(tp, value, name: str):
+    """`value` from a JSON document read as the declared type `tp`.
+
+    An int may be written as a real with no fraction; a float is any finite
+    number, kept as written. bool and str take only themselves. A dataclass
+    is an object of its fields, where null means the field's default unless
+    the field is optional. The items of an integer pair (a period) may also
+    be ISO 8601 strings. A rejection names the field by its dotted path.
+    """
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise _rejected(name, "an object", value)
+        hints = get_type_hints(tp)
+        kwargs = {}
+        for key, item in value.items():
+            path = f"{name}.{key}" if name else key
+            if key not in hints:
+                raise ValueError(f"unknown config field '{path}'")
+            if item is not None or type(None) in get_args(hints[key]):
+                kwargs[key] = _read(hints[key], item, path)
+        return tp(**kwargs)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        return None if value is None else _read(args[0], value, name)
+    if origin is tuple:
+        n = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, (list, tuple)) or n is not None and len(value) != n:
+            raise _rejected(name, "a list" if n is None else f"a list of {n} items", value)
+        if args == (int, int):
+            try:
+                value = [parse_timestamp(v) if isinstance(v, str) else v for v in value]
+            except ValueError:
+                raise _rejected(name, "epoch seconds or ISO 8601 times", value) from None
+        item_types = args[:1] * len(value) if n is None else args
+        return tuple(_read(t, v, f"{name}[{i}]") for i, (t, v) in enumerate(zip(item_types, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise _rejected(name, "an object", value)
+        return {k: _read(args[1], v, f"{name}.{k}") for k, v in value.items()}
+    if tp is bool or tp is str:
+        if not isinstance(value, tp):
+            raise _rejected(name, "true or false" if tp is bool else "a string", value)
         return value
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _rejected(name, "an integer" if tp is int else "a number", value)
+    if tp is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise _rejected(name, "an integer", value)
         return int(value)
-    if isinstance(value, str):
-        return parse_timestamp(value)
-    raise ValueError("generator.period values must be epoch seconds or ISO 8601")
-
-
-def _parse_period(raw) -> tuple[int, int]:
-    if isinstance(raw, dict):
-        unknown = set(raw) - {"start", "end"}
-        if unknown:
-            raise ValueError(f"unknown config field 'generator.period.{sorted(unknown)[0]}'")
-        if "start" not in raw or "end" not in raw:
-            raise ValueError("generator.period needs both 'start' and 'end'")
-        return (_period_edge(raw["start"]), _period_edge(raw["end"]))
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return (_period_edge(raw[0]), _period_edge(raw[1]))
-    raise ValueError("generator.period must be {start, end} or a two-element list")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
+        raise _rejected(name, "finite", value)
+    return value
 
 
 def config_from_dict(
@@ -195,56 +215,18 @@ def config_from_dict(
     seed: int | None = None,
     out_dir: str | None = None,
 ) -> RunConfig:
-    """Build a validated RunConfig; unknown fields fail by name.
+    """Build a validated RunConfig, reading each field by its declared type.
 
     seed / out_dir arguments override the document (the CLI flags map here).
-    A seed override also reseeds the generator unless the document pins one.
+    The generator takes the run seed unless the document pins one; a seed
+    override reseeds it either way.
     """
     if not isinstance(doc, dict):
         raise ValueError("config root must be a JSON object")
-    allowed = {f.name for f in fields(RunConfig)}
-    for k in doc:
-        if k not in allowed:
-            raise ValueError(f"unknown config field '{k}'")
-
-    run_seed = seed if seed is not None else int(doc.get("seed", 0))
-    if not isinstance(doc.get("generator") or {}, dict):
-        raise ValueError("config field 'generator' must be an object")
-    gen_raw = dict(doc.get("generator") or {})
-    gen_extra: dict = {}
-    if "period" in gen_raw:
-        gen_extra["period"] = _parse_period(gen_raw.pop("period"))
-    if "scenario_mix" in gen_raw:
-        mix = gen_raw.pop("scenario_mix")
-        if not isinstance(mix, dict):
-            raise ValueError("config field 'generator.scenario_mix' must be an object")
-        gen_extra["scenario_mix"] = {str(k): float(v) for k, v in mix.items()}
-    if "seed" not in gen_raw:
-        gen_extra["seed"] = run_seed
-    elif seed is not None:
-        gen_raw["seed"] = run_seed
-    generator = _section({"generator": gen_raw}, "generator", ScenarioConfig, gen_extra)
-
-    temporal = doc.get("temporal_features")
-    if temporal is not None and not isinstance(temporal, (list, tuple)):
-        raise ValueError("config field 'temporal_features' must be a list of names")
-    ratio = doc.get("undersample_ratio", 10.0)
-    cfg = RunConfig(
-        seed=run_seed,
-        out_dir=str(out_dir if out_dir is not None else doc.get("out_dir", "out")),
-        input_csv=doc.get("input_csv"),
-        generator=generator,
-        cleanse=_section(doc, "cleanse", CleansePolicy),
-        split=_section(doc, "split", SplitFractions),
-        enrich=_section(doc, "enrich", EnrichConfig),
-        correlation=_section(doc, "correlation", CorrelationConfig),
-        gbt=_section(doc, "gbt", GBTConfig),
-        logistic=_section(doc, "logistic", LogisticConfig),
-        undersample_ratio=None if ratio is None else float(ratio),
-        threshold=float(doc.get("threshold", 0.5)),
-        temporal_features=ATTRIBUTE_NAMES if temporal is None else tuple(temporal),
-        top_k_explanations=int(doc.get("top_k_explanations", 3)),
-    )
+    overrides = {k: v for k, v in (("seed", seed), ("out_dir", out_dir)) if v is not None}
+    cfg = _read(RunConfig, doc | overrides, "")
+    if seed is not None or (doc.get("generator") or {}).get("seed") is None:
+        cfg = replace(cfg, generator=replace(cfg.generator, seed=cfg.seed))
     cfg.validate()
     return cfg
 

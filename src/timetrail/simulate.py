@@ -78,6 +78,8 @@ class ScenarioConfig:
         start, end = self.period
         if end - start < 2 * DAY:
             raise ValueError("period must span at least two days")
+        if start < 1:  # generate draws from [start, end); timestamps must be positive
+            raise ValueError(f"period must start at epoch second 1 or later, got {list(self.period)}")
         if self.target_rows < 1:
             raise ValueError(f"target_rows must be >= 1, got {self.target_rows}")
         if not (0.0 < self.fraud_rate < 1.0):

@@ -13,7 +13,14 @@ import pytest
 from timetrail.cli import main
 from timetrail.data import load_transactions
 from timetrail.enrich import ATTRIBUTE_NAMES, enrich
-from timetrail.pipeline import STAGES, explained_rows, load_config, read_enriched_csv, run_stage
+from timetrail.pipeline import (
+    STAGES,
+    config_from_dict,
+    explained_rows,
+    load_config,
+    read_enriched_csv,
+    run_stage,
+)
 
 
 def tiny_config(out_dir, seed=0):
@@ -333,6 +340,70 @@ def test_non_finite_config_numbers_are_rejected_by_name(tmp_path, capsys, sectio
     err = capsys.readouterr().err
     assert field in err and "must be finite" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "dotted, value",
+    [
+        ("gbt.n_trees", 2.5),
+        ("gbt.max_depth", 2.5),
+        ("gbt.l2", "1"),
+        pytest.param("gbt.l2", 10**400, id="gbt.l2-past-the-float-range"),
+        ("cleanse.iqr_k", "3"),
+        ("cleanse.remove_outliers", "false"),
+        ("top_k_explanations", 2.7),
+        ("top_k_explanations", "3"),
+        ("top_k_explanations", True),
+        ("seed", 7.9),
+        ("seed", "7"),
+        ("threshold", "0.5"),
+        ("undersample_ratio", "10"),
+        ("generator.n_users", 10.5),
+        ("generator.scenario_mix.burst", "1"),
+        ("input_csv", 5),
+        ("out_dir", 5),
+        ("enrich.recency_cap_seconds", 1.5),
+        ("logistic.max_epochs", 10.5),
+    ],
+)
+def test_mistyped_config_field_is_rejected_by_name(tmp_path, capsys, monkeypatch, dotted, value):
+    monkeypatch.chdir(tmp_path)  # an out_dir of 5 would land here
+    doc = tiny_config(tmp_path / "out")
+    *sections, key = dotted.split(".")
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    cfg = write_config(tmp_path, doc)
+    assert main(["run-all", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"config field '{dotted}'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_integer_field_takes_a_real_with_no_fraction(tmp_path):
+    text = json.dumps(tiny_config(tmp_path / "out")).replace('"target_rows": 1200', '"target_rows": 5e4')
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    rows = load_config(path).generator.target_rows
+    assert rows == 50000 and type(rows) is int
+
+
+def test_period_at_or_before_the_epoch_is_rejected(tmp_path, capsys):
+    doc = tiny_config(tmp_path / "out")
+    doc["generator"]["period"] = [-86400, 432000]
+    cfg = write_config(tmp_path, doc)
+    assert main(["run-all", "--config", cfg]) == 1
+    assert "period must start at epoch second 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    cfg = config_from_dict(json.loads(blocks[0]))
+    assert cfg.generator.target_rows == 50000 and cfg.cleanse.remove_outliers is False
 
 
 def test_invalid_json_config(tmp_path, capsys):

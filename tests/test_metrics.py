@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timetrail.metrics import (
     ComparisonTable,
@@ -59,6 +61,52 @@ def oracle_ap(y, s):
         recall = tp / n_pos
         ap += (recall - prev_recall) * (tp / flagged)
         prev_recall = recall
+    return ap
+
+
+def loop_auc(y, s):
+    """Reference: average ranks assigned one tie run at a time."""
+    n_pos = int(y.sum())
+    n_neg = int(y.size - n_pos)
+    if n_pos == 0 or n_neg == 0:
+        return None
+    order = np.argsort(s, kind="mergesort")
+    sorted_scores = s[order]
+    ranks = np.empty(y.size, dtype=np.float64)
+    i = 0
+    while i < y.size:
+        j = i
+        while j + 1 < y.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum = float(ranks[y == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def loop_ap(y, s):
+    """Reference: the descending sweep one tie run at a time, summed as it goes."""
+    n_pos = int(y.sum())
+    if n_pos == 0:
+        return None
+    order = np.argsort(-s, kind="mergesort")
+    y_sorted = y[order]
+    s_sorted = s[order]
+    ap = 0.0
+    tp = 0
+    seen = 0
+    prev_recall = 0.0
+    i = 0
+    while i < y.size:
+        j = i
+        while j + 1 < y.size and s_sorted[j + 1] == s_sorted[i]:
+            j += 1
+        tp += int(y_sorted[i : j + 1].sum())
+        seen += j - i + 1
+        recall = tp / n_pos
+        ap += (recall - prev_recall) * (tp / seen)
+        prev_recall = recall
+        i = j + 1
     return ap
 
 
@@ -140,6 +188,22 @@ def test_ranking_metrics_match_oracles_with_ties(seed):
     s = np.round(rng.random(n), 2)  # two decimals force heavy ties
     assert auc_roc(y, s) == pytest.approx(oracle_auc(y.tolist(), s.tolist()), abs=1e-12)
     assert average_precision(y, s) == pytest.approx(oracle_ap(y.tolist(), s.tolist()), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 1), st.floats(-2.0, 2.0, allow_nan=False)),
+        min_size=1,
+        max_size=120,
+    ),
+    st.integers(0, 3),
+)
+def test_ranking_metrics_equal_the_tie_run_loops_bit_for_bit(pairs, decimals):
+    y = np.array([p[0] for p in pairs], dtype=np.int64)
+    s = np.round(np.array([p[1] for p in pairs]), decimals)  # rounding forces ties
+    assert auc_roc(y, s) == loop_auc(y, s)
+    assert average_precision(y, s) == loop_ap(y, s)
 
 
 def test_score_validation():

@@ -212,6 +212,7 @@ def test_fraud_count_rounding_to_zero_is_an_error():
         ({"n_users": 0}, "n_users"),
         ({"n_terminals": 0}, "n_terminals"),
         ({"period": (0, DAY)}, "two days"),
+        ({"period": (0, 3 * DAY)}, "epoch second 1"),
         ({"target_rows": 0}, "target_rows"),
         ({"fraud_rate": 0.0}, "fraud_rate"),
         ({"fraud_rate": 1.0}, "fraud_rate"),
