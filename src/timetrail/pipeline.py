@@ -41,6 +41,7 @@ from .enrich import ATTRIBUTE_NAMES, EnrichConfig, EnrichedTable, enrich
 from .explain import aggregate_tis, explanation_sequence, sequence_to_json, tis_report_from_json
 from .features import (
     ENRICHED_FEATURES,
+    FeatureTable,
     apply_scaler,
     enriched_feature_table,
     fit_scaler,
@@ -159,11 +160,12 @@ def _rejected(name: str, kind: str, value) -> ValueError:
 def _read(tp, value, name: str):
     """`value` from a JSON document read as the declared type `tp`.
 
-    An int may be written as a real with no fraction; a float is any finite
-    number, kept as written. bool and str take only themselves. A dataclass
-    is an object of its fields, where null means the field's default unless
-    the field is optional. The items of an integer pair (a period) may also
-    be ISO 8601 strings. A rejection names the field by its dotted path.
+    An int may be written as a real with no fraction and must fit int64; a
+    float is any finite number, kept as written. bool and str take only
+    themselves. A dataclass is an object of its fields, where null means the
+    field's default unless the field is optional. The items of an integer
+    pair (a period) may also be ISO 8601 strings. A rejection names the field
+    by its dotted path.
     """
     if is_dataclass(tp):
         if not isinstance(value, dict):
@@ -204,6 +206,8 @@ def _read(tp, value, name: str):
     if tp is int:
         if isinstance(value, float) and not value.is_integer():
             raise _rejected(name, "an integer", value)
+        if not _INT64.min <= value <= _INT64.max:
+            raise _rejected(name, "an integer within int64", value)
         return int(value)
     if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
         raise _rejected(name, "finite", value)
@@ -452,14 +456,9 @@ def stage_correlate(cfg: RunConfig) -> list[tuple[str, str]]:
     ]
 
 
-def _scaled_tables(cfg: RunConfig, part: str):
-    """(baseline table, timetrail table) for a split, scaled by saved params."""
-    rows = read_enriched_csv(_out(cfg, f"enriched_{part}.csv"))
-    raw = raw_feature_table(rows)
-    enr = enriched_feature_table(rows)
-    raw = apply_scaler(load_scaler(_out(cfg, "scaler_baseline.json")), raw)
-    enr = apply_scaler(load_scaler(_out(cfg, "scaler_timetrail.json")), enr)
-    return raw, enr
+def _timetrail_table(cfg: RunConfig, rows: EnrichedTable) -> FeatureTable:
+    """The GBT's feature table of enriched rows, scaled by the saved params."""
+    return apply_scaler(load_scaler(_out(cfg, "scaler_timetrail.json")), enriched_feature_table(rows))
 
 
 def stage_train(cfg: RunConfig) -> list[tuple[str, str]]:
@@ -494,7 +493,9 @@ def stage_train(cfg: RunConfig) -> list[tuple[str, str]]:
 
 
 def stage_evaluate(cfg: RunConfig) -> list[tuple[str, str]]:
-    raw, enr = _scaled_tables(cfg, "test")
+    rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
+    raw = apply_scaler(load_scaler(_out(cfg, "scaler_baseline.json")), raw_feature_table(rows))
+    enr = _timetrail_table(cfg, rows)
     if raw.labels is None:
         raise ValueError("test split is unlabeled; evaluation needs labels")
     baseline = load_model(_out(cfg, "model_baseline.json"))
@@ -550,7 +551,7 @@ def explained_rows(
 
 
 def stage_explain(cfg: RunConfig) -> list[tuple[str, str]]:
-    _, enr = _scaled_tables(cfg, "test")
+    enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
     timetrail = load_model(_out(cfg, "model_timetrail.json"))
     probs = predict_proba(timetrail, enr)
     paths = []
@@ -570,7 +571,7 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     _write_text(_out(cfg, "heatmap_all.svg"), heatmap_to_svg(m))
     paths.append(("heatmap_all.svg", "plot"))
 
-    _, enr = _scaled_tables(cfg, "test")
+    enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
     test_rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
     probs = predict_proba(load_model(_out(cfg, "model_timetrail.json")), enr)
     flags = (probs >= cfg.threshold).astype(int).tolist()

@@ -12,10 +12,10 @@ Scenarios:
                       at least 5 transactions inside the trailing 48h window
                       (four legitimate precursor rows guarantee this even for
                       the first row of a burst)
-  night_owl           single transactions at hours 1-5 UTC
+  night_owl           same-user runs of 2-4 rows between 01:00 and 04:59 UTC
   new_account_abuse   fresh accounts whose entire history is a fraud cluster
-                      inside their first 24 hours
-  terminal_compromise many users hitting one terminal within 24 hours
+                      inside their first 90 minutes
+  terminal_compromise many users hitting one terminal within 4 hours
   amount_spike        amount at least 8x the user's mean amount parameter
 
 Fraud amounts and types are drawn from the same distributions as legitimate
@@ -117,198 +117,112 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
-class _Columns:
-    """Column buffers for generated rows; scenario -1 means none."""
-
-    def __init__(self) -> None:
-        self.ts: list[np.ndarray] = []
-        self.user: list[np.ndarray] = []
-        self.terminal: list[np.ndarray] = []
-        self.amount: list[np.ndarray] = []
-        self.tx_type: list[np.ndarray] = []
-        self.fraud: list[np.ndarray] = []
-        self.scenario: list[np.ndarray] = []
-
-    def add(self, ts, user, terminal, amount, tx_type, fraud, scenario) -> None:
-        n = len(ts)
-        self.ts.append(np.asarray(ts, dtype=np.int64))
-        self.user.append(np.asarray(user, dtype=np.int64))
-        self.terminal.append(np.asarray(terminal, dtype=np.int64))
-        self.amount.append(np.asarray(amount, dtype=np.float64))
-        self.tx_type.append(np.asarray(tx_type, dtype=np.int64))
-        self.fraud.append(np.full(n, fraud, dtype=np.int8) if np.isscalar(fraud) else np.asarray(fraud, dtype=np.int8))
-        self.scenario.append(
-            np.full(n, scenario, dtype=np.int8) if np.isscalar(scenario) else np.asarray(scenario, dtype=np.int8)
-        )
-
-    def merged(self):
-        return (
-            np.concatenate(self.ts) if self.ts else np.zeros(0, dtype=np.int64),
-            np.concatenate(self.user) if self.user else np.zeros(0, dtype=np.int64),
-            np.concatenate(self.terminal) if self.terminal else np.zeros(0, dtype=np.int64),
-            np.concatenate(self.amount) if self.amount else np.zeros(0),
-            np.concatenate(self.tx_type) if self.tx_type else np.zeros(0, dtype=np.int64),
-            np.concatenate(self.fraud) if self.fraud else np.zeros(0, dtype=np.int8),
-            np.concatenate(self.scenario) if self.scenario else np.zeros(0, dtype=np.int8),
-        )
-
-
 @dataclass
 class _World:
+    """The simulated population and the column chunks generated so far."""
+
     cfg: ScenarioConfig
-    mean_amount: np.ndarray  # per legit user
+    mean_amount: np.ndarray  # per known user
     home_terminals: np.ndarray  # (n_users, 3)
-    new_user_means: list[float]
+    n_new_users: int = 0
+    # (ts, user, terminal, amount, tx_type, fraud, scenario); scenario -1 means none
+    chunks: list[tuple[np.ndarray, ...]] = field(default_factory=list)
 
-    def new_user(self, mean: float) -> int:
-        self.new_user_means.append(mean)
-        return self.cfg.n_users + len(self.new_user_means) - 1
+    def new_user(self) -> int:
+        self.n_new_users += 1
+        return self.cfg.n_users + self.n_new_users - 1
+
+    def add(self, rng, ts, users, fraud, scenario, mean=None, terminals=None, amounts=None) -> None:
+        """Rows at `ts` for `users` (one user id, or one per row).
+
+        Draws, in this order, what the caller did not fix: terminals (mostly
+        one of the user's home terminals, sometimes any), amounts around the
+        user's mean, then transaction types. Without `terminals` and `mean`,
+        `users` must be known users. One user id takes that user's scalar
+        mean: a per-row mean array would slow the loop over every user.
+        """
+        k = len(ts)
+        if terminals is None:
+            slot = rng.integers(0, self.home_terminals.shape[1], k)
+            random_term = rng.integers(0, self.cfg.n_terminals, k)
+            use_home = rng.random(k) < 0.85
+            terminals = np.where(use_home, self.home_terminals[users, slot], random_term)
+        if amounts is None:
+            mean = self.mean_amount[users] if mean is None else mean
+            # gamma(shape=3) has mean shape*scale; heavier right tail than normal
+            amounts = np.round(rng.gamma(3.0, mean / 3.0, k), 2)
+        tx_type = rng.choice(len(TX_TYPES), k, p=TYPE_PROFILE)
+        self.chunks.append(
+            (ts, np.full(k, users, dtype=np.int64), terminals, amounts, tx_type,
+             np.full(k, fraud, dtype=np.int8), np.full(k, scenario, dtype=np.int8))
+        )
 
 
-def _amounts(rng: np.random.Generator, mean: float | np.ndarray, size: int) -> np.ndarray:
-    # gamma(shape=2) has mean shape*scale; heavier right tail than normal
-    return np.round(rng.gamma(3.0, np.asarray(mean) / 3.0, size), 2)
+def _clusters(count: int, rng: np.random.Generator, low: int, high: int):
+    """Cluster sizes drawn from [low, high) until they make up count rows; the last is cut to fit."""
+    while count > 0:
+        size = int(min(count, rng.integers(low, high)))
+        yield size
+        count -= size
 
 
-def _pick_terminals(rng: np.random.Generator, world: _World, users: np.ndarray) -> np.ndarray:
-    """Mostly a user's home terminals, sometimes a random one."""
-    k = len(users)
-    slot = rng.integers(0, world.home_terminals.shape[1], k)
-    random_term = rng.integers(0, world.cfg.n_terminals, k)
-    use_home = rng.random(k) < 0.85
-    legit_mask = users < world.cfg.n_users
-    home = world.home_terminals[np.where(legit_mask, users, 0), slot]
-    return np.where(use_home & legit_mask, home, random_term)
-
-
-def _gen_burst(count: int, rng: np.random.Generator, world: _World, cols: _Columns) -> None:
+def _burst(count: int, rng: np.random.Generator, world: _World, scenario: int) -> None:
     """Bursts ride on four same-user precursor rows spread over the 12h before
     the fraud cluster so even the first fraud row sees >= 5 in 48h."""
     start, end = world.cfg.period
-    scenario = SCENARIOS.index("burst")
-    remaining = count
-    while remaining > 0:
-        size = int(min(remaining, rng.integers(3, 8)))
+    for size in _clusters(count, rng, 3, 8):
         u = int(rng.integers(0, world.cfg.n_users))
         anchor = int(rng.integers(start, end - 36 * HOUR))
         pre_ts = anchor + np.sort(rng.integers(0, 12 * HOUR, 4))
         fraud_ts = anchor + np.sort(rng.integers(12 * HOUR, 36 * HOUR, size))
-        for ts_arr, is_fraud, scen in ((pre_ts, 0, -1), (fraud_ts, 1, scenario)):
-            k = len(ts_arr)
-            users = np.full(k, u, dtype=np.int64)
-            cols.add(
-                ts_arr,
-                users,
-                _pick_terminals(rng, world, users),
-                _amounts(rng, world.mean_amount[u], k),
-                rng.choice(len(TX_TYPES), k, p=TYPE_PROFILE),
-                is_fraud,
-                scen,
-            )
-        remaining -= size
+        world.add(rng, pre_ts, u, 0, -1)
+        world.add(rng, fraud_ts, u, 1, scenario)
 
 
-def _gen_night_owl(count: int, rng: np.random.Generator, world: _World, cols: _Columns) -> None:
-    """Short same-user runs in the 01:00-05:59 dead hours; the rapid pace
+def _night_owl(count: int, rng: np.random.Generator, world: _World, scenario: int) -> None:
+    """Runs of 2-4 same-user rows between 01:00 and 04:59; the rapid pace
     leaves small recency gaps on top of the night flag."""
     start, end = world.cfg.period
-    scenario = SCENARIOS.index("night_owl")
     n_days = (end - start) // DAY
-    remaining = count
-    while remaining > 0:
-        size = int(min(remaining, rng.integers(2, 5)))
+    for size in _clusters(count, rng, 2, 5):
         u = int(rng.integers(0, world.cfg.n_users))
-        night = (
-            start
-            + int(rng.integers(0, n_days)) * DAY
-            + int(rng.integers(1, 4)) * HOUR
-        )
-        ts = night + np.sort(rng.integers(0, 2 * HOUR, size))
-        users = np.full(size, u, dtype=np.int64)
-        cols.add(
-            ts,
-            users,
-            _pick_terminals(rng, world, users),
-            _amounts(rng, world.mean_amount[u], size),
-            rng.choice(len(TX_TYPES), size, p=TYPE_PROFILE),
-            1,
-            scenario,
-        )
-        remaining -= size
+        night = start + int(rng.integers(0, n_days)) * DAY + int(rng.integers(1, 4)) * HOUR
+        world.add(rng, night + np.sort(rng.integers(0, 2 * HOUR, size)), u, 1, scenario)
 
 
-def _gen_new_account_abuse(count: int, rng: np.random.Generator, world: _World, cols: _Columns) -> None:
+def _new_account_abuse(count: int, rng: np.random.Generator, world: _World, scenario: int) -> None:
     start, end = world.cfg.period
-    scenario = SCENARIOS.index("new_account_abuse")
-    remaining = count
-    while remaining > 0:
-        size = int(min(remaining, rng.integers(3, 6)))
+    for size in _clusters(count, rng, 3, 6):
         mean = float(np.exp(rng.normal(3.3, 0.6)))
-        u = world.new_user(mean)
+        u = world.new_user()
         birth = int(rng.integers(start, end - DAY))
         # rapid-fire within the account's first 90 minutes
         ts = birth + np.sort(rng.integers(0, 90 * 60, size))
-        users = np.full(size, u, dtype=np.int64)
-        cols.add(
-            ts,
-            users,
-            rng.integers(0, world.cfg.n_terminals, size),
-            _amounts(rng, mean, size),
-            rng.choice(len(TX_TYPES), size, p=TYPE_PROFILE),
-            1,
-            scenario,
-        )
-        remaining -= size
+        world.add(rng, ts, u, 1, scenario, mean=mean, terminals=rng.integers(0, world.cfg.n_terminals, size))
 
 
-def _gen_terminal_compromise(count: int, rng: np.random.Generator, world: _World, cols: _Columns) -> None:
+def _terminal_compromise(count: int, rng: np.random.Generator, world: _World, scenario: int) -> None:
     start, end = world.cfg.period
-    scenario = SCENARIOS.index("terminal_compromise")
-    remaining = count
-    while remaining > 0:
-        size = int(min(remaining, rng.integers(25, 41)))
+    for size in _clusters(count, rng, 25, 41):
         terminal = int(rng.integers(0, world.cfg.n_terminals))
         begin = int(rng.integers(start, end - DAY))
         # many cards, one terminal, a few hours: the terminal count races
         # past anything organic traffic produces
         ts = begin + np.sort(rng.integers(0, 4 * HOUR, size))
         users = rng.integers(0, world.cfg.n_users, size)
-        cols.add(
-            ts,
-            users,
-            np.full(size, terminal, dtype=np.int64),
-            _amounts(rng, world.mean_amount[users], size),
-            rng.choice(len(TX_TYPES), size, p=TYPE_PROFILE),
-            1,
-            scenario,
-        )
-        remaining -= size
+        world.add(rng, ts, users, 1, scenario, terminals=np.full(size, terminal, dtype=np.int64))
 
 
-def _gen_amount_spike(count: int, rng: np.random.Generator, world: _World, cols: _Columns) -> None:
+def _amount_spike(count: int, rng: np.random.Generator, world: _World, scenario: int) -> None:
     start, end = world.cfg.period
     users = rng.integers(0, world.cfg.n_users, count)
     ts = rng.integers(start, end, count)
-    factors = rng.uniform(8.0, 15.0, count)
-    amounts = np.round(world.mean_amount[users] * factors, 2)
-    cols.add(
-        ts,
-        users,
-        _pick_terminals(rng, world, users),
-        amounts,
-        rng.choice(len(TX_TYPES), count, p=TYPE_PROFILE),
-        1,
-        SCENARIOS.index("amount_spike"),
-    )
+    amounts = np.round(world.mean_amount[users] * rng.uniform(8.0, 15.0, count), 2)
+    world.add(rng, ts, users, 1, scenario, amounts=amounts)
 
 
-_SCENARIO_GENERATORS = {
-    "burst": _gen_burst,
-    "night_owl": _gen_night_owl,
-    "new_account_abuse": _gen_new_account_abuse,
-    "terminal_compromise": _gen_terminal_compromise,
-    "amount_spike": _gen_amount_spike,
-}
+# in SCENARIOS order
+_SCENARIO_GENERATORS = (_burst, _night_owl, _new_account_abuse, _terminal_compromise, _amount_spike)
 
 
 def generate(cfg: ScenarioConfig) -> Dataset:
@@ -327,18 +241,14 @@ def generate(cfg: ScenarioConfig) -> Dataset:
         cfg=cfg,
         mean_amount=np.exp(profile_rng.normal(3.3, 0.6, cfg.n_users)),
         home_terminals=profile_rng.integers(0, cfg.n_terminals, (cfg.n_users, 3)),
-        new_user_means=[],
     )
-
-    cols = _Columns()
     scenario_counts = largest_remainder(
         [cfg.scenario_mix.get(s, 0.0) for s in SCENARIOS], n_fraud
     )
-    for i, name in enumerate(SCENARIOS):
-        if scenario_counts[i] > 0:
-            _SCENARIO_GENERATORS[name](scenario_counts[i], _rng(cfg.seed, _STREAM_SCENARIO, i), world, cols)
+    for i, (count, scenario_rows) in enumerate(zip(scenario_counts, _SCENARIO_GENERATORS)):
+        scenario_rows(count, _rng(cfg.seed, _STREAM_SCENARIO, i), world, i)
 
-    rows_so_far = sum(len(a) for a in cols.ts)
+    rows_so_far = sum(len(chunk[0]) for chunk in world.chunks)
     n_legit = cfg.target_rows - rows_so_far
     if n_legit < 0:
         raise ValueError(
@@ -360,22 +270,13 @@ def generate(cfg: ScenarioConfig) -> Dataset:
             + rng.choice(24, k, p=HOUR_PROFILE) * HOUR
             + rng.integers(0, HOUR, k)
         )
-        users = np.full(k, u, dtype=np.int64)
-        cols.add(
-            ts,
-            users,
-            _pick_terminals(rng, world, users),
-            _amounts(rng, world.mean_amount[u], k),
-            rng.choice(len(TX_TYPES), k, p=TYPE_PROFILE),
-            0,
-            -1,
-        )
+        world.add(rng, ts, u, 0, -1)
 
-    ts, user, terminal, amount, tx_type, fraud, scenario = cols.merged()
+    ts, user, terminal, amount, tx_type, fraud, scenario = map(np.concatenate, zip(*world.chunks))
     order = np.argsort(ts, kind="stable")
 
     user_ids = [f"u{i:05d}" for i in range(cfg.n_users)] + [
-        f"n{i:05d}" for i in range(len(world.new_user_means))
+        f"n{i:05d}" for i in range(world.n_new_users)
     ]
     terminal_ids = [f"t{i:04d}" for i in range(cfg.n_terminals)]
     width = max(6, len(str(cfg.target_rows)))

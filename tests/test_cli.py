@@ -86,6 +86,22 @@ def test_run_stage_one_stage_at_a_time_writes_what_run_all_writes(tmp_path, full
         assert hashlib.sha256(blob).hexdigest() == entry["sha256"], entry["path"]
 
 
+def test_explain_and_plot_need_no_baseline_files(tmp_path, full_run):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    (out / "scaler_baseline.json").unlink()
+    (out / "model_baseline.json").unlink()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    expected = {e["path"]: e["sha256"] for e in manifest if e["stage"] in ("explain", "plot")}
+    for rel in expected:
+        (out / rel).unlink()
+    cfg = load_config(write_config(tmp_path, tiny_config(out)))
+    written = [rel for stage in ("explain", "plot") for rel, _ in run_stage(cfg, stage)]
+    assert written == list(expected)
+    for rel, digest in expected.items():
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+
+
 def test_run_all_writes_manifest_with_true_hashes(full_run):
     manifest = json.loads((full_run / "manifest.json").read_text(encoding="utf-8"))
     assert len(manifest) > 20
@@ -364,6 +380,12 @@ def test_non_finite_config_numbers_are_rejected_by_name(tmp_path, capsys, sectio
         ("out_dir", 5),
         ("enrich.recency_cap_seconds", 1.5),
         ("logistic.max_epochs", 10.5),
+        ("generator.n_users", 10**30),
+        ("gbt.n_trees", 2**70),
+        ("top_k_explanations", 10**40),
+        ("correlation.window_seconds", 1e30),
+        ("seed", -(2**63) - 1),
+        ("generator.period", [1672531200, 2**70]),
     ],
 )
 def test_mistyped_config_field_is_rejected_by_name(tmp_path, capsys, monkeypatch, dotted, value):
@@ -377,8 +399,20 @@ def test_mistyped_config_field_is_rejected_by_name(tmp_path, capsys, monkeypatch
     cfg = write_config(tmp_path, doc)
     assert main(["run-all", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert f"config field '{dotted}'" in err
+    # a list item is named by its index: generator.period[1]
+    assert re.search(rf"config field '{re.escape(dotted)}(\[\d+\])?'", err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_integer_fields_take_the_whole_int64_range(tmp_path):
+    doc = tiny_config(tmp_path / "out")
+    doc["top_k_explanations"] = 2**63 - 1
+    doc["gbt"] = {"n_trees": 2**63 - 1}
+    doc["seed"] = -(2**63)
+    cfg = config_from_dict(doc)
+    assert cfg.top_k_explanations == cfg.gbt.n_trees == 2**63 - 1 and cfg.seed == -(2**63)
+    with pytest.raises(ValueError, match=r"config field 'gbt.n_trees' must be an integer within int64, got 9223372036854775808"):
+        config_from_dict(doc | {"gbt": {"n_trees": 2**63}})
 
 
 def test_integer_field_takes_a_real_with_no_fraction(tmp_path):

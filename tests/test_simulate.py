@@ -1,5 +1,6 @@
 """Synthetic generator tests: exact counts, determinism, scenario structure."""
 
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -143,6 +144,32 @@ def heavy():
             seed=3,
         )
     )
+
+
+# sha256 of serialize_transactions(generate(cfg)) per generator path: each
+# scenario alone at the heavy density, and the default mix at 8,000 users and
+# 240 terminals. The 3,000-row golden run never completes a 25-40-row
+# terminal_compromise cluster, so only these pin every path's bytes.
+GENERATOR_DIGESTS = {
+    "burst": "cb952f4bc15129dbddced1ac64b03500a204ecaf2ed5af7593441b13b22d559c",
+    "night_owl": "5f6ac587474cbe7bad6e95be45e18e41d82ffd699394e1f1f72cb099de4c9a90",
+    "new_account_abuse": "13eef662a5b7efbc70abc525ad7636c50db114a2910aa0c2ce87ce4e86173cb2",
+    "terminal_compromise": "9b9ae8beb9aaa2bdca9463c49f883b9883e8c8cae1e80698efa761d3df9fce1b",
+    "amount_spike": "d7919ab80714e4e0f75c6165bf62db18cd3506f9ecdf762a497cd8e7bc59db34",
+    "wide": "cb0bb14ac9966dee504b942f4a0fb2f9ac6b6b9d89638b363c6b7dc1f8ffb25f",
+}
+
+
+@pytest.mark.parametrize("path", GENERATOR_DIGESTS)
+def test_generator_bytes_are_pinned_per_path(path):
+    if path == "wide":
+        cfg = ScenarioConfig(n_users=8_000, n_terminals=240, target_rows=50_000, fraud_rate=0.005, seed=7)
+    else:
+        cfg = ScenarioConfig(
+            n_users=300, n_terminals=40, target_rows=20_000, fraud_rate=0.02, seed=3, scenario_mix={path: 1.0}
+        )
+    text = serialize_transactions(generate(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[path]
 
 
 def test_burst_rows_see_five_in_48h(heavy):
