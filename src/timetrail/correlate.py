@@ -211,7 +211,7 @@ class CorrelationMatrix:
     """Symmetric attribute-by-attribute coefficients for one time window."""
 
     attributes: tuple[str, ...]
-    window: tuple[int, int] | None  # (start, end) half-open, None = whole range
+    window: tuple[int, int] | None  # (start, end), both included; None = whole range
     values: tuple[tuple[float | None, ...], ...]
 
     def at(self, a: str, b: str) -> float | None:

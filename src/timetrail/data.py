@@ -36,6 +36,14 @@ TX_ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 # rows converted to or from text at a time: a chunk's text stays in small
 # allocations, and a whole table's Python values never coexist
 CHUNK_ROWS = 1024
+# the rules on values that read, which enriched files keep too: per field, a
+# test giving a column's failing rows, and the detail naming the value
+VALUE_RULES = {
+    "timestamp": (lambda c: c <= 0, "must be positive epoch seconds, got {}"),
+    "amount": (lambda c: c < 0, "must be non-negative, got {}"),
+    "tx_type": (lambda c: ~np.isin(c, ("",) + TX_TYPES), f"unknown type {{!r}}; expected one of {TX_TYPES}"),
+    "label": (lambda c: ~np.isin(c, ("",) + LABELS), f"unknown label {{!r}}; expected one of {LABELS}"),
+}
 _EPOCH = re.compile(r"[+-]?[0-9]+", re.ASCII)
 _INT64 = np.iinfo(np.int64)
 
@@ -56,15 +64,6 @@ class Transaction:
     tx_type: str | None
     label: str | None = None
     scenario: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class DatasetMeta:
-    row_count: int
-    fraud_count: int
-    fraud_rate: float | None
-    t_min: int | None
-    t_max: int | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,17 +110,6 @@ class Dataset:
     def __getitem__(self, rows):
         """The rows a slice or an index array picks, as the same type."""
         return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
-
-    @property
-    def meta(self) -> DatasetMeta:
-        n, fraud = len(self), int((self.label == "fraud").sum())
-        return DatasetMeta(
-            row_count=n,
-            fraud_count=fraud,
-            fraud_rate=fraud / n if (self.label != "").any() else None,
-            t_min=int(self.timestamp.min()) if n else None,
-            t_max=int(self.timestamp.max()) if n else None,
-        )
 
 
 def parse_timestamp(raw: str) -> int:
@@ -200,6 +188,11 @@ def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
     # no CR or LF: csv.writer leaves a lone CR unquoted, and the file would not read back
     breaks = {n: ["\r" in s or "\n" in s for s in raw[n]] for n in ("user_id", "terminal_id", "scenario")}
     given = np.array(raw["amount"], dtype=object) != ""
+
+    def rule(name, values):
+        test, detail = VALUE_RULES[name]
+        return name, test(getattr(d, name)), detail, values
+
     # (field, failing rows, detail, the values it shows); a mask may be
     # wrong only at rows that an earlier check fails
     checks = (
@@ -209,16 +202,14 @@ def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
         ("timestamp", [not s for s in ts_text], "missing value", ts_text),
         ("timestamp", ts_bad, "not epoch seconds or ISO-8601: {!r}", ts_text),
         ("timestamp", ts_big, "out of the int64 range: {!r}", ts_text),
-        ("timestamp", d.timestamp <= 0, "must be positive epoch seconds, got {}", ts_values),
+        rule("timestamp", ts_values),
         ("user_id", breaks["user_id"], "{!r} holds a CR or LF", raw["user_id"]),
         ("terminal_id", breaks["terminal_id"], "{!r} holds a CR or LF", raw["terminal_id"]),
         ("amount", given & ~readable, "not a number: {!r}", raw["amount"]),
         ("amount", readable & ~np.isfinite(d.amount), "must be finite", amounts),
-        ("amount", d.amount < 0, "must be non-negative, got {}", amounts),
-        ("tx_type", ~np.isin(d.tx_type, ("",) + TX_TYPES),
-         f"unknown type {{!r}}; expected one of {TX_TYPES}", raw["tx_type"]),
-        ("label", ~np.isin(d.label, ("",) + LABELS),
-         f"unknown label {{!r}}; expected one of {LABELS}", raw["label"]),
+        rule("amount", amounts),
+        rule("tx_type", raw["tx_type"]),
+        rule("label", raw["label"]),
         ("scenario", breaks["scenario"], "{!r} holds a CR or LF", raw["scenario"]),
     )
     failures = [(int(hits[0]), k) for k, c in enumerate(checks) if len(hits := np.flatnonzero(c[1]))]
@@ -273,20 +264,6 @@ def parse_transactions(source: str | Iterable[str]) -> Dataset:
 def load_transactions(path: str | Path) -> Dataset:
     with open(path, "r", newline="", encoding="utf-8") as f:
         return parse_transactions(f)
-
-
-def load_tx_ids(path: str | Path) -> list[str]:
-    """The stripped tx_id column of a transaction CSV, in file order.
-
-    Checks the header but parses no other field; errors name the file.
-    """
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            _check_header(next(reader, []))
-        except ParseError as e:
-            raise ParseError(f"{path}: {e}") from None
-        return [values[0].strip() for values in reader if values]
 
 
 def transaction_columns(d: Dataset) -> tuple[str, ...]:

@@ -30,9 +30,9 @@ from .data import (
     OPTIONAL_COLUMNS,
     STRING_COLUMNS,
     TX_ID_PATTERN,
+    VALUE_RULES,
     columns_to_csv,
     load_transactions,
-    load_tx_ids,
     parse_timestamp,
     save_transactions,
     transaction_columns,
@@ -270,23 +270,30 @@ def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
     _write_text(path, columns_to_csv(rows, transaction_columns(rows) + ATTRIBUTE_NAMES))
 
 
-def _number_error(name: str, cell: str) -> str | None:
-    """Why an enriched file's cell of a numeric column does not read, or None.
+def _cell_error(name: str, cell: str) -> str | None:
+    """Why an enriched file's cell does not read, or None.
 
     A number is ASCII without '_' (the separators and non-ASCII digits that
     int() and float() also read); an integer must fit int64 and a float must
-    be finite, as enrich writes them.
+    be finite, as enrich writes them. A base column's value must then pass
+    its VALUE_RULES test, as in a transaction file.
     """
-    if cell.isascii() and "_" not in cell:
+    value = cell
+    if name in _NUMERIC_COLUMNS:
+        real = name in _FLOAT_COLUMNS
         try:
-            if name in _FLOAT_COLUMNS:
-                return None if math.isfinite(float(cell)) else f"must be finite, got {cell!r}"
-            if not _INT64.min <= int(cell) <= _INT64.max:
-                return f"out of the int64 range: {cell!r}"
-            return None
+            if not cell.isascii() or "_" in cell:
+                raise ValueError
+            value = float(cell) if real else int(cell)
         except ValueError:
-            pass
-    return f"not {'a number' if name in _FLOAT_COLUMNS else 'an integer'}: {cell!r}"
+            return f"not {'a number' if real else 'an integer'}: {cell!r}"
+        if real and not math.isfinite(value):
+            return f"must be finite, got {cell!r}"
+        if not real and not _INT64.min <= value <= _INT64.max:
+            return f"out of the int64 range: {cell!r}"
+    if name in VALUE_RULES and VALUE_RULES[name][0](np.array([value]))[0]:
+        return VALUE_RULES[name][1].format(value)
+    return None
 
 
 def _ascii(values: tuple[str, ...]) -> tuple[str, ...]:
@@ -299,9 +306,9 @@ def _ascii(values: tuple[str, ...]) -> tuple[str, ...]:
 def _enriched_rows(header: list[str], rows: list[list[str]], shared: dict) -> EnrichedTable:
     """One chunk's table; `shared` keeps one copy of each string but tx_ids.
 
-    A numeric cell that _number_error rejects raises ValueError or
-    OverflowError, naming no row: a chunk of good cells passes in a few calls
-    over each whole column."""
+    A cell that _cell_error rejects raises ValueError or OverflowError,
+    naming no row: a chunk of good cells passes in a few calls over each
+    whole column."""
     raw, n = dict(zip(header, zip(*rows))), len(rows)
     columns = {}
     for name in (f.name for f in fields(EnrichedTable)):
@@ -316,14 +323,16 @@ def _enriched_rows(header: list[str], rows: list[list[str]], shared: dict) -> En
                 raise ValueError(f"non-finite {name}")
         else:
             columns[name] = np.fromiter(map(int, _ascii(values)), np.int64, n)
+    if any(test(columns[name]).any() for name, (test, _) in VALUE_RULES.items()):
+        raise ValueError("a base cell breaks a VALUE_RULES test")
     return EnrichedTable(**columns)
 
 
 def _bad_row_error(path: Path, header: list[str]) -> ValueError:
     """The error naming path's first bad row: a field count other than the
-    header's, a tx_id outside TX_ID_PATTERN or a numeric cell that does not
-    read, as '<path>: line N, field '<name>': <why>'."""
-    numeric = [(i, name) for i, name in enumerate(header) if name in _NUMERIC_COLUMNS]
+    header's, a tx_id outside TX_ID_PATTERN or a cell that _cell_error
+    rejects, as '<path>: line N, field '<name>': <why>'."""
+    checked = [(i, name) for i, name in enumerate(header) if name in _NUMERIC_COLUMNS or name in VALUE_RULES]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in islice(reader, 1, None):
@@ -332,8 +341,8 @@ def _bad_row_error(path: Path, header: list[str]) -> ValueError:
                 return ValueError(f"{line}: expected {len(header)} fields, got {len(row)}")
             if not TX_ID_PATTERN.fullmatch(row[0]):
                 return ValueError(f"{line}: tx_id {row[0]!r} has characters outside [A-Za-z0-9_.-]")
-            for i, name in numeric:
-                if (why := _number_error(name, row[i])) is not None:
+            for i, name in checked:
+                if (why := _cell_error(name, row[i])) is not None:
                     return ValueError(f"{line}, field '{name}': {why}")
     return ValueError(f"{path}: changed while it was read")
 
@@ -341,7 +350,7 @@ def _bad_row_error(path: Path, header: list[str]) -> ValueError:
 def read_enriched_csv(path: Path) -> EnrichedTable:
     """An enriched file's table, converted CHUNK_ROWS rows at a time. Each row
     needs the header's field count, a tx_id that TX_ID_PATTERN matches and
-    numeric cells that _number_error reads."""
+    cells that _cell_error accepts."""
     shared: dict[str, str] = {}
     parts = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -403,23 +412,17 @@ def stage_preprocess(cfg: RunConfig) -> list[tuple[str, str]]:
 
 
 def stage_enrich(cfg: RunConfig) -> list[tuple[str, str]]:
-    """Enrich over the full cleansed timeline, then slice back into splits.
+    """Enrich over the full cleansed timeline, then cut it as preprocess did.
 
     The attributes only look backward, so later splits see their true history
-    without leaking anything into earlier ones. The splits are consecutive
-    runs of cleansed.csv, so each is the next slice of the enriched table,
-    as long as its split file; slicing by position keeps rows that share a
-    tx_id apart.
+    without leaking anything into earlier ones. temporal_split reads only the
+    timestamps, and enrich keeps cleansed.csv's row order, so the cut falls
+    where preprocess's did; no split file is read.
     """
     enriched = enrich(load_transactions(_out(cfg, "cleansed.csv")), cfg.enrich)
+    split = temporal_split(enriched, cfg.split.train_frac, cfg.split.val_frac)
     paths = []
-    start = 0
-    for part in ("train", "val", "test"):
-        tx_ids = load_tx_ids(_out(cfg, f"split_{part}.csv"))
-        rows = enriched[start : start + len(tx_ids)]
-        start += len(tx_ids)
-        if rows.tx_id.tolist() != tx_ids:
-            raise ValueError(f"split_{part}.csv is not the next run of cleansed.csv")
+    for part, rows in (("train", split.train), ("val", split.val), ("test", split.test)):
         name = f"enriched_{part}.csv"
         write_enriched_csv(_out(cfg, name), rows)
         paths.append((name, "enrich"))

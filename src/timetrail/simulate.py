@@ -295,16 +295,18 @@ def generate(cfg: ScenarioConfig) -> Dataset:
 
 
 def describe(d: Dataset) -> dict:
-    """Row, fraud, per-scenario, and per-day counts; JSON-ready."""
+    """Row, fraud, per-scenario, and per-day counts; JSON-ready. The fraud
+    rate is None when no row carries a label."""
     scenarios, per_scenario = np.unique(d.scenario[d.scenario != ""], return_counts=True)
     days, per_day = np.unique(d.timestamp // DAY, return_counts=True)
     day_names = [
         datetime.fromtimestamp(int(day) * DAY, tz=timezone.utc).strftime("%Y-%m-%d") for day in days
     ]
+    fraud = int((d.label == "fraud").sum())
     return {
-        "rows": d.meta.row_count,
-        "fraud_count": d.meta.fraud_count,
-        "fraud_rate": d.meta.fraud_rate,
+        "rows": len(d),
+        "fraud_count": fraud,
+        "fraud_rate": fraud / len(d) if (d.label != "").any() else None,
         "per_scenario": dict(zip(scenarios.tolist(), per_scenario.tolist())),
         "per_day_volume": dict(zip(day_names, per_day.tolist())),
     }

@@ -34,7 +34,7 @@ from timetrail.model import (
     undersample,
 )
 from timetrail.pipeline import config_from_dict, read_enriched_csv, run_all
-from timetrail.simulate import ScenarioConfig, generate
+from timetrail.simulate import ScenarioConfig, describe, generate
 
 
 def desk_doc(out_dir, scenario_mix=None):
@@ -375,8 +375,8 @@ def test_criterion_09_reruns_are_byte_identical(tmp_path):
 def test_criterion_10_generator_counts_and_scale():
     """Exact fraud counts at both scales; the large run stays under 5 minutes."""
     small = generate(ScenarioConfig(target_rows=10_000, fraud_rate=0.0013, seed=0))
-    assert small.meta.fraud_count == 13
-    assert small.meta.row_count == 10_000
+    assert describe(small)["fraud_count"] == 13
+    assert len(small) == 10_000
 
     t0 = time.monotonic()
     big = generate(
@@ -390,5 +390,5 @@ def test_criterion_10_generator_counts_and_scale():
     )
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"generation took {elapsed:.1f}s"
-    assert big.meta.fraud_count == 2354
-    assert big.meta.row_count == 1_750_000
+    assert describe(big)["fraud_count"] == 2354
+    assert len(big) == 1_750_000

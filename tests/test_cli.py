@@ -258,11 +258,14 @@ def test_ingests_existing_csv(tmp_path, full_run):
 
 
 def _duplicate_id_run(tmp_path):
-    """generate, preprocess and enrich on input where two rows share tx_id t030."""
+    """generate, preprocess and enrich on input where two rows share tx_id t030
+    and three share t024's timestamp, on which the train/val cut falls."""
     lines = ["tx_id,timestamp,user_id,terminal_id,amount,tx_type,label"]
     for i in range(40):
         lines.append(f"t{i:03d},{1672531200 + i * 3600},u{i % 10},k{i % 3},{10 + i}.5,purchase,legit")
     lines.append(f"t030,{1672531200 + 30 * 3600 + 60},u9,k2,99.5,transfer,legit")
+    for tie in ("a", "b"):
+        lines.append(f"t024{tie},{1672531200 + 24 * 3600},u{tie},k1,7.5,deposit,legit")
     src = tmp_path / "input.csv"
     src.write_text("\n".join(lines) + "\n", encoding="utf-8")
     doc = tiny_config(tmp_path / "out")
@@ -293,20 +296,22 @@ def test_duplicate_tx_ids_keep_their_own_rows(tmp_path):
         assert got == getattr(want, name).tolist(), name
 
 
-def test_enrich_rejects_splits_that_do_not_follow_cleansed(tmp_path, capsys):
+def test_enrich_cuts_as_preprocess_did_without_the_split_files(tmp_path):
     cfg, out = _duplicate_id_run(tmp_path)
-    (out / "split_test.csv").write_bytes((out / "split_val.csv").read_bytes())
-    assert main(["enrich", "--config", cfg]) == 1
-    assert "split_test.csv" in capsys.readouterr().err
 
+    def base_rows(text):
+        return [r[:7] for r in csv.reader(text.splitlines())]
 
-def test_enrich_rejects_split_with_bad_header(tmp_path, capsys):
-    cfg, out = _duplicate_id_run(tmp_path)
-    split = out / "split_val.csv"
-    split.write_text(split.read_text(encoding="utf-8").replace("tx_id,", "txid,", 1), encoding="utf-8")
-    assert main(["enrich", "--config", cfg]) == 1
-    err = capsys.readouterr().err
-    assert "split_val.csv" in err and "bad header" in err
+    splits = {p: (out / f"split_{p}.csv").read_text(encoding="utf-8") for p in ("train", "val", "test")}
+    for p in splits:
+        (out / f"split_{p}.csv").unlink()
+        (out / f"enriched_{p}.csv").unlink()
+    assert main(["enrich", "--config", cfg]) == 0
+    for p, text in splits.items():
+        assert base_rows((out / f"enriched_{p}.csv").read_text(encoding="utf-8")) == base_rows(text)
+    # of 43 rows, int(43 * 0.6) = 25 end on t024's tie run, which train keeps whole
+    train = base_rows(splits["train"])[1:]
+    assert len(train) == 27 and [r[0] for r in train[-3:]] == ["t024", "t024a", "t024b"]
 
 
 # ---------------------------------------------------------------------------

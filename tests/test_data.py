@@ -13,11 +13,11 @@ from timetrail.data import (
     Transaction,
     day_of_week,
     hour_of_day,
-    load_tx_ids,
     parse_timestamp,
     parse_transactions,
     serialize_transactions,
 )
+from timetrail.simulate import describe
 
 HEADER = "tx_id,timestamp,user_id,terminal_id,amount,tx_type"
 
@@ -73,16 +73,13 @@ def test_meta_counts():
         "a,100,u1,t1,1.0,purchase,fraud\n"
         "b,200,u1,t1,1.0,purchase,legit\n"
     )
-    d = parse_transactions(csv_text)
-    assert d.meta.row_count == 2
-    assert d.meta.fraud_count == 1
-    assert d.meta.fraud_rate == 0.5
-    assert (d.meta.t_min, d.meta.t_max) == (100, 200)
+    doc = describe(parse_transactions(csv_text))
+    assert (doc["rows"], doc["fraud_count"], doc["fraud_rate"]) == (2, 1, 0.5)
 
 
 def test_unlabeled_meta_rate_is_none():
-    d = parse_transactions(HEADER + "\na,100,u1,t1,1.0,purchase\n")
-    assert d.meta.fraud_rate is None
+    doc = describe(parse_transactions(HEADER + "\na,100,u1,t1,1.0,purchase\n"))
+    assert (doc["rows"], doc["fraud_count"], doc["fraud_rate"]) == (1, 0, None)
 
 
 def test_missing_optional_fields_become_none():
@@ -194,16 +191,6 @@ def test_bad_header_rejected():
 def test_empty_input_rejected():
     with pytest.raises(ParseError):
         parse_transactions("")
-
-
-def test_load_tx_ids_reads_stripped_ids_in_file_order(tmp_path):
-    path = tmp_path / "ids.csv"
-    path.write_text(HEADER + "\n b ,2,u1,t1,1.0,purchase\n\na,1,,,,\n", encoding="utf-8")
-    assert load_tx_ids(path) == ["b", "a"]
-    for text in ("", "tx,when,who\na,1,b\n"):
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match="ids.csv: line 1"):
-            load_tx_ids(path)
 
 
 def test_serialize_emits_epoch_and_round_trips():

@@ -245,6 +245,13 @@ def _cell(k, text):
         ({4: _cell(11, "\u0663")}, "line 5, field 'user_tx_count_24h': not an integer: '\u0663'"),
         ({4: _cell(15, "inf")}, "line 5, field 'amount_over_user_mean_30d': must be finite, got 'inf'"),
         ({3: _cell(9, "x"), 4: _cell(1, "x")}, "line 4, field 'is_night': not an integer: 'x'"),
+        # the transaction grammar's rules on base cells, in data's words
+        ({4: _cell(6, "FRAUD")}, "line 5, field 'label': unknown label 'FRAUD'; expected one of ('legit', 'fraud')"),
+        ({4: _cell(5, "buy")},
+         "line 5, field 'tx_type': unknown type 'buy'; expected one of ('purchase', 'withdrawal', 'transfer', 'deposit')"),
+        ({4: _cell(4, "-5.0")}, "line 5, field 'amount': must be non-negative, got -5.0"),
+        ({4: _cell(1, "-3")}, "line 5, field 'timestamp': must be positive epoch seconds, got -3"),
+        ({4: _cell(1, "0"), 5: _cell(4, "-1")}, "line 5, field 'timestamp': must be positive epoch seconds, got 0"),
     ],
 )
 def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):

@@ -74,10 +74,10 @@ def test_largest_remainder_tracks_shares(seed):
 
 
 def test_exact_row_and_fraud_counts(small):
-    assert small.meta.row_count == 10_000
-    assert small.meta.fraud_count == 13  # round_half_up(10000 * 0.0013)
-    assert small.meta.fraud_rate == pytest.approx(0.0013)
-    assert len(small) == 10_000
+    doc = describe(small)
+    assert doc["rows"] == len(small) == 10_000
+    assert doc["fraud_count"] == 13  # round_half_up(10000 * 0.0013)
+    assert doc["fraud_rate"] == pytest.approx(0.0013)
 
 
 def test_regeneration_is_byte_identical(small):
@@ -88,7 +88,7 @@ def test_regeneration_is_byte_identical(small):
 def test_different_seed_changes_data(small):
     other = generate(ScenarioConfig(target_rows=10_000, fraud_rate=0.0013, seed=1))
     assert serialize_transactions(other) != serialize_transactions(small)
-    assert other.meta.fraud_count == 13  # counts stay pinned either way
+    assert describe(other)["fraud_count"] == 13  # counts stay pinned either way
 
 
 def test_rows_are_chronological_with_sequential_ids(small):
@@ -260,7 +260,7 @@ def test_single_scenario_mix():
     )
     tags = {s for s in data.scenario.tolist() if s != ""}
     assert tags == {"amount_spike"}
-    assert data.meta.fraud_count == 50
+    assert describe(data)["fraud_count"] == 50
 
 
 def test_target_rows_too_small_for_scenarios():
