@@ -9,6 +9,9 @@ is [+-]?[0-9]+ epoch seconds within int64 or an ISO-8601 string (naive means
 UTC), and positive; an amount is a decimal or exponent literal,
 [+-]?(d+[.d*] | .d+)([eE][+-]?d+), finite and >= 0. The '_' separators and
 non-ASCII digits that int() and float() also read are rejected.
+
+read_table converts transaction and enriched files alike; a table type names
+its number columns in NUMBERS, and every other column holds text.
 """
 from __future__ import annotations
 
@@ -36,13 +39,23 @@ TX_ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 # rows converted to or from text at a time: a chunk's text stays in small
 # allocations, and a whole table's Python values never coexist
 CHUNK_ROWS = 1024
-# the rules on values that read, which enriched files keep too: per field, a
-# test giving a column's failing rows, and the detail naming the value
+
+
+def _outside(allowed: tuple[str, ...]):
+    """A text rule's test: None when every value of the column is "" or in
+    `allowed` (one set test of the whole chunk), else the rows outside."""
+    ok = frozenset(("",) + allowed)
+    return lambda c: None if ok.issuperset(c) else [v not in ok for v in c]
+
+
+# the rules on values that read, in transaction and enriched files alike: per
+# field, a test giving a column's failing rows (None or none when all pass),
+# and the detail naming the value
 VALUE_RULES = {
     "timestamp": (lambda c: c <= 0, "must be positive epoch seconds, got {}"),
     "amount": (lambda c: c < 0, "must be non-negative, got {}"),
-    "tx_type": (lambda c: ~np.isin(c, ("",) + TX_TYPES), f"unknown type {{!r}}; expected one of {TX_TYPES}"),
-    "label": (lambda c: ~np.isin(c, ("",) + LABELS), f"unknown label {{!r}}; expected one of {LABELS}"),
+    "tx_type": (_outside(TX_TYPES), f"unknown type {{!r}}; expected one of {TX_TYPES}"),
+    "label": (_outside(LABELS), f"unknown label {{!r}}; expected one of {LABELS}"),
 }
 _EPOCH = re.compile(r"[+-]?[0-9]+", re.ASCII)
 _INT64 = np.iinfo(np.int64)
@@ -73,6 +86,9 @@ class Dataset:
     The string columns are object arrays holding "" for a missing value;
     timestamp is int64 and amount float64 with NaN for a missing amount.
     """
+
+    # the number columns and their types; the others hold text
+    NUMBERS = {"timestamp": int, "amount": float}
 
     tx_id: np.ndarray
     timestamp: np.ndarray
@@ -151,81 +167,132 @@ def _amount(text: str) -> float | None:
         return None
 
 
-def _convert(rows: list[list], columns: tuple[str, ...], shared: dict):
-    """CSV rows, each ending in its line number, as a Dataset in file order,
-    converted and checked a column at a time; ParseError names the first bad
-    row and its first bad field. `shared` keeps one copy of each string of
-    the columns whose values repeat, all but tx_id."""
-    *text, lines = zip(*rows) if rows else [()] * (len(columns) + 1)
-    raw = {name: [""] * len(rows) for name in OPTIONAL_COLUMNS}
-    raw.update(zip(columns, (list(map(str.strip, col)) for col in text)))
-    # epoch seconds, else ISO-8601; missing and unreadable values read as 1
-    ts_text = raw["timestamp"]
-    ts_values = [int(s) if _EPOCH.fullmatch(s) else s for s in ts_text]
-    ts_bad = np.zeros(len(ts_values), dtype=bool)
-    for i in [i for i, v in enumerate(ts_values) if isinstance(v, str)]:
-        try:
-            ts_values[i] = parse_timestamp(ts_values[i]) if ts_values[i] else 1
-        except ValueError:
-            ts_values[i], ts_bad[i] = 1, True
+def _integer(text: str) -> int | None:
+    return int(text) if _EPOCH.fullmatch(text) else None
+
+
+def _epoch_seconds(text: str) -> int | None:
     try:
-        timestamp = np.array(ts_values, dtype=np.int64)
-    except OverflowError:  # epoch text beyond int64: too large reads as 1, too small as 0
-        ts_big = np.array([v > _INT64.max for v in ts_values], dtype=bool)
-        timestamp = np.array(
-            [1 if v > _INT64.max else 0 if v < _INT64.min else v for v in ts_values], dtype=np.int64
-        )
-    else:
-        ts_big = np.zeros(len(ts_values), dtype=bool)
-    amounts = list(map(_amount, raw["amount"]))
-    readable = np.array([a is not None for a in amounts], dtype=bool)
-    d = Dataset(
-        tx_id=np.array(raw["tx_id"], dtype=object),
-        timestamp=timestamp,
-        amount=np.array(amounts, dtype=np.float64),  # None reads as NaN
-        **{n: np.array(list(map(shared.setdefault, raw[n], raw[n])), dtype=object) for n in STRING_COLUMNS[1:]},
-    )
-    # no CR or LF: csv.writer leaves a lone CR unquoted, and the file would not read back
-    breaks = {n: ["\r" in s or "\n" in s for s in raw[n]] for n in ("user_id", "terminal_id", "scenario")}
-    given = np.array(raw["amount"], dtype=object) != ""
+        return parse_timestamp(text)
+    except ValueError:
+        return None
 
-    def rule(name, values):
-        test, detail = VALUE_RULES[name]
-        return name, test(getattr(d, name)), detail, values
 
-    # (field, failing rows, detail, the values it shows); a mask may be
-    # wrong only at rows that an earlier check fails
-    checks = (
-        ("tx_id", d.tx_id == "", "missing value", raw["tx_id"]),
-        ("tx_id", [TX_ID_PATTERN.fullmatch(s) is None for s in raw["tx_id"]],
-         "{!r} has characters outside [A-Za-z0-9_.-]", raw["tx_id"]),
-        ("timestamp", [not s for s in ts_text], "missing value", ts_text),
-        ("timestamp", ts_bad, "not epoch seconds or ISO-8601: {!r}", ts_text),
-        ("timestamp", ts_big, "out of the int64 range: {!r}", ts_text),
-        rule("timestamp", ts_values),
-        ("user_id", breaks["user_id"], "{!r} holds a CR or LF", raw["user_id"]),
-        ("terminal_id", breaks["terminal_id"], "{!r} holds a CR or LF", raw["terminal_id"]),
-        ("amount", given & ~readable, "not a number: {!r}", raw["amount"]),
-        ("amount", readable & ~np.isfinite(d.amount), "must be finite", amounts),
-        rule("amount", amounts),
-        rule("tx_type", raw["tx_type"]),
-        rule("label", raw["label"]),
-        ("scenario", breaks["scenario"], "{!r} holds a CR or LF", raw["scenario"]),
-    )
-    failures = [(int(hits[0]), k) for k, c in enumerate(checks) if len(hits := np.flatnonzero(c[1]))]
+# per number type: the reader of one cell (None when it does not read), and
+# the detail naming a cell that does not read; timestamps also read ISO-8601
+_CELLS = {int: (_integer, "not an integer: {!r}"), float: (_amount, "not a number: {!r}")}
+_TIMESTAMP_CELLS = (_epoch_seconds, "not epoch seconds or ISO-8601: {!r}")
+
+
+def _numbers(cells: Sequence[str], kind: type, read):
+    """Cells as an int64 or float64 column, the cells stripped, the values
+    its errors show, and the rows that are empty, given but unreadable, and
+    beyond the type (outside int64, or not finite). One read of the whole
+    chunk comes first (int() and float() strip a cell themselves); when it
+    passes, only a float's finite test is built. Else each stripped cell is
+    read by `read`; one that does not read is 0 or NaN, and an int outside
+    int64 is clipped into it."""
+    joined = "".join(cells)
+    if joined.isascii() and "_" not in joined:
+        try:
+            column = np.fromiter(map(kind, cells), np.int64 if kind is int else np.float64, len(cells))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            return column, cells, column, None, None, None if kind is int else ~np.isfinite(column)
+    cells = list(map(str.strip, cells))
+    values = list(map(read, cells))
+    given = np.array(cells, dtype=object) != ""
+    unread = given & np.array([v is None for v in values], dtype=bool)
+    if kind is float:
+        column = np.array(values, dtype=np.float64)  # None reads as NaN
+        return column, cells, values, ~given, unread, given & ~np.isfinite(column)
+    beyond = [v is not None and not _INT64.min <= v <= _INT64.max for v in values]
+    column = np.array([0 if v is None else min(max(v, _INT64.min), _INT64.max) for v in values], np.int64)
+    return column, cells, values, ~given, unread, beyond
+
+
+def _convert(rows: list[list], columns: tuple[str, ...], table: type, must: set[str], shared: dict):
+    """CSV rows, each ending in its line number, as a `table` in file order,
+    converted and checked a column at a time; ParseError names the first bad
+    row and its first bad field. Each check first tests the whole chunk and
+    finds its failing rows only when that test fails. A cell of a column in
+    `must` may not be empty. `shared` keeps one copy of each string of the
+    text columns whose values repeat, all but tx_id."""
+    *text, lines = zip(*rows) if rows else [()] * (len(columns) + 1)
+    raw = {name: ("",) * len(rows) for name in OPTIONAL_COLUMNS}
+    raw.update(zip(columns, text))
+    # checks: (field, failing rows or None, detail, the values it shows), in
+    # order; a mask may be wrong only at rows that an earlier check fails
+    out, checks = {}, []
+    for name in (f.name for f in fields(table)):
+        kind = table.NUMBERS.get(name)
+        if kind is None:  # text: no CR or LF, as csv.writer leaves a lone CR unquoted
+            cells = shown = list(map(str.strip, raw[name]))
+            kept = cells if name == "tx_id" else list(map(shared.setdefault, cells, cells))
+            out[name] = np.array(kept, dtype=object)
+            empty = [not s for s in cells] if "" in cells else None
+            joined, grammar, after = "".join(cells), [], []
+            if name == "tx_id" and not TX_ID_PATTERN.fullmatch(joined):
+                grammar = [([TX_ID_PATTERN.fullmatch(s) is None for s in cells],
+                            "{!r} has characters outside [A-Za-z0-9_.-]", cells)]
+            elif name != "tx_id" and ("\r" in joined or "\n" in joined):
+                after = [(["\r" in s or "\n" in s for s in cells], "{!r} holds a CR or LF", cells)]
+        else:
+            read, unreadable = _TIMESTAMP_CELLS if name == "timestamp" else _CELLS[kind]
+            out[name], cells, shown, empty, unread, beyond = _numbers(raw[name], kind, read)
+            grammar = [(unread, unreadable, cells)]
+            if kind is float:
+                grammar.append((beyond, "must be finite", shown))
+            after = [(beyond, "out of the int64 range: {!r}", cells)] if kind is int else []
+        missing = [(empty, "missing value", cells)] if name in must else []
+        test, detail = VALUE_RULES.get(name, (None, None))
+        ruled = [(test(out[name] if kind else cells), detail, shown)] if test else []
+        checks += [(name, *check) for check in missing + grammar + ruled + after]
+    failures = [(int(hits[0]), k) for k, (_, bad, _, _) in enumerate(checks)
+                if bad is not None and len(hits := np.flatnonzero(bad))]
     if failures:
         row, k = min(failures)
         field, _, detail, values = checks[k]
         raise ParseError(f"line {lines[row]}, field '{field}': {detail.format(values[row])}")
-    return d
+    return table(**out)
+
+
+def read_table(reader, rows: Iterable[list[str]], columns: tuple[str, ...], table: type = Dataset,
+               required: Iterable[str] = ()):
+    """The `table` of CSV `rows` (from `reader`, which counts their lines)
+    in file order, converted CHUNK_ROWS rows at a time. Each row needs one
+    field per column; tx_id, the int columns and the `required` ones need a
+    value. An error names the first bad row in file order."""
+    must = {"tx_id", *required, *(name for name, kind in table.NUMBERS.items() if kind is int)}
+    parts, chunk, shared = [], [], {}
+    stop: Exception | None = None  # raised unless a row before it is bad
+    try:
+        for values in rows:
+            if len(values) != len(columns):
+                stop = ParseError(
+                    f"line {reader.line_num}: expected {len(columns)} fields, got {len(values)}"
+                )
+                break
+            values.append(reader.line_num)
+            chunk.append(values)
+            if len(chunk) == CHUNK_ROWS:
+                parts.append(_convert(chunk, columns, table, must, shared))
+                chunk = []
+    except csv.Error as e:
+        stop = e
+    parts.append(_convert(chunk, columns, table, must, shared))
+    if stop is not None:
+        raise stop
+    return table.concat(parts)
 
 
 def parse_transactions(source: str | Iterable[str]) -> Dataset:
     """Parse CSV text (or an iterable of lines) into a sorted Dataset.
 
     Rows are preserved verbatim apart from type conversion; duplicate tx_ids
-    and missing field values survive until cleanse. An error names the first
-    bad row in file order.
+    and missing field values survive until cleanse. Blank lines are skipped.
+    An error names the first bad row in file order.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -234,31 +301,7 @@ def parse_transactions(source: str | Iterable[str]) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise ParseError("line 1: empty input, header row required") from None
-    columns = _check_header(header)
-    parts: list[Dataset] = []
-    shared: dict[str, str] = {}
-    rows: list[list] = []
-    stop: Exception | None = None  # raised unless a row before it is bad
-    try:
-        for values in reader:
-            if not values:
-                continue  # blank line
-            if len(values) != len(columns):
-                stop = ParseError(
-                    f"line {reader.line_num}: expected {len(columns)} fields, got {len(values)}"
-                )
-                break
-            values.append(reader.line_num)
-            rows.append(values)
-            if len(rows) == CHUNK_ROWS:
-                parts.append(_convert(rows, columns, shared))
-                rows = []
-    except csv.Error as e:
-        stop = e
-    parts.append(_convert(rows, columns, shared))
-    if stop is not None:
-        raise stop
-    return Dataset.concat(parts)._sorted()
+    return read_table(reader, filter(None, reader), _check_header(header))._sorted()
 
 
 def load_transactions(path: str | Path) -> Dataset:

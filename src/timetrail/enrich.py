@@ -54,6 +54,8 @@ class EnrichedTable(Dataset):
     The attribute columns are int64 apart from amount_over_user_mean_30d.
     """
 
+    NUMBERS = Dataset.NUMBERS | dict.fromkeys(ATTRIBUTE_NAMES, int) | {"amount_over_user_mean_30d": float}
+
     hour_of_day: np.ndarray
     day_of_week: np.ndarray
     is_night: np.ndarray

@@ -5,6 +5,9 @@ artifacts back there, so stages can run standalone from the CLI as long as
 their upstream files exist. Every writer is deterministic (sorted JSON keys,
 repr floats, fixed line endings); running the same config twice produces
 byte-identical artifacts, and ``manifest.json`` records the sha256 of each.
+
+Transaction and enriched CSV files are both read by ``data.read_table``;
+this module only checks an enriched file's header and names its path.
 """
 from __future__ import annotations
 
@@ -15,8 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from itertools import islice
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
@@ -26,14 +28,12 @@ import numpy as np
 from .correlate import correlation_matrix, dynamic_correlation
 from .data import (
     BASE_COLUMNS,
-    CHUNK_ROWS,
     OPTIONAL_COLUMNS,
-    STRING_COLUMNS,
-    TX_ID_PATTERN,
-    VALUE_RULES,
+    ParseError,
     columns_to_csv,
     load_transactions,
     parse_timestamp,
+    read_table,
     save_transactions,
     transaction_columns,
 )
@@ -73,7 +73,7 @@ from .plots import (
     series_to_svg,
     tis_histogram,
 )
-from .preprocess import CleansePolicy, cleanse, temporal_split
+from .preprocess import MANDATORY_FIELDS, CleansePolicy, cleanse, temporal_split
 from .simulate import ScenarioConfig, generate
 
 STAGES = (
@@ -260,8 +260,6 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-_FLOAT_COLUMNS = ("amount", "amount_over_user_mean_30d")
-_NUMERIC_COLUMNS = {f.name for f in fields(EnrichedTable)}.difference(STRING_COLUMNS)
 _INT64 = np.iinfo(np.int64)
 
 
@@ -270,107 +268,23 @@ def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
     _write_text(path, columns_to_csv(rows, transaction_columns(rows) + ATTRIBUTE_NAMES))
 
 
-def _cell_error(name: str, cell: str) -> str | None:
-    """Why an enriched file's cell does not read, or None.
-
-    A number is ASCII without '_' (the separators and non-ASCII digits that
-    int() and float() also read); an integer must fit int64 and a float must
-    be finite, as enrich writes them. A base column's value must then pass
-    its VALUE_RULES test, as in a transaction file.
-    """
-    value = cell
-    if name in _NUMERIC_COLUMNS:
-        real = name in _FLOAT_COLUMNS
-        try:
-            if not cell.isascii() or "_" in cell:
-                raise ValueError
-            value = float(cell) if real else int(cell)
-        except ValueError:
-            return f"not {'a number' if real else 'an integer'}: {cell!r}"
-        if real and not math.isfinite(value):
-            return f"must be finite, got {cell!r}"
-        if not real and not _INT64.min <= value <= _INT64.max:
-            return f"out of the int64 range: {cell!r}"
-    if name in VALUE_RULES and VALUE_RULES[name][0](np.array([value]))[0]:
-        return VALUE_RULES[name][1].format(value)
-    return None
-
-
-def _ascii(values: tuple[str, ...]) -> tuple[str, ...]:
-    text = "".join(values)
-    if not text.isascii() or "_" in text:
-        raise ValueError("a numeric cell is not ASCII or holds '_'")
-    return values
-
-
-def _enriched_rows(header: list[str], rows: list[list[str]], shared: dict) -> EnrichedTable:
-    """One chunk's table; `shared` keeps one copy of each string but tx_ids.
-
-    A cell that _cell_error rejects raises ValueError or OverflowError,
-    naming no row: a chunk of good cells passes in a few calls over each
-    whole column."""
-    raw, n = dict(zip(header, zip(*rows))), len(rows)
-    columns = {}
-    for name in (f.name for f in fields(EnrichedTable)):
-        values = raw.get(name, ("",) * n)
-        if name in STRING_COLUMNS[1:]:
-            columns[name] = np.array(list(map(shared.setdefault, values, values)), dtype=object)
-        elif name == "tx_id":
-            columns[name] = np.array(values, dtype=object)
-        elif name in _FLOAT_COLUMNS:
-            columns[name] = np.fromiter(map(float, _ascii(values)), np.float64, n)
-            if not np.isfinite(columns[name]).all():
-                raise ValueError(f"non-finite {name}")
-        else:
-            columns[name] = np.fromiter(map(int, _ascii(values)), np.int64, n)
-    if any(test(columns[name]).any() for name, (test, _) in VALUE_RULES.items()):
-        raise ValueError("a base cell breaks a VALUE_RULES test")
-    return EnrichedTable(**columns)
-
-
-def _bad_row_error(path: Path, header: list[str]) -> ValueError:
-    """The error naming path's first bad row: a field count other than the
-    header's, a tx_id outside TX_ID_PATTERN or a cell that _cell_error
-    rejects, as '<path>: line N, field '<name>': <why>'."""
-    checked = [(i, name) for i, name in enumerate(header) if name in _NUMERIC_COLUMNS or name in VALUE_RULES]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in islice(reader, 1, None):
-            line = f"{path}: line {reader.line_num}"
-            if len(row) != len(header):
-                return ValueError(f"{line}: expected {len(header)} fields, got {len(row)}")
-            if not TX_ID_PATTERN.fullmatch(row[0]):
-                return ValueError(f"{line}: tx_id {row[0]!r} has characters outside [A-Za-z0-9_.-]")
-            for i, name in checked:
-                if (why := _cell_error(name, row[i])) is not None:
-                    return ValueError(f"{line}, field '{name}': {why}")
-    return ValueError(f"{path}: changed while it was read")
-
-
 def read_enriched_csv(path: Path) -> EnrichedTable:
-    """An enriched file's table, converted CHUNK_ROWS rows at a time. Each row
-    needs the header's field count, a tx_id that TX_ID_PATTERN matches and
-    cells that _cell_error accepts."""
-    shared: dict[str, str] = {}
-    parts = []
+    """An enriched file's table in file order, read by the transaction file's
+    grammar. A blank line is a bad row, and every row needs the mandatory
+    fields and the nine attributes; an error names the path, line and field."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty enriched file")
         base = list(BASE_COLUMNS + OPTIONAL_COLUMNS[:1])
-        if header[: len(base)] != base or header[-9:] != list(ATTRIBUTE_NAMES):
+        if header[-9:] != list(ATTRIBUTE_NAMES) or header[:-9] not in (base, base + ["scenario"]):
             raise ValueError(f"{path}: unexpected enriched header")
-        for rows in iter(lambda: list(islice(reader, CHUNK_ROWS)), []):
-            # a chunk of good rows passes in a few calls over the whole chunk
-            ids = [r[0] for r in rows] if set(map(len, rows)) == {len(header)} else [""]
-            if "" in ids or not TX_ID_PATTERN.fullmatch("".join(ids)):
-                raise _bad_row_error(path, header)
-            try:
-                parts.append(_enriched_rows(header, rows, shared))
-            except (ValueError, OverflowError):
-                raise _bad_row_error(path, header) from None
-    return EnrichedTable.concat(parts or [_enriched_rows(header, [], shared)])
+        required = MANDATORY_FIELDS + ATTRIBUTE_NAMES
+        try:
+            return read_table(reader, reader, tuple(header), EnrichedTable, required)
+        except (ParseError, csv.Error) as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def _read_all_enriched(cfg: RunConfig) -> EnrichedTable:

@@ -194,7 +194,7 @@ def test_explain_rejects_a_tx_id_that_leaves_the_out_dir(full_run, tmp_path):
     line = text[: text.index(f"\n{tx_id},")].count("\n") + 2
     cfg = load_config(write_config(tmp_path, tiny_config(out)))
     before = sorted(tmp_path.rglob("*"))
-    with pytest.raises(ValueError, match=re.escape(f"enriched_test.csv: line {line}: tx_id 'x/../../../escaped_")):
+    with pytest.raises(ValueError, match=re.escape(f"enriched_test.csv: line {line}, field 'tx_id': 'x/../../../escaped_")):
         run_stage(cfg, "explain")
     assert sorted(tmp_path.rglob("*")) == before
 

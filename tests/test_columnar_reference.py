@@ -26,9 +26,12 @@ from timetrail.data import (
     TX_ID_PATTERN,
     TX_TYPES,
     ParseError,
+    load_transactions,
     parse_transactions,
     serialize_transactions,
 )
+from timetrail.enrich import ATTRIBUTE_NAMES
+from timetrail.pipeline import read_enriched_csv
 from timetrail.preprocess import (
     COMPOSITE_KEY_FIELDS,
     MANDATORY_FIELDS,
@@ -443,6 +446,36 @@ def test_malformed_corpus_raises_the_reference_message(name, chunk_rows):
     with mock.patch.object(data, "CHUNK_ROWS", chunk_rows), pytest.raises(ParseError) as got:
         parse_transactions(text)
     assert str(got.value) == str(want.value)
+
+
+# the corpus texts whose error names a base cell
+CELL_ERRORS = sorted(n for n, text in MALFORMED.items() if ", field '" in outcome(ref_parse, text).message)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+@pytest.mark.parametrize("name", CELL_ERRORS)
+def test_enriched_file_names_the_base_cell_the_transaction_grammar_names(tmp_path, name, chunk_rows):
+    reader = csv.reader(io.StringIO(MALFORMED[name]))
+    header = next(reader)
+    label = [] if "label" in header else [""]
+    tx_path, enriched_path = tmp_path / "tx.csv", tmp_path / "enriched.csv"
+    # both files on the same lines: every field quoted, so a CR or LF stays in
+    # its cell, and no blank line, which an enriched file may not hold
+    with open(tx_path, "w", newline="") as tx, open(enriched_path, "w", newline="") as enriched:
+        tx_out = csv.writer(tx, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        enriched_out = csv.writer(enriched, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        tx_out.writerow(header)
+        enriched_out.writerow(header[:6] + ["label"] + header[7:] + list(ATTRIBUTE_NAMES))
+        for row in filter(None, reader):
+            tx_out.writerow(row)
+            enriched_out.writerow(row[:6] + label + row[6:] + ["1"] * 9)
+    with mock.patch.object(data, "CHUNK_ROWS", chunk_rows):
+        with pytest.raises(ParseError) as want:
+            load_transactions(tx_path)
+        with pytest.raises(ValueError) as got:
+            read_enriched_csv(enriched_path)
+    assert ", field '" in str(want.value)
+    assert str(got.value) == f"{enriched_path}: {want.value}"
 
 
 def test_composite_key_equates_signed_zeros_and_missing_values():

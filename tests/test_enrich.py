@@ -232,18 +232,19 @@ def _cell(k, text):
         ({4: lambda line: line + ",9"}, "line 5: expected 16 fields, got 17"),
         ({4: lambda line: line.rsplit(",", 1)[0]}, "line 5: expected 16 fields, got 15"),
         ({4: lambda line: ""}, "line 5: expected 16 fields, got 0"),
-        ({4: lambda line: "../x" + line[6:]}, "line 5: tx_id '../x' has characters outside"),
-        ({4: lambda line: line[6:]}, "line 5: tx_id '' has characters outside"),
-        ({2: _quoted_user, 4: lambda line: "a b" + line[6:]}, "line 6: tx_id 'a b' has characters outside"),
-        ({4: _cell(1, "12x")}, "line 5, field 'timestamp': not an integer: '12x'"),
-        ({4: _cell(1, "1_700_000_000")}, "line 5, field 'timestamp': not an integer: '1_700_000_000'"),
-        ({4: _cell(1, "")}, "line 5, field 'timestamp': not an integer: ''"),
+        ({4: lambda line: "../x" + line[6:]}, "line 5, field 'tx_id': '../x' has characters outside [A-Za-z0-9_.-]"),
+        ({4: lambda line: line[6:]}, "line 5, field 'tx_id': missing value"),
+        ({2: _quoted_user, 4: lambda line: "a b" + line[6:]}, "line 4, field 'user_id': 'u\\nx' holds a CR or LF"),
+        ({4: _cell(1, "12x")}, "line 5, field 'timestamp': not epoch seconds or ISO-8601: '12x'"),
+        ({4: _cell(1, "1_700_000_000")},
+         "line 5, field 'timestamp': not epoch seconds or ISO-8601: '1_700_000_000'"),
+        ({4: _cell(1, "")}, "line 5, field 'timestamp': missing value"),
         ({4: _cell(1, "9" * 19)}, "line 5, field 'timestamp': out of the int64 range: '9999999999999999999'"),
-        ({4: _cell(4, "nan")}, "line 5, field 'amount': must be finite, got 'nan'"),
-        ({4: _cell(4, "1e999")}, "line 5, field 'amount': must be finite, got '1e999'"),
+        ({4: _cell(4, "nan")}, "line 5, field 'amount': must be finite"),
+        ({4: _cell(4, "1e999")}, "line 5, field 'amount': must be finite"),
         ({4: _cell(4, "1.5x")}, "line 5, field 'amount': not a number: '1.5x'"),
         ({4: _cell(11, "\u0663")}, "line 5, field 'user_tx_count_24h': not an integer: '\u0663'"),
-        ({4: _cell(15, "inf")}, "line 5, field 'amount_over_user_mean_30d': must be finite, got 'inf'"),
+        ({4: _cell(15, "inf")}, "line 5, field 'amount_over_user_mean_30d': must be finite"),
         ({3: _cell(9, "x"), 4: _cell(1, "x")}, "line 4, field 'is_night': not an integer: 'x'"),
         # the transaction grammar's rules on base cells, in data's words
         ({4: _cell(6, "FRAUD")}, "line 5, field 'label': unknown label 'FRAUD'; expected one of ('legit', 'fraud')"),
@@ -252,6 +253,18 @@ def _cell(k, text):
         ({4: _cell(4, "-5.0")}, "line 5, field 'amount': must be non-negative, got -5.0"),
         ({4: _cell(1, "-3")}, "line 5, field 'timestamp': must be positive epoch seconds, got -3"),
         ({4: _cell(1, "0"), 5: _cell(4, "-1")}, "line 5, field 'timestamp': must be positive epoch seconds, got 0"),
+        # rows that cleanse and enrich never write: a mandatory field missing,
+        # or a CR or LF that csv.writer would not quote
+        ({4: _cell(5, "")}, "line 5, field 'tx_type': missing value"),
+        ({4: _cell(2, "")}, "line 5, field 'user_id': missing value"),
+        ({4: _cell(3, "")}, "line 5, field 'terminal_id': missing value"),
+        ({4: _cell(4, "")}, "line 5, field 'amount': missing value"),
+        ({4: _cell(2, '"u\nx"')}, "line 6, field 'user_id': 'u\\nx' holds a CR or LF"),
+        # a file read with newline="" ends a line at a lone CR too
+        ({4: _cell(3, '"t\r1"')}, "line 6, field 'terminal_id': 't\\r1' holds a CR or LF"),
+        ({4: _cell(12, "-" + "9" * 19)},
+         "line 5, field 'user_tx_count_48h': out of the int64 range: '-9999999999999999999'"),
+        ({4: _cell(2, "u" * 200_000)}, "field larger than field limit (131072)"),  # csv.reader's refusal
     ],
 )
 def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):
@@ -262,6 +275,25 @@ def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):
     for i, edit in edits.items():
         lines[i] = edit(lines[i])
     path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+        read_enriched_csv(path)
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda header: "", "empty enriched file"),
+        (lambda header: header.replace(",label,", ",scenario,"), "unexpected enriched header"),
+        (lambda header: header.replace(",label,", ",label,junk,"), "unexpected enriched header"),
+        (lambda header: header.rsplit(",", 1)[0], "unexpected enriched header"),
+    ],
+)
+def test_enriched_csv_rejects_a_header_enrich_never_writes(tmp_path, edit, problem):
+    path = tmp_path / "enriched.csv"
+    write_enriched_csv(path, enrich(Dataset.from_rows([_tx(i, 1_000_000 + 977 * i) for i in range(3)])))
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    header = edit(header)
+    path.write_text(header and header + "\n" + rest, encoding="utf-8")  # no header, no file
     with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
         read_enriched_csv(path)
 
