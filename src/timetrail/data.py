@@ -279,8 +279,8 @@ def read_table(reader, rows: Iterable[list[str]], columns: tuple[str, ...], tabl
             if len(chunk) == CHUNK_ROWS:
                 parts.append(_convert(chunk, columns, table, must, shared))
                 chunk = []
-    except csv.Error as e:
-        stop = e
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        stop = ParseError(f"line {reader.line_num}: {e}")
     parts.append(_convert(chunk, columns, table, must, shared))
     if stop is not None:
         raise stop
@@ -301,12 +301,18 @@ def parse_transactions(source: str | Iterable[str]) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise ParseError("line 1: empty input, header row required") from None
+    except csv.Error as e:
+        raise ParseError(f"line {reader.line_num}: {e}") from None
     return read_table(reader, filter(None, reader), _check_header(header))._sorted()
 
 
 def load_transactions(path: str | Path) -> Dataset:
+    """parse_transactions of the file at path; an error names the path."""
     with open(path, "r", newline="", encoding="utf-8") as f:
-        return parse_transactions(f)
+        try:
+            return parse_transactions(f)
+        except ParseError as e:
+            raise ParseError(f"{path}: {e}") from None
 
 
 def transaction_columns(d: Dataset) -> tuple[str, ...]:

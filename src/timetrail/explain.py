@@ -32,7 +32,7 @@ import numpy as np
 
 from .enrich import ATTRIBUTE_NAMES
 from .features import FeatureTable
-from .model import GBTModel, Model, aligned_rows, predict_proba, sigmoid
+from .model import GBTModel, Model, aligned_rows, feature_major, predict_proba, sigmoid
 
 TEMPORAL_FEATURES = ATTRIBUTE_NAMES
 
@@ -111,24 +111,27 @@ def explanation_sequence(
 def attribution_matrix(model: Model, table: FeatureTable) -> tuple[np.ndarray, float]:
     """(n_rows, n_features) contribution matrix plus the shared bias.
 
-    Level-by-level vectorized walk over each tree; row sums plus bias equal
-    the margins exactly (same additions as the per-row walk, reordered).
-    A row moves at most once per level, so each level adds at most one delta
-    to a cell and a plain fancy-index += adds them all.
+    Level-by-level vectorized edge walk over each tree; row sums plus bias
+    equal the margins exactly (same additions as the per-row walk,
+    reordered). Edge e from node i to children[e] carries
+    lr * (value[children[e]] - value[i]), and a leaf's self-edges carry +0.0,
+    which leaves a cell as it is. At each level every row adds its edge's
+    delta to one cell, (tested feature, row), of a feature-major buffer; the
+    cells differ by row, so a plain fancy-index += adds them all.
     """
     gbt = _require_ensemble(model)
-    X = aligned_rows(gbt.feature_names, table)
-    n, width = X.shape[0], len(gbt.feature_names)
-    contrib = np.zeros((n, width), dtype=np.float64)
-    cells = contrib.ravel()  # a view: (row, feature) is cell row * width + feature
-    row_cells = np.arange(n) * width
+    columns = feature_major(aligned_rows(gbt.feature_names, table))
+    contrib = np.zeros(columns.shape, dtype=np.float64)
+    cells = contrib.ravel()  # a view: (feature, row) is cell feature * n_rows + row
     for tree in gbt.trees:
-        feats, values = tree.feature, tree.value
-        for node, nxt in tree.levels(X):
-            moved = np.flatnonzero(nxt != node)
-            src, dst = node[moved], nxt[moved]
-            cells[row_cells[moved] + feats[src]] += gbt.learning_rate * (values[dst] - values[src])
-    return contrib, ensemble_bias(gbt)
+        parent = np.arange(tree.children.size) // 2
+        delta = np.where(
+            tree.children == parent, 0.0,
+            gbt.learning_rate * (tree.value[tree.children] - tree.value[parent]),
+        )
+        for cell, edge in tree.edges(columns):
+            cells[cell] += delta[edge]
+    return np.ascontiguousarray(contrib.T), ensemble_bias(gbt)
 
 
 # ---------------------------------------------------------------------------

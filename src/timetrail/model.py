@@ -101,12 +101,16 @@ class LogisticConfig:
 class Tree:
     """One regression tree as node arrays; node 0 is the root.
 
-    Node i tests feature[i]: its left child is children[2*i + 1] and its
-    right one children[2*i], so one level step is
-    children[2*i + (x < threshold[i])]. A leaf tests feature 0 against +inf
-    and both its children are itself, so rows that reached a leaf stay there.
-    value[i] is the weight node i would emit as a leaf; depth is the number
-    of levels below the root.
+    Node i has two edges: a row at node i takes edge
+    e = 2*i + (x[feature[i]] < threshold[i]) to node children[e], so edge
+    2*i + 1 leads to the left child and edge 2*i to the right one, and NaN
+    goes right. A leaf tests feature 0 against +inf and both its edges lead
+    back to itself, so rows that reached a leaf stay there. value[i] is the
+    weight node i would emit as a leaf; depth is the number of levels below
+    the root.
+
+    The walk reads X feature-major, as feature_major(X) lays it out, which a
+    caller makes once for all the trees it walks.
     """
 
     feature: np.ndarray  # intp
@@ -129,30 +133,45 @@ class Tree:
             max(depth),
         )
 
-    def levels(self, X: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(node, next node) of every row of X, one pair per tree level.
+    def edges(self, columns: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(cell, edge) of every row, one pair per tree level.
 
-        A row goes left when x[feature] < threshold, so NaN goes right. Rows
-        that reached a leaf have next node equal to node.
+        columns is feature_major(X), of shape (features, n_rows). cell is the
+        flat index into it of the value the row's node tests,
+        feature * n_rows + row; edge is the edge the row takes. Rows that
+        reached a leaf take one of its self-edges.
         """
         feats, thrs, children = self.feature, self.threshold, self.children
-        n, width = X.shape
+        width, n = columns.shape
         if self.depth and not (0 <= feats.min() and feats.max() < width):
             raise ValueError(f"tree splits on a feature outside the {width} columns of X")
-        x = X.ravel()
-        offsets = np.arange(n) * width
-        node = np.zeros(n, dtype=np.intp)
-        for _ in range(self.depth):
-            nxt = children[2 * node + (x[offsets + feats[node]] < thrs[node])]
-            yield node, nxt
-            node = nxt
+        if not self.depth:
+            return
+        x = columns.ravel()
+        rows = np.arange(n)
+        # every row starts at the root, which tests one contiguous column
+        cell = rows + feats.item(0) * n
+        edge = (columns[feats.item(0)] < thrs.item(0)).astype(np.intp)
+        yield cell, edge
+        starts = feats * n
+        for _ in range(self.depth - 1):
+            node = children[edge]
+            cell = starts[node] + rows
+            edge = 2 * node + (x[cell] < thrs[node])
+            yield cell, edge
 
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Leaf weight reached by each row of X."""
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        for _, node in self.levels(X):
+    def leaf_values(self, columns: np.ndarray) -> np.ndarray:
+        """Leaf weight reached by each row of feature_major(X)."""
+        edge = np.zeros(columns.shape[1], dtype=np.intp)  # a root leaf's self-edge
+        for _, edge in self.edges(columns):
             pass
-        return self.value[node]
+        return self.value[self.children][edge]
+
+
+def feature_major(X: np.ndarray) -> np.ndarray:
+    """X transposed into a C-contiguous (features, rows) copy, the layout a
+    tree walk reads: one feature's values are adjacent."""
+    return np.ascontiguousarray(X.T)
 
 
 # The node layouts train_gbt keeps may take this many times the bytes of the
@@ -304,10 +323,10 @@ class GBTModel:
     trees: tuple[Tree, ...]
 
     def margin(self, table: FeatureTable) -> np.ndarray:
-        X = aligned_rows(self.feature_names, table)
-        out = np.full(X.shape[0], self.base_score, dtype=np.float64)
+        columns = feature_major(aligned_rows(self.feature_names, table))
+        out = np.full(columns.shape[1], self.base_score, dtype=np.float64)
         for tree in self.trees:
-            out += self.learning_rate * tree.leaf_values(X)
+            out += self.learning_rate * tree.leaf_values(columns)
         return out
 
 
@@ -370,13 +389,14 @@ def train_gbt(table: FeatureTable, cfg: GBTConfig | None = None) -> GBTModel:
     margin = np.full(y.size, base, dtype=np.float64)
     trees: list[Tree] = []
     layouts = _NodeLayouts(X, cfg)
+    columns = feature_major(X)
     for _ in range(cfg.n_trees):
         p = sigmoid(margin)
         residual = y - p
         nodes: list[list] = []
         _build_node(layouts, residual, layouts.root, (), 0, nodes)
         tree = Tree.from_nodes(nodes)
-        margin += cfg.learning_rate * tree.leaf_values(X)
+        margin += cfg.learning_rate * tree.leaf_values(columns)
         trees.append(tree)
     return GBTModel(
         feature_names=tuple(table.feature_names),
@@ -518,6 +538,15 @@ def model_to_json(model: Model) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _finite(field: str, value):
+    """A float (or a float64 array) read from a model file; training never
+    writes NaN or an infinity, and either would make every score NaN."""
+    value = value if isinstance(value, np.ndarray) else float(value)
+    if not np.isfinite(value).all():
+        raise ValueError(f"model {field} must be finite, got {value!r}")
+    return value
+
+
 def model_from_json(text: str) -> Model:
     doc = json.loads(text)
     version = doc.get("format_version")
@@ -531,17 +560,21 @@ def model_from_json(text: str) -> Model:
             bad = [f for f in tree.feature.tolist() if not 0 <= f < len(names)]
             if tree.depth and bad:  # a leaf tests feature 0, even without names
                 raise ValueError(f"tree {t_i} splits on feature {bad[0]}, outside the {len(names)} names")
+            split = tree.children[0::2] != np.arange(tree.value.size)  # a leaf's threshold is +inf
+            for field, values in (("value", tree.value), ("threshold", tree.threshold[split])):
+                if not np.isfinite(values).all():
+                    raise ValueError(f"tree {t_i} has a non-finite node {field}")
         return GBTModel(
             feature_names=names,
-            base_score=float(doc["base_score"]),
-            learning_rate=float(doc["learning_rate"]),
+            base_score=_finite("base_score", doc["base_score"]),
+            learning_rate=_finite("learning_rate", doc["learning_rate"]),
             trees=trees,
         )
     if kind == "logistic":
         return LogisticModel(
             feature_names=tuple(doc["feature_names"]),
-            weights=np.array(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
+            weights=_finite("weights", np.array(doc["weights"], dtype=np.float64)),
+            bias=_finite("bias", doc["bias"]),
         )
     raise ValueError(f"unknown model type {kind!r}")
 

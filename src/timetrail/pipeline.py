@@ -274,7 +274,10 @@ def read_enriched_csv(path: Path) -> EnrichedTable:
     fields and the nine attributes; an error names the path, line and field."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as e:  # e.g. a name over csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
         if header is None:
             raise ValueError(f"{path}: empty enriched file")
         base = list(BASE_COLUMNS + OPTIONAL_COLUMNS[:1])
@@ -283,7 +286,7 @@ def read_enriched_csv(path: Path) -> EnrichedTable:
         required = MANDATORY_FIELDS + ATTRIBUTE_NAMES
         try:
             return read_table(reader, reader, tuple(header), EnrichedTable, required)
-        except (ParseError, csv.Error) as e:
+        except ParseError as e:
             raise ValueError(f"{path}: {e}") from None
 
 

@@ -28,6 +28,7 @@ from timetrail.metrics import (
 )
 from timetrail.model import (
     GBTConfig,
+    feature_major,
     logistic_loss_and_grad,
     sigmoid,
     train_gbt,
@@ -266,8 +267,9 @@ def test_criterion_07_boosting_monotone_loss_and_split_oracle():
         return float(-(y_f * np.log(p) + (1 - y_f) * np.log(1 - p)).mean())
 
     prev = loss_of(margin)
+    columns = feature_major(X)
     for tree in model.trees:
-        margin = margin + model.learning_rate * tree.leaf_values(X)
+        margin = margin + model.learning_rate * tree.leaf_values(columns)
         cur = loss_of(margin)
         assert cur <= prev + 1e-12
         prev = cur

@@ -462,6 +462,22 @@ def test_stage_without_inputs_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_input_field_over_the_csv_limit_names_the_file_and_line(tmp_path, capsys):
+    src = tmp_path / "input.csv"
+    src.write_text(
+        "tx_id,timestamp,user_id,terminal_id,amount,tx_type\n"
+        "t0,1672531200,u0,k0,1.5,purchase\n"
+        f"t1,1672531260,{'u' * 200_000},k0,2.5,purchase\n",
+        encoding="utf-8",
+    )
+    doc = tiny_config(tmp_path / "out")
+    doc["input_csv"] = str(src)
+    assert main(["generate", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: line 3: field larger than field limit")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_is_a_usage_error(tmp_path):
     cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
     with pytest.raises(SystemExit) as exc:

@@ -182,6 +182,17 @@ def test_wrong_field_count_names_line():
     assert "line 2" in str(err.value)
 
 
+def test_field_over_the_csv_limit_names_its_line_unless_a_row_before_is_bad():
+    big = "u" * 200_000
+    text = HEADER + f"\na,100,u1,t1,1.0,purchase\nb,100,{big},t1,1.0,purchase\n"
+    with pytest.raises(ParseError, match=r"^line 3: field larger than field limit \(131072\)$"):
+        parse_transactions(text)
+    with pytest.raises(ParseError, match=r"^line 2, field 'amount'"):
+        parse_transactions(text.replace("1.0", "abc", 1))
+    with pytest.raises(ParseError, match=r"^line 1: field larger than field limit"):
+        parse_transactions(f"{HEADER},{big}\n")
+
+
 def test_bad_header_rejected():
     with pytest.raises(ParseError) as err:
         parse_transactions("tx,when,who\na,1,b\n")

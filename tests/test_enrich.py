@@ -264,7 +264,7 @@ def _cell(k, text):
         ({4: _cell(3, '"t\r1"')}, "line 6, field 'terminal_id': 't\\r1' holds a CR or LF"),
         ({4: _cell(12, "-" + "9" * 19)},
          "line 5, field 'user_tx_count_48h': out of the int64 range: '-9999999999999999999'"),
-        ({4: _cell(2, "u" * 200_000)}, "field larger than field limit (131072)"),  # csv.reader's refusal
+        ({4: _cell(2, "u" * 200_000)}, "line 5: field larger than field limit (131072)"),  # csv.reader's refusal
     ],
 )
 def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):
@@ -286,6 +286,7 @@ def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):
         (lambda header: header.replace(",label,", ",scenario,"), "unexpected enriched header"),
         (lambda header: header.replace(",label,", ",label,junk,"), "unexpected enriched header"),
         (lambda header: header.rsplit(",", 1)[0], "unexpected enriched header"),
+        (lambda header: header + "," + "x" * 200_000, "line 1: field larger than field limit (131072)"),
     ],
 )
 def test_enriched_csv_rejects_a_header_enrich_never_writes(tmp_path, edit, problem):

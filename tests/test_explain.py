@@ -31,6 +31,7 @@ from timetrail.model import (
     GBTConfig,
     LogisticModel,
     Tree,
+    feature_major,
     model_from_json,
     model_to_json,
     predict_proba,
@@ -225,18 +226,53 @@ def test_tree_walks_equal_the_level_walk_bit_for_bit(walk_cases, model_name, tab
     model, table = walk_cases[0][model_name], walk_cases[1][table_name]
     X = table.rows
     for tree, doc in zip(model.trees, tree_docs(model)):
-        got = tree.leaf_values(X)
+        got = tree.leaf_values(feature_major(X))
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), reference_leaf_values(doc, X).view(np.int64))
     contrib, _ = attribution_matrix(model, table)
     assert np.array_equal(contrib.view(np.int64), reference_attribution(model, X).view(np.int64))
 
 
+def _in_layout(names, X, layout):
+    """A FeatureTable of X (in the order of names) whose rows are laid out as
+    layout says."""
+    if layout == "reordered":  # columns in another order than the model's
+        order = [2, 0, 1]
+        return FeatureTable(feature_names=tuple(names[i] for i in order), rows=X[:, order])
+    padded = np.full((2 * X.shape[0], X.shape[1] + 2), 7.0)
+    padded[::2, 1:-1] = X
+    table = FeatureTable(feature_names=tuple(names), rows=padded[::2, 1:-1])
+    assert not table.rows.flags.c_contiguous and not table.rows.flags.f_contiguous
+    return table
+
+
+@pytest.mark.parametrize("model_name", ["trained", "depth4", "lopsided"])
+@pytest.mark.parametrize("layout", ["reordered", "strided"])
+def test_walks_of_any_table_layout_equal_the_level_walk_bit_for_bit(walk_cases, model_name, layout):
+    model, X = walk_cases[0][model_name], walk_cases[1]["odd_rows"].rows
+    table = _in_layout(model.feature_names, X, layout)
+    margin = np.full(X.shape[0], model.base_score)
+    for doc in tree_docs(model):
+        margin += model.learning_rate * reference_leaf_values(doc, X)
+    assert np.array_equal(model.margin(table).view(np.int64), margin.view(np.int64))
+    want = reference_attribution(model, X)
+    contrib, _ = attribution_matrix(model, table)
+    assert contrib.flags.c_contiguous
+    assert np.array_equal(contrib.view(np.int64), want.view(np.int64))
+    # aggregate_tis's row sums over the returned matrix keep the reference's bits
+    temporal = ("velocity", "gap")  # the model's features 1 and 2
+    mass = np.abs(want)
+    total = mass.sum(axis=1)
+    scores = np.where(total > 0.0, np.minimum(1.0, mass[:, 1:].sum(axis=1) / np.maximum(total, 1e-300)), 0.0)
+    got = [s for _, s in aggregate_tis(model, table, temporal).per_tx]
+    assert np.array_equal(np.array(got).view(np.int64), scores.view(np.int64))
+
+
 def test_tree_walk_rejects_a_feature_outside_the_rows():
     inf = math.inf
     tree = Tree.from_nodes([[3, 0.0, 1, 2, 0.0, 0], [0, inf, 1, 1, 1.0, 1], [0, inf, 2, 2, 2.0, 1]])
     with pytest.raises(ValueError, match="outside"):
-        tree.leaf_values(np.zeros((4, 3)))
+        tree.leaf_values(feature_major(np.zeros((4, 3))))
 
 
 @pytest.mark.parametrize("feature", [-1, 3])
@@ -251,6 +287,70 @@ def test_model_file_without_feature_names_may_hold_only_leaves():
     assert gbt_of((), 0.0, 1.0, [{"value": 0.5}]).trees[0].depth == 0
     with pytest.raises(ValueError, match="tree 0 splits on feature 0, outside the 0 names"):
         gbt_of((), 0.0, 1.0, [_split(0.0, 0, 0.0, {"value": 1.0}, {"value": 2.0})])
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _gbt_with(field, bad):
+    """A three-feature model whose field (in tree 1 for a node field) is bad."""
+    inner = _split(0.1, 2, 1.0, {"value": 0.5}, {"value": -0.5})
+    if field in ("value", "threshold"):
+        inner[field] = bad
+    trees = [{"value": 0.5}, _split(0.0, 0, 0.0, {"value": 0.25}, inner)]
+    base_score, learning_rate = (bad if field == f else 0.1 for f in ("base_score", "learning_rate"))
+    return gbt_of(("a", "b", "c"), base_score, learning_rate, trees)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_model_file_with_a_non_finite_node_value_is_rejected(bad):
+    with pytest.raises(ValueError, match="^tree 1 has a non-finite node value$"):
+        _gbt_with("value", bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_model_file_with_a_non_finite_threshold_is_rejected(bad):
+    with pytest.raises(ValueError, match="^tree 1 has a non-finite node threshold$"):
+        _gbt_with("threshold", bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_model_file_with_a_non_finite_base_score_is_rejected(bad):
+    with pytest.raises(ValueError, match="^model base_score must be finite"):
+        _gbt_with("base_score", bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_model_file_with_a_non_finite_learning_rate_is_rejected(bad):
+    with pytest.raises(ValueError, match="^model learning_rate must be finite"):
+        _gbt_with("learning_rate", bad)
+
+
+def _logistic_doc(weights, bias):
+    return json.dumps({
+        "format_version": FORMAT_VERSION,
+        "type": "logistic",
+        "feature_names": ["a", "b"],
+        "weights": weights,
+        "bias": bias,
+    })
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_model_file_with_a_non_finite_logistic_weight_is_rejected(bad):
+    with pytest.raises(ValueError, match="^model weights must be finite"):
+        model_from_json(_logistic_doc([0.5, bad], 0.0))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_model_file_with_a_non_finite_logistic_bias_is_rejected(bad):
+    with pytest.raises(ValueError, match="^model bias must be finite"):
+        model_from_json(_logistic_doc([0.5, -0.5], bad))
+
+
+def test_model_file_with_finite_numbers_still_loads():
+    assert _gbt_with(None, math.nan).learning_rate == 0.1
+    assert model_from_json(_logistic_doc([0.5, -0.5], 0.25)).bias == 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from timetrail.model import (
     LogisticConfig,
     LogisticModel,
     aligned_rows,
+    feature_major,
     logistic_loss_and_grad,
     model_from_json,
     model_to_json,
@@ -341,7 +342,7 @@ def test_training_loss_is_monotone():
     margin = np.full(len(table), model.base_score)
     losses = [log_loss(y, sigmoid(margin))]
     for tree in model.trees:
-        margin = margin + model.learning_rate * tree.leaf_values(table.rows)
+        margin = margin + model.learning_rate * tree.leaf_values(feature_major(table.rows))
         losses.append(log_loss(y, sigmoid(margin)))
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev + 1e-12
