@@ -5,195 +5,5 @@ attributes co-move over time, trains an interpretable boosted classifier
 against a logistic baseline, and explains every flag as the sequence of
 decisions that produced it.
 """
-from .correlate import (
-    CorrelationMatrix,
-    DynamicCorrelationSeries,
-    RunningMoments,
-    correlation_matrix,
-    dynamic_correlation,
-    pearson,
-)
-from .data import (
-    Dataset,
-    ParseError,
-    Transaction,
-    load_transactions,
-    parse_timestamp,
-    parse_transactions,
-    save_transactions,
-    serialize_transactions,
-)
-from .enrich import (
-    ATTRIBUTE_NAMES,
-    EnrichConfig,
-    EnrichedTable,
-    enrich,
-)
-from .explain import (
-    TISReport,
-    aggregate_tis,
-    attribute_prediction,
-    attribution_matrix,
-    explanation_sequence,
-    sequence_to_json,
-    tis,
-    tis_report_from_json,
-)
-from .features import (
-    ENRICHED_FEATURES,
-    RAW_FEATURES,
-    FeatureTable,
-    ScalerParams,
-    apply_scaler,
-    enriched_feature_table,
-    fit_scaler,
-    load_scaler,
-    raw_feature_table,
-    save_scaler,
-)
-from .metrics import (
-    ComparisonTable,
-    ConfusionMatrix,
-    EvaluationReport,
-    auc_roc,
-    average_precision,
-    compare,
-    confusion,
-    dataset_fingerprint,
-    evaluate,
-    load_report,
-    report_from_json,
-    report_to_json,
-    save_report,
-)
-from .model import (
-    GBTConfig,
-    GBTModel,
-    LogisticConfig,
-    LogisticModel,
-    load_model,
-    model_from_json,
-    model_to_json,
-    predict_proba,
-    save_model,
-    train_gbt,
-    train_logistic,
-    undersample,
-)
-from .pipeline import RunConfig, config_from_dict, load_config, run_all, run_stage
-from .plots import (
-    HistogramSpec,
-    TimeSeriesSpec,
-    flagged_frequency_series,
-    heatmap_from_json,
-    heatmap_to_csv,
-    heatmap_to_json,
-    heatmap_to_svg,
-    histogram_to_csv,
-    histogram_to_svg,
-    render_sequence,
-    series_to_csv,
-    series_to_svg,
-    tis_histogram,
-)
-from .preprocess import (
-    CleansePolicy,
-    CleanseReport,
-    Split,
-    cleanse,
-    temporal_split,
-)
-from .simulate import SCENARIOS, ScenarioConfig, describe, generate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ATTRIBUTE_NAMES",
-    "CleansePolicy",
-    "CleanseReport",
-    "ComparisonTable",
-    "ConfusionMatrix",
-    "CorrelationMatrix",
-    "Dataset",
-    "DynamicCorrelationSeries",
-    "ENRICHED_FEATURES",
-    "EnrichConfig",
-    "EnrichedTable",
-    "EvaluationReport",
-    "FeatureTable",
-    "GBTConfig",
-    "GBTModel",
-    "HistogramSpec",
-    "LogisticConfig",
-    "LogisticModel",
-    "ParseError",
-    "RAW_FEATURES",
-    "RunConfig",
-    "RunningMoments",
-    "SCENARIOS",
-    "ScalerParams",
-    "ScenarioConfig",
-    "Split",
-    "TISReport",
-    "TimeSeriesSpec",
-    "Transaction",
-    "aggregate_tis",
-    "apply_scaler",
-    "attribute_prediction",
-    "attribution_matrix",
-    "auc_roc",
-    "average_precision",
-    "cleanse",
-    "compare",
-    "config_from_dict",
-    "confusion",
-    "correlation_matrix",
-    "dataset_fingerprint",
-    "describe",
-    "dynamic_correlation",
-    "enrich",
-    "enriched_feature_table",
-    "evaluate",
-    "explanation_sequence",
-    "fit_scaler",
-    "flagged_frequency_series",
-    "generate",
-    "heatmap_from_json",
-    "heatmap_to_csv",
-    "heatmap_to_json",
-    "heatmap_to_svg",
-    "histogram_to_csv",
-    "histogram_to_svg",
-    "load_config",
-    "load_model",
-    "load_report",
-    "load_scaler",
-    "load_transactions",
-    "model_from_json",
-    "model_to_json",
-    "parse_timestamp",
-    "parse_transactions",
-    "pearson",
-    "predict_proba",
-    "raw_feature_table",
-    "render_sequence",
-    "report_from_json",
-    "report_to_json",
-    "run_all",
-    "run_stage",
-    "save_model",
-    "save_report",
-    "save_scaler",
-    "save_transactions",
-    "sequence_to_json",
-    "serialize_transactions",
-    "series_to_csv",
-    "series_to_svg",
-    "temporal_split",
-    "tis",
-    "tis_histogram",
-    "tis_report_from_json",
-    "train_gbt",
-    "train_logistic",
-    "undersample",
-]

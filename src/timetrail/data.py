@@ -348,4 +348,4 @@ def serialize_transactions(d: Dataset) -> str:
 
 
 def save_transactions(d: Dataset, path: str | Path) -> None:
-    Path(path).write_text(serialize_transactions(d), encoding="utf-8")
+    Path(path).write_text(serialize_transactions(d), encoding="utf-8", newline="")

@@ -51,9 +51,6 @@ class FeatureTable:
     def __len__(self) -> int:
         return int(self.rows.shape[0])
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.feature_names.index(name)]
-
     def take(self, indices: Sequence[int]) -> "FeatureTable":
         idx = np.asarray(indices, dtype=np.int64)
         return FeatureTable(
@@ -159,7 +156,7 @@ def apply_scaler(params: ScalerParams, table: FeatureTable) -> FeatureTable:
 
 
 def save_scaler(params: ScalerParams, path: str | Path) -> None:
-    Path(path).write_text(params.to_json(), encoding="utf-8")
+    Path(path).write_text(params.to_json(), encoding="utf-8", newline="")
 
 
 def load_scaler(path: str | Path) -> ScalerParams:

@@ -220,7 +220,7 @@ def report_from_json(text: str) -> EvaluationReport:
 
 
 def save_report(report: EvaluationReport, path: str | Path) -> None:
-    Path(path).write_text(report_to_json(report), encoding="utf-8")
+    Path(path).write_text(report_to_json(report), encoding="utf-8", newline="")
 
 
 def load_report(path: str | Path) -> EvaluationReport:
@@ -229,8 +229,6 @@ def load_report(path: str | Path) -> EvaluationReport:
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    baseline_name: str
-    timetrail_name: str
     rows: tuple[tuple[str, float | None, float | None], ...]
 
     def to_csv(self) -> str:
@@ -261,9 +259,6 @@ def compare(baseline: EvaluationReport, timetrail: EvaluationReport) -> Comparis
             "cannot compare reports with different dataset fingerprints: "
             f"{baseline.fingerprint[:12]} vs {timetrail.fingerprint[:12]}"
         )
-    rows = tuple((name, baseline.metric(name), timetrail.metric(name)) for name in METRIC_NAMES)
     return ComparisonTable(
-        baseline_name=baseline.model_name,
-        timetrail_name=timetrail.model_name,
-        rows=rows,
+        tuple((name, baseline.metric(name), timetrail.metric(name)) for name in METRIC_NAMES)
     )

@@ -580,7 +580,7 @@ def model_from_json(text: str) -> Model:
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(model), encoding="utf-8")
+    Path(path).write_text(model_to_json(model), encoding="utf-8", newline="")
 
 
 def load_model(path: str | Path) -> Model:

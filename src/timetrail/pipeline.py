@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .data import (
 from .enrich import ATTRIBUTE_NAMES, EnrichConfig, EnrichedTable, enrich
 from .explain import aggregate_tis, explanation_sequence, sequence_to_json, tis_report_from_json
 from .features import (
-    ENRICHED_FEATURES,
     FeatureTable,
     apply_scaler,
     enriched_feature_table,
@@ -130,10 +129,13 @@ class RunConfig:
     logistic: LogisticConfig = field(default_factory=LogisticConfig)
     undersample_ratio: float | None = 10.0  # None disables undersampling
     threshold: float = 0.5
-    temporal_features: tuple[str, ...] = ATTRIBUTE_NAMES
     top_k_explanations: int = 3
 
     def validate(self) -> None:
+        # numpy seeds only from non-negative integers
+        for name, seed in (("seed", self.seed), ("generator.seed", self.generator.seed)):
+            if seed < 0:
+                raise _rejected(name, "non-negative", seed)
         self.generator.validate()
         self.cleanse.validate()
         self.split.validate()
@@ -148,9 +150,6 @@ class RunConfig:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.top_k_explanations < 0:
             raise ValueError("top_k_explanations must be non-negative")
-        for name in self.temporal_features:
-            if name not in ENRICHED_FEATURES:
-                raise ValueError(f"unknown temporal feature {name!r}")
 
 
 def _rejected(name: str, kind: str, value) -> ValueError:
@@ -183,16 +182,14 @@ def _read(tp, value, name: str):
     if origin is UnionType:  # X | None
         return None if value is None else _read(args[0], value, name)
     if origin is tuple:
-        n = None if args[-1] is Ellipsis else len(args)
-        if not isinstance(value, (list, tuple)) or n is not None and len(value) != n:
-            raise _rejected(name, "a list" if n is None else f"a list of {n} items", value)
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise _rejected(name, f"a list of {len(args)} items", value)
         if args == (int, int):
             try:
                 value = [parse_timestamp(v) if isinstance(v, str) else v for v in value]
             except ValueError:
                 raise _rejected(name, "epoch seconds or ISO 8601 times", value) from None
-        item_types = args[:1] * len(value) if n is None else args
-        return tuple(_read(t, v, f"{name}[{i}]") for i, (t, v) in enumerate(zip(item_types, value)))
+        return tuple(_read(t, v, f"{name}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
     if origin is dict:
         if not isinstance(value, dict):
             raise _rejected(name, "an object", value)
@@ -261,6 +258,20 @@ def _write_text(path: Path, text: str) -> None:
 
 
 _INT64 = np.iinfo(np.int64)
+
+T = TypeVar("T")
+
+
+def _read_artifact(path: Path, load: Callable[[Path], T]) -> T:
+    """load(path), where a file that is not the artifact it should be (invalid
+    JSON, a missing key, a value of the wrong type) fails as a ValueError that
+    names the path. A missing or unreadable file stays an OSError."""
+    try:
+        return load(path)
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e}") from None
+    except (ValueError, TypeError, AttributeError, IndexError) as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
@@ -378,7 +389,8 @@ def stage_correlate(cfg: RunConfig) -> list[tuple[str, str]]:
 
 def _timetrail_table(cfg: RunConfig, rows: EnrichedTable) -> FeatureTable:
     """The GBT's feature table of enriched rows, scaled by the saved params."""
-    return apply_scaler(load_scaler(_out(cfg, "scaler_timetrail.json")), enriched_feature_table(rows))
+    scaler = _read_artifact(_out(cfg, "scaler_timetrail.json"), load_scaler)
+    return apply_scaler(scaler, enriched_feature_table(rows))
 
 
 def stage_train(cfg: RunConfig) -> list[tuple[str, str]]:
@@ -414,14 +426,15 @@ def stage_train(cfg: RunConfig) -> list[tuple[str, str]]:
 
 def stage_evaluate(cfg: RunConfig) -> list[tuple[str, str]]:
     rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
-    raw = apply_scaler(load_scaler(_out(cfg, "scaler_baseline.json")), raw_feature_table(rows))
+    raw_scaler = _read_artifact(_out(cfg, "scaler_baseline.json"), load_scaler)
+    raw = apply_scaler(raw_scaler, raw_feature_table(rows))
     enr = _timetrail_table(cfg, rows)
     if raw.labels is None:
         raise ValueError("test split is unlabeled; evaluation needs labels")
-    baseline = load_model(_out(cfg, "model_baseline.json"))
-    timetrail = load_model(_out(cfg, "model_timetrail.json"))
+    baseline = _read_artifact(_out(cfg, "model_baseline.json"), load_model)
+    timetrail = _read_artifact(_out(cfg, "model_timetrail.json"), load_model)
 
-    tis_report = aggregate_tis(timetrail, enr, cfg.temporal_features, cfg.threshold)
+    tis_report = aggregate_tis(timetrail, enr, threshold=cfg.threshold)
     base_report = evaluate(
         raw.labels, predict_proba(baseline, raw), cfg.threshold, raw.tx_ids, "baseline"
     )
@@ -472,11 +485,11 @@ def explained_rows(
 
 def stage_explain(cfg: RunConfig) -> list[tuple[str, str]]:
     enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
-    timetrail = load_model(_out(cfg, "model_timetrail.json"))
+    timetrail = _read_artifact(_out(cfg, "model_timetrail.json"), load_model)
     probs = predict_proba(timetrail, enr)
     paths = []
     for i in explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations):
-        seq = explanation_sequence(timetrail, enr, i, cfg.temporal_features)
+        seq = explanation_sequence(timetrail, enr, i)
         name = f"sequence_{enr.tx_ids[i]}.json"
         _write_text(_out(cfg, name), sequence_to_json(seq))
         paths.append((name, "explain"))
@@ -486,14 +499,15 @@ def stage_explain(cfg: RunConfig) -> list[tuple[str, str]]:
 def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     paths = []
 
-    with open(_out(cfg, "heatmap_all.json"), "r", encoding="utf-8") as fh:
-        m = heatmap_from_json(fh.read())
+    m = _read_artifact(
+        _out(cfg, "heatmap_all.json"), lambda p: heatmap_from_json(p.read_text(encoding="utf-8"))
+    )
     _write_text(_out(cfg, "heatmap_all.svg"), heatmap_to_svg(m))
     paths.append(("heatmap_all.svg", "plot"))
 
     enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
     test_rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
-    probs = predict_proba(load_model(_out(cfg, "model_timetrail.json")), enr)
+    probs = predict_proba(_read_artifact(_out(cfg, "model_timetrail.json"), load_model), enr)
     flags = (probs >= cfg.threshold).astype(int).tolist()
     points = list(zip(test_rows.timestamp.tolist(), flags))
     labels = None
@@ -505,8 +519,9 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     paths.append(("flag_series.csv", "plot"))
     paths.append(("flag_series.svg", "plot"))
 
-    with open(_out(cfg, "tis_report.json"), "r", encoding="utf-8") as fh:
-        report = tis_report_from_json(fh.read())
+    report = _read_artifact(
+        _out(cfg, "tis_report.json"), lambda p: tis_report_from_json(p.read_text(encoding="utf-8"))
+    )
     hist = tis_histogram(report)
     _write_text(_out(cfg, "tis_hist.csv"), histogram_to_csv(hist))
     _write_text(_out(cfg, "tis_hist.svg"), histogram_to_svg(hist))
@@ -516,10 +531,11 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     # only this run's sequences: the directory may hold an earlier run's
     explained = explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations)
     for seq_name in sorted(f"sequence_{enr.tx_ids[i]}.json" for i in explained):
-        with open(_out(cfg, seq_name), "r", encoding="utf-8") as fh:
-            seq = json.load(fh)
+        svg = _read_artifact(
+            _out(cfg, seq_name), lambda p: render_sequence(json.loads(p.read_text(encoding="utf-8")))
+        )
         name = seq_name.removesuffix(".json") + ".svg"
-        _write_text(_out(cfg, name), render_sequence(seq))
+        _write_text(_out(cfg, name), svg)
         paths.append((name, "plot"))
     return paths
 

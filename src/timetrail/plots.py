@@ -139,7 +139,6 @@ def heatmap_to_svg(m: CorrelationMatrix) -> str:
 
 @dataclass(frozen=True)
 class TimeSeriesSpec:
-    name: str
     window_seconds: int
     points: tuple[tuple[int, int], ...]  # (window_start, flagged_count)
     overlay: tuple[tuple[int, int], ...] | None  # (window_start, true_fraud_count)
@@ -161,7 +160,7 @@ def flagged_frequency_series(
     if labels is not None and len(labels) != len(rows):
         raise ValueError("labels length must match rows")
     if not rows:
-        return TimeSeriesSpec("flagged", window_seconds, (), None if labels is None else ())
+        return TimeSeriesSpec(window_seconds, (), None if labels is None else ())
     ts = [t for t, _ in rows]
     t_min, t_max = min(ts), max(ts)
     n_windows = (t_max - t_min) // window_seconds + 1
@@ -179,7 +178,7 @@ def flagged_frequency_series(
         if labels is None
         else tuple((t_min + k * window_seconds, fraud[k]) for k in range(n_windows))
     )
-    return TimeSeriesSpec("flagged", window_seconds, points, overlay)
+    return TimeSeriesSpec(window_seconds, points, overlay)
 
 
 def series_to_csv(spec: TimeSeriesSpec) -> str:

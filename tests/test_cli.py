@@ -390,6 +390,8 @@ def test_non_finite_config_numbers_are_rejected_by_name(tmp_path, capsys, sectio
         ("top_k_explanations", 10**40),
         ("correlation.window_seconds", 1e30),
         ("seed", -(2**63) - 1),
+        ("seed", -1),
+        ("generator.seed", -1),
         ("generator.period", [1672531200, 2**70]),
     ],
 )
@@ -413,11 +415,14 @@ def test_integer_fields_take_the_whole_int64_range(tmp_path):
     doc = tiny_config(tmp_path / "out")
     doc["top_k_explanations"] = 2**63 - 1
     doc["gbt"] = {"n_trees": 2**63 - 1}
-    doc["seed"] = -(2**63)
+    doc["seed"] = 2**63 - 1
     cfg = config_from_dict(doc)
-    assert cfg.top_k_explanations == cfg.gbt.n_trees == 2**63 - 1 and cfg.seed == -(2**63)
+    assert cfg.top_k_explanations == cfg.gbt.n_trees == cfg.seed == 2**63 - 1
     with pytest.raises(ValueError, match=r"config field 'gbt.n_trees' must be an integer within int64, got 9223372036854775808"):
         config_from_dict(doc | {"gbt": {"n_trees": 2**63}})
+    # int64's lowest value is read, then rejected: a seed is never negative
+    with pytest.raises(ValueError, match=r"config field 'seed' must be non-negative, got -9223372036854775808"):
+        config_from_dict(doc | {"seed": -(2**63)})
 
 
 def test_integer_field_takes_a_real_with_no_fraction(tmp_path):
@@ -437,12 +442,27 @@ def test_period_at_or_before_the_epoch_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_temporal_features_is_not_a_config_field(tmp_path):
+    doc = tiny_config(tmp_path / "out") | {"temporal_features": list(ATTRIBUTE_NAMES)}
+    with pytest.raises(ValueError, match=r"^unknown config field 'temporal_features'$"):
+        config_from_dict(doc)
+
+
 def test_readme_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
     assert len(blocks) == 1
     cfg = config_from_dict(json.loads(blocks[0]))
     assert cfg.generator.target_rows == 50000 and cfg.cleanse.remove_outliers is False
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    scope: dict = {}
+    exec(blocks[0], scope)
+    assert len(scope["features"]) == len(scope["train"]) > 0
 
 
 def test_invalid_json_config(tmp_path, capsys):
@@ -475,6 +495,28 @@ def test_input_field_over_the_csv_limit_names_the_file_and_line(tmp_path, capsys
     assert main(["generate", "--config", write_config(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src}: line 3: field larger than field limit")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "stage, name, text",
+    [
+        ("explain", "model_timetrail.json", '{"format_version": 1, "type": "gbt"}'),
+        ("evaluate", "model_baseline.json", "{not json"),
+        ("explain", "scaler_timetrail.json", "[]"),
+        ("plot", "heatmap_all.json", '{"attributes": []}'),
+        ("plot", "tis_report.json", "{}"),
+        ("plot", "sequence_*.json", '{"tx_id": "t0"}'),
+    ],
+)
+def test_malformed_json_artifact_names_its_path(full_run, tmp_path, capsys, stage, name, text):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = sorted(out.glob(name))[0]  # sequence_*.json: the first sequence plot renders
+    path.write_text(text, encoding="utf-8")
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err
 
 

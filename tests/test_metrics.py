@@ -312,10 +312,6 @@ def test_compare_renders_csv_and_text():
 
 
 def test_comparison_table_alignment():
-    table = ComparisonTable(
-        baseline_name="b",
-        timetrail_name="t",
-        rows=(("accuracy", 0.5, 0.75), ("f1", None, 1.0)),
-    )
+    table = ComparisonTable(rows=(("accuracy", 0.5, 0.75), ("f1", None, 1.0)))
     lines = table.to_text().splitlines()
     assert len({len(ln) for ln in lines if ln}) == 1  # every row padded to one width
