@@ -206,26 +206,11 @@ def _window_correlations(
     return out
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric attribute-by-attribute coefficients for one time window."""
-
-    attributes: tuple[str, ...]
-    window: tuple[int, int] | None  # (start, end), both included; None = whole range
-    values: tuple[tuple[float | None, ...], ...]
-
-    def at(self, a: str, b: str) -> float | None:
-        i, j = self.attributes.index(a), self.attributes.index(b)
-        return self.values[i][j]
-
-
-def correlation_matrix(
-    rows: EnrichedTable,
-    attributes: Sequence[str] | None = None,
-    window: tuple[int, int] | None = None,
-) -> CorrelationMatrix:
-    """Pairwise two-pass Pearson over the given rows, equal to `pearson` bit
-    for bit.
+def correlation_matrix(rows: EnrichedTable, attributes: Sequence[str] | None = None) -> dict:
+    """The heatmap document `{"attributes", "window", "values"}` of the rows:
+    pairwise two-pass Pearson, equal to `pearson` bit for bit. The window
+    `{"start", "end"}` holds the first and last row's timestamps (None for no
+    rows); values[i][j] is None where undefined.
 
     Each series' mean, centred deviations and fsum of squared deviations are
     computed once; a cell then needs only the fsum of the deviation products.
@@ -256,8 +241,7 @@ def correlation_matrix(
             if cj is not None:
                 sxy = math.fsum((ci[0] * cj[0]).tolist())
                 grid[i][j] = grid[j][i] = _coefficient(ci[1], cj[1], sxy)
-    return CorrelationMatrix(
-        attributes=attrs,
-        window=window,
-        values=tuple(tuple(row) for row in grid),
-    )
+    window = None
+    if len(rows):
+        window = {"start": int(rows.timestamp[0]), "end": int(rows.timestamp[-1])}
+    return {"attributes": list(attrs), "window": window, "values": grid}

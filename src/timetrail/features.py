@@ -92,55 +92,33 @@ def enriched_feature_table(rows: EnrichedTable) -> FeatureTable:
     return _table(rows, ENRICHED_FEATURES, np.column_stack([_raw_matrix(rows), *attrs]))
 
 
-@dataclass(frozen=True)
-class ScalerParams:
-    feature_names: tuple[str, ...]
-    mins: tuple[float, ...]
-    maxs: tuple[float, ...]
-
-    def to_json(self) -> str:
-        doc = {
-            "feature_names": list(self.feature_names),
-            "mins": list(self.mins),
-            "maxs": list(self.maxs),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ScalerParams":
-        doc = json.loads(text)
-        return ScalerParams(
-            feature_names=tuple(doc["feature_names"]),
-            mins=tuple(float(v) for v in doc["mins"]),
-            maxs=tuple(float(v) for v in doc["maxs"]),
-        )
-
-
-def fit_scaler(train: FeatureTable) -> ScalerParams:
-    """Per-feature min/max from training rows only."""
+def fit_scaler(train: FeatureTable) -> dict:
+    """The scaler document `{"feature_names", "mins", "maxs"}`: per-feature
+    min/max from training rows only."""
     if len(train) == 0:
         raise ValueError("cannot fit a scaler on an empty table")
     if not np.isfinite(train.rows).all():
         raise ValueError("feature table contains non-finite values")
-    return ScalerParams(
-        feature_names=train.feature_names,
-        mins=tuple(float(v) for v in train.rows.min(axis=0)),
-        maxs=tuple(float(v) for v in train.rows.max(axis=0)),
-    )
+    return {
+        "feature_names": list(train.feature_names),
+        "mins": train.rows.min(axis=0).tolist(),
+        "maxs": train.rows.max(axis=0).tolist(),
+    }
 
 
-def apply_scaler(params: ScalerParams, table: FeatureTable) -> FeatureTable:
-    """Map each feature to [0, 1]; out-of-range values clip to the ends.
+def apply_scaler(params: dict, table: FeatureTable) -> FeatureTable:
+    """Map each feature to [0, 1] by a scaler document; out-of-range values
+    clip to the ends.
 
     A feature whose training min equals its max maps to the constant 0.0.
     """
-    if params.feature_names != table.feature_names:
+    names = tuple(params["feature_names"])
+    if names != table.feature_names:
         raise ValueError(
-            f"scaler features {params.feature_names} do not match table features "
-            f"{table.feature_names}"
+            f"scaler features {names} do not match table features {table.feature_names}"
         )
-    mins = np.array(params.mins)
-    span = np.array(params.maxs) - mins
+    mins = np.array([float(v) for v in params["mins"]])
+    span = np.array([float(v) for v in params["maxs"]]) - mins
     degenerate = span == 0.0
     safe_span = np.where(degenerate, 1.0, span)
     scaled = table.rows - mins
@@ -155,9 +133,10 @@ def apply_scaler(params: ScalerParams, table: FeatureTable) -> FeatureTable:
     )
 
 
-def save_scaler(params: ScalerParams, path: str | Path) -> None:
-    Path(path).write_text(params.to_json(), encoding="utf-8", newline="")
+def save_scaler(params: dict, path: str | Path) -> None:
+    text = json.dumps(params, indent=2, sort_keys=True)
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def load_scaler(path: str | Path) -> ScalerParams:
-    return ScalerParams.from_json(Path(path).read_text(encoding="utf-8"))
+def load_scaler(path: str | Path) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))

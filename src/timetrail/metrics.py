@@ -140,18 +140,12 @@ class EvaluationReport:
     threshold: float
     fingerprint: str
     row_count: int
-    accuracy: float | None
-    precision: float | None
-    recall: float | None
-    f1: float | None
-    auc_roc: float | None
-    average_precision: float | None
-    tis: float | None
+    metrics: dict[str, float | None]  # keyed by METRIC_NAMES
 
     def metric(self, name: str) -> float | None:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r}")
-        return getattr(self, name)
+        return self.metrics[name]
 
 
 def evaluate(
@@ -175,13 +169,15 @@ def evaluate(
         threshold=threshold,
         fingerprint=dataset_fingerprint(tx_ids),
         row_count=int(y.size),
-        accuracy=accuracy_of(cm),
-        precision=precision_of(cm),
-        recall=recall_of(cm),
-        f1=f1_of(cm),
-        auc_roc=auc_roc(y, s),
-        average_precision=average_precision(y, s),
-        tis=tis_aggregate,
+        metrics={
+            "accuracy": accuracy_of(cm),
+            "precision": precision_of(cm),
+            "recall": recall_of(cm),
+            "f1": f1_of(cm),
+            "auc_roc": auc_roc(y, s),
+            "average_precision": average_precision(y, s),
+            "tis": tis_aggregate,
+        },
     )
 
 
@@ -191,7 +187,7 @@ def report_to_json(report: EvaluationReport) -> str:
         "threshold": report.threshold,
         "fingerprint": report.fingerprint,
         "row_count": report.row_count,
-        "metrics": {name: report.metric(name) for name in METRIC_NAMES},
+        "metrics": report.metrics,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -209,13 +205,7 @@ def report_from_json(text: str) -> EvaluationReport:
         threshold=float(doc["threshold"]),
         fingerprint=str(doc["fingerprint"]),
         row_count=int(doc["row_count"]),
-        accuracy=metrics["accuracy"],
-        precision=metrics["precision"],
-        recall=metrics["recall"],
-        f1=metrics["f1"],
-        auc_roc=metrics["auc_roc"],
-        average_precision=metrics["average_precision"],
-        tis=metrics["tis"],
+        metrics={name: metrics[name] for name in METRIC_NAMES},
     )
 
 

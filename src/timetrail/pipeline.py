@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -52,6 +51,8 @@ from .metrics import compare, evaluate, save_report
 from .model import (
     GBTConfig,
     LogisticConfig,
+    Model,
+    aligned_rows,
     load_model,
     predict_proba,
     save_model,
@@ -60,8 +61,8 @@ from .model import (
     undersample,
 )
 from .plots import (
+    coefficients_to_csv,
     flagged_frequency_series,
-    heatmap_from_json,
     heatmap_to_csv,
     heatmap_to_json,
     heatmap_to_svg,
@@ -359,27 +360,18 @@ def stage_enrich(cfg: RunConfig) -> list[tuple[str, str]]:
 
 def stage_correlate(cfg: RunConfig) -> list[tuple[str, str]]:
     rows = _read_all_enriched(cfg)
-    window = None
-    if len(rows):
-        window = (int(rows.timestamp[0]), int(rows.timestamp[-1]))
-    m = correlation_matrix(rows, CORRELATION_SERIES, window=window)
+    m = correlation_matrix(rows, CORRELATION_SERIES)
     _write_text(_out(cfg, "heatmap_all.csv"), heatmap_to_csv(m))
     _write_text(_out(cfg, "heatmap_all.json"), heatmap_to_json(m))
 
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["attr_a", "attr_b", "window_start", "window_end", "coefficient"])
-    for i, a in enumerate(CORRELATION_SERIES):
-        for b in CORRELATION_SERIES[i + 1 :]:
-            series = dynamic_correlation(
-                rows, (a, b), cfg.correlation.window_seconds, cfg.correlation.stride_seconds
-            )
-            for start, r in series.points:
-                w.writerow(
-                    [a, b, start, start + cfg.correlation.window_seconds,
-                     "" if r is None else repr(float(r))]
-                )
-    _write_text(_out(cfg, "dynamic_corr.csv"), out.getvalue())
+    window, stride = cfg.correlation.window_seconds, cfg.correlation.stride_seconds
+    coefficients = (
+        (a, b, start, start + window, r)
+        for i, a in enumerate(CORRELATION_SERIES)
+        for b in CORRELATION_SERIES[i + 1 :]
+        for start, r in dynamic_correlation(rows, (a, b), window, stride).points
+    )
+    _write_text(_out(cfg, "dynamic_corr.csv"), coefficients_to_csv(coefficients))
     return [
         ("heatmap_all.csv", "correlate"),
         ("heatmap_all.json", "correlate"),
@@ -387,10 +379,25 @@ def stage_correlate(cfg: RunConfig) -> list[tuple[str, str]]:
     ]
 
 
+def _scaled(cfg: RunConfig, name: str, table: FeatureTable) -> FeatureTable:
+    """table scaled by the saved scaler `name`, which must fit its features."""
+    return _read_artifact(_out(cfg, name), lambda p: apply_scaler(load_scaler(p), table))
+
+
 def _timetrail_table(cfg: RunConfig, rows: EnrichedTable) -> FeatureTable:
     """The GBT's feature table of enriched rows, scaled by the saved params."""
-    scaler = _read_artifact(_out(cfg, "scaler_timetrail.json"), load_scaler)
-    return apply_scaler(scaler, enriched_feature_table(rows))
+    return _scaled(cfg, "scaler_timetrail.json", enriched_feature_table(rows))
+
+
+def _model_for(cfg: RunConfig, name: str, table: FeatureTable) -> Model:
+    """The saved model `name`, which must take table's features."""
+
+    def load(path: Path) -> Model:
+        model = load_model(path)
+        aligned_rows(model.feature_names, table)
+        return model
+
+    return _read_artifact(_out(cfg, name), load)
 
 
 def stage_train(cfg: RunConfig) -> list[tuple[str, str]]:
@@ -426,13 +433,12 @@ def stage_train(cfg: RunConfig) -> list[tuple[str, str]]:
 
 def stage_evaluate(cfg: RunConfig) -> list[tuple[str, str]]:
     rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
-    raw_scaler = _read_artifact(_out(cfg, "scaler_baseline.json"), load_scaler)
-    raw = apply_scaler(raw_scaler, raw_feature_table(rows))
+    raw = _scaled(cfg, "scaler_baseline.json", raw_feature_table(rows))
     enr = _timetrail_table(cfg, rows)
     if raw.labels is None:
         raise ValueError("test split is unlabeled; evaluation needs labels")
-    baseline = _read_artifact(_out(cfg, "model_baseline.json"), load_model)
-    timetrail = _read_artifact(_out(cfg, "model_timetrail.json"), load_model)
+    baseline = _model_for(cfg, "model_baseline.json", raw)
+    timetrail = _model_for(cfg, "model_timetrail.json", enr)
 
     tis_report = aggregate_tis(timetrail, enr, threshold=cfg.threshold)
     base_report = evaluate(
@@ -485,7 +491,7 @@ def explained_rows(
 
 def stage_explain(cfg: RunConfig) -> list[tuple[str, str]]:
     enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
-    timetrail = _read_artifact(_out(cfg, "model_timetrail.json"), load_model)
+    timetrail = _model_for(cfg, "model_timetrail.json", enr)
     probs = predict_proba(timetrail, enr)
     paths = []
     for i in explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations):
@@ -499,15 +505,16 @@ def stage_explain(cfg: RunConfig) -> list[tuple[str, str]]:
 def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     paths = []
 
-    m = _read_artifact(
-        _out(cfg, "heatmap_all.json"), lambda p: heatmap_from_json(p.read_text(encoding="utf-8"))
+    svg = _read_artifact(
+        _out(cfg, "heatmap_all.json"),
+        lambda p: heatmap_to_svg(json.loads(p.read_text(encoding="utf-8"))),
     )
-    _write_text(_out(cfg, "heatmap_all.svg"), heatmap_to_svg(m))
+    _write_text(_out(cfg, "heatmap_all.svg"), svg)
     paths.append(("heatmap_all.svg", "plot"))
 
     enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
     test_rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
-    probs = predict_proba(_read_artifact(_out(cfg, "model_timetrail.json"), load_model), enr)
+    probs = predict_proba(_model_for(cfg, "model_timetrail.json", enr), enr)
     flags = (probs >= cfg.threshold).astype(int).tolist()
     points = list(zip(test_rows.timestamp.tolist(), flags))
     labels = None

@@ -12,9 +12,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .correlate import CorrelationMatrix
 from .explain import TISReport
 
 # Diverging scale anchors: -1 cold, 0 neutral, +1 hot.
@@ -55,73 +54,68 @@ def _esc(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# correlation heatmap
+# correlation coefficients and the heatmap
 
 
-def heatmap_to_csv(m: CorrelationMatrix) -> str:
-    """Long form, one row per ordered cell; undefined cells have no value."""
+def coefficients_to_csv(rows: Iterable[tuple]) -> str:
+    """One line per (attr_a, attr_b, window_start, window_end, coefficient);
+    an undefined coefficient (None) has no value."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["attr_a", "attr_b", "window_start", "window_end", "coefficient"])
-    start = "" if m.window is None else str(m.window[0])
-    end = "" if m.window is None else str(m.window[1])
-    for i, a in enumerate(m.attributes):
-        for j, b in enumerate(m.attributes):
-            v = m.values[i][j]
-            w.writerow([a, b, start, end, "" if v is None else repr(float(v))])
+    for a, b, start, end, r in rows:
+        w.writerow([a, b, start, end, "" if r is None else repr(float(r))])
     return out.getvalue()
 
 
-def heatmap_to_json(m: CorrelationMatrix) -> str:
-    doc = {
-        "attributes": list(m.attributes),
-        "window": None if m.window is None else {"start": m.window[0], "end": m.window[1]},
-        "values": [[v for v in row] for row in m.values],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def heatmap_from_json(text: str) -> CorrelationMatrix:
-    doc = json.loads(text)
-    window = doc.get("window")
-    return CorrelationMatrix(
-        attributes=tuple(doc["attributes"]),
-        window=None if window is None else (int(window["start"]), int(window["end"])),
-        values=tuple(tuple(v for v in row) for row in doc["values"]),
+def heatmap_to_csv(m: dict) -> str:
+    """The heatmap document in long form, one row per ordered cell."""
+    window = m["window"] or {"start": "", "end": ""}
+    attrs = m["attributes"]
+    return coefficients_to_csv(
+        (a, b, window["start"], window["end"], m["values"][i][j])
+        for i, a in enumerate(attrs)
+        for j, b in enumerate(attrs)
     )
 
 
-def heatmap_to_svg(m: CorrelationMatrix) -> str:
-    """One rect per cell; the margin carries row and column labels."""
+def heatmap_to_json(m: dict) -> str:
+    return json.dumps(m, indent=2, sort_keys=True)
+
+
+def heatmap_to_svg(m: dict) -> str:
+    """The heatmap document as one rect per cell; the margin carries row and
+    column labels."""
+    attrs, values = m["attributes"], m["values"]
     cell = 34
-    left = 10 + max((len(l) for l in m.attributes), default=0) * 7
+    left = 10 + max((len(l) for l in attrs), default=0) * 7
     top = 112
-    k = len(m.attributes)
+    k = len(attrs)
     width = left + k * cell + 20
     height = top + k * cell + 20
     parts = [_HATCH_DEF]
-    for j, label in enumerate(m.attributes):
+    for j, label in enumerate(attrs):
         x = left + j * cell + cell // 2
         parts.append(
             f'<text x="{x}" y="{top - 8}" font-size="11" text-anchor="start" '
             f'transform="rotate(-60 {x} {top - 8})" font-family="monospace">{_esc(label)}</text>'
         )
-    for i, label in enumerate(m.attributes):
+    for i, label in enumerate(attrs):
         y = top + i * cell + cell // 2 + 4
         parts.append(
             f'<text x="{left - 6}" y="{y}" font-size="11" text-anchor="end" '
             f'font-family="monospace">{_esc(label)}</text>'
         )
         for j in range(k):
-            v = m.values[i][j]
+            v = values[i][j]
             x = left + j * cell
             y0 = top + i * cell
             fill_attr = "url(#undef)" if v is None else diverging_color(v)
             title = "undefined" if v is None else f"{v:.4f}"
             parts.append(
                 f'<rect x="{x}" y="{y0}" width="{cell}" height="{cell}" fill="{fill_attr}" '
-                f'stroke="#ffffff" stroke-width="1"><title>{_esc(m.attributes[i])} / '
-                f"{_esc(m.attributes[j])}: {title}</title></rect>"
+                f'stroke="#ffffff" stroke-width="1"><title>{_esc(attrs[i])} / '
+                f"{_esc(attrs[j])}: {title}</title></rect>"
             )
             if v is not None:
                 tx = x + cell // 2

@@ -520,6 +520,27 @@ def test_malformed_json_artifact_names_its_path(full_run, tmp_path, capsys, stag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "stage, source, name",
+    [
+        ("explain", "model_baseline.json", "model_timetrail.json"),
+        ("plot", "model_baseline.json", "model_timetrail.json"),
+        ("explain", "scaler_baseline.json", "scaler_timetrail.json"),
+        ("evaluate", "model_timetrail.json", "model_baseline.json"),
+    ],
+)
+def test_artifact_that_does_not_fit_the_run_names_its_path(
+    full_run, tmp_path, capsys, stage, source, name
+):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    shutil.copyfile(out / source, out / name)
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / name}: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_is_a_usage_error(tmp_path):
     cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
     with pytest.raises(SystemExit) as exc:

@@ -210,19 +210,34 @@ def test_dynamic_correlation_empty_rows():
 # --- correlation matrix ---------------------------------------------------------
 
 
+def _cell(m, a, b):
+    attrs = m["attributes"]
+    return m["values"][attrs.index(a)][attrs.index(b)]
+
+
 def test_matrix_symmetric_with_unit_diagonal():
     rows = _enriched_fixture()
     m = correlation_matrix(rows)
-    k = len(m.attributes)
+    k = len(m["attributes"])
     for i in range(k):
         for j in range(k):
-            assert m.values[i][j] == m.values[j][i]
-    for i, name in enumerate(m.attributes):
+            assert m["values"][i][j] == m["values"][j][i]
+    for i, name in enumerate(m["attributes"]):
         vals = rows.column(name).tolist()
         if min(vals) == max(vals):
-            assert m.values[i][i] is None
+            assert m["values"][i][i] is None
         else:
-            assert m.values[i][i] == 1.0
+            assert m["values"][i][i] == 1.0
+
+
+def test_matrix_window_spans_the_rows():
+    rows = _enriched_fixture()
+    m = correlation_matrix(rows, ("hour_of_day", "amount"))
+    assert m["attributes"] == ["hour_of_day", "amount"]
+    assert m["window"] == {"start": int(rows.timestamp[0]), "end": int(rows.timestamp[-1])}
+    assert correlation_matrix(rows[:0], ("amount",)) == {
+        "attributes": ["amount"], "window": None, "values": [[None]]
+    }
 
 
 def test_matrix_cells_match_pearson():
@@ -235,8 +250,8 @@ def test_matrix_cells_match_pearson():
                 continue
             x = [float(v) for v in getattr(rows, a)]
             y = [float(v) for v in getattr(rows, b)]
-            assert m.values[i][j] == pearson(x, y)
-            assert m.at(a, b) == m.values[i][j]
+            assert m["values"][i][j] == pearson(x, y)
+            assert _cell(m, a, b) == m["values"][i][j]
 
 
 def test_matrix_constant_attribute_undefined_off_diagonal():
@@ -244,8 +259,8 @@ def test_matrix_constant_attribute_undefined_off_diagonal():
         Transaction(f"tx{i}", 1000 + i, "u1", "t1", 10.0, "purchase") for i in range(5)
     ]
     m = correlation_matrix(enrich(Dataset.from_rows(rows)), ("is_night", "amount"))
-    assert m.at("is_night", "amount") is None  # is_night constant here
-    assert m.at("amount", "amount") is None  # amount constant too
+    assert _cell(m, "is_night", "amount") is None  # is_night constant here
+    assert _cell(m, "amount", "amount") is None  # amount constant too
 
 
 def _table(**columns):
@@ -264,7 +279,7 @@ def _assert_cells_equal_pearson(columns):
     for i, a in enumerate(columns):
         for j, b in enumerate(columns):
             if i != j:
-                assert m.values[i][j] == pearson(columns[a], columns[b]), (a, b)
+                assert m["values"][i][j] == pearson(columns[a], columns[b]), (a, b)
 
 
 def test_matrix_equals_pearson_where_pow_and_product_round_apart():
@@ -282,8 +297,8 @@ def test_matrix_equals_pearson_where_pow_and_product_round_apart():
     assert any(d**2 != d * d for d in deviations)
     _assert_cells_equal_pearson(columns)
     m = correlation_matrix(_table(**columns), tuple(columns))
-    assert m.at("user_tx_count_48h", "amount") is None
-    assert m.at("user_tx_count_24h", "amount") is None
+    assert _cell(m, "user_tx_count_48h", "amount") is None
+    assert _cell(m, "user_tx_count_24h", "amount") is None
 
 
 def test_matrix_equals_pearson_on_two_rows():

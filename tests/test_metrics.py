@@ -227,18 +227,18 @@ def eval_pair():
 def test_evaluate_fills_every_metric():
     base, rich = eval_pair()
     assert base.row_count == 4
-    assert base.tis is None
-    assert rich.tis == 0.9
-    assert rich.accuracy == 1.0
-    assert rich.f1 == 1.0
-    assert rich.auc_roc == 1.0
+    assert base.metric("tis") is None
+    assert rich.metric("tis") == 0.9
+    assert rich.metric("accuracy") == 1.0
+    assert rich.metric("f1") == 1.0
+    assert rich.metric("auc_roc") == 1.0
     assert base.fingerprint == rich.fingerprint == dataset_fingerprint(("a", "b", "c", "d"))
 
 
 def test_evaluate_threshold_is_inclusive():
     report = evaluate([1, 0], [0.5, 0.49], 0.5, ("x", "y"), "m")
-    assert report.recall == 1.0
-    assert report.precision == 1.0
+    assert report.metric("recall") == 1.0
+    assert report.metric("precision") == 1.0
 
 
 def test_evaluate_validation():
@@ -262,7 +262,7 @@ def test_report_json_none_becomes_null():
     report = evaluate([1, 1], [0.9, 0.8], 0.5, ("a", "b"), "m")
     doc = json.loads(report_to_json(report))
     assert doc["metrics"]["auc_roc"] is None
-    assert report_from_json(report_to_json(report)).auc_roc is None
+    assert report_from_json(report_to_json(report)).metric("auc_roc") is None
     assert base.metric("tis") is None
 
 

@@ -10,13 +10,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from timetrail.correlate import CorrelationMatrix
 from timetrail.explain import TISReport, sequence_to_json
 from timetrail.plots import (
     HistogramSpec,
     diverging_color,
     flagged_frequency_series,
-    heatmap_from_json,
     heatmap_to_csv,
     heatmap_to_json,
     heatmap_to_svg,
@@ -41,15 +39,15 @@ def count_rects(text: str) -> int:
 
 @pytest.fixture
 def matrix():
-    return CorrelationMatrix(
-        attributes=("a", "b", "c"),
-        window=(100, 200),
-        values=(
-            (1.0, 0.5, None),
-            (0.5, 1.0, -0.25),
-            (None, -0.25, 1.0),
-        ),
-    )
+    return {
+        "attributes": ["a", "b", "c"],
+        "window": {"start": 100, "end": 200},
+        "values": [
+            [1.0, 0.5, None],
+            [0.5, 1.0, -0.25],
+            [None, -0.25, 1.0],
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +91,15 @@ def test_heatmap_csv_exact_text(matrix):
 
 def test_heatmap_json_round_trip(matrix):
     text = heatmap_to_json(matrix)
-    back = heatmap_from_json(text)
+    back = json.loads(text)
     assert back == matrix
     assert '"values"' in text and "null" in text
 
 
 def test_heatmap_round_trip_without_window():
-    m = CorrelationMatrix(attributes=("x",), window=None, values=((1.0,),))
+    m = {"attributes": ["x"], "window": None, "values": [[1.0]]}
     assert heatmap_to_csv(m) == "attr_a,attr_b,window_start,window_end,coefficient\nx,x,,,1.0\n"
-    assert heatmap_from_json(heatmap_to_json(m)) == m
+    assert json.loads(heatmap_to_json(m)) == m
 
 
 def test_heatmap_svg_structure(matrix):

@@ -5,9 +5,10 @@ import pytest
 from timetrail.data import Dataset, Transaction
 from timetrail.features import (
     FeatureTable,
-    ScalerParams,
     apply_scaler,
     fit_scaler,
+    load_scaler,
+    save_scaler,
 )
 from timetrail.preprocess import (
     CleansePolicy,
@@ -197,7 +198,8 @@ def test_scaler_feature_mismatch_rejected():
         apply_scaler(params, _table([0.5], name="b"))
 
 
-def test_scaler_json_round_trip():
+def test_scaler_json_round_trip(tmp_path):
     params = fit_scaler(_table([0.0, 5.0, 10.0]))
-    again = ScalerParams.from_json(params.to_json())
+    save_scaler(params, tmp_path / "scaler.json")
+    again = load_scaler(tmp_path / "scaler.json")
     assert again == params
