@@ -61,24 +61,6 @@ def ensemble_bias(model: GBTModel) -> float:
     return model.base_score + model.learning_rate * sum(t.value.item(0) for t in model.trees)
 
 
-def attribute_prediction(model: Model, row: Sequence[float]) -> np.ndarray:
-    """One row's per-feature contributions, as its row of attribution_matrix.
-
-    The row must already be in the model's feature order; features its path
-    never tests contribute 0.
-    """
-    gbt = _require_ensemble(model)
-    vec = np.asarray(row, dtype=np.float64)
-    if vec.shape != (len(gbt.feature_names),):
-        raise ValueError(
-            f"row has {vec.shape} values, model expects {len(gbt.feature_names)}"
-        )
-    totals = [0.0] * len(gbt.feature_names)
-    for _, f, _, _, delta in _walk_row(gbt, vec):
-        totals[f] += gbt.learning_rate * delta
-    return np.array(totals, dtype=np.float64)
-
-
 def explanation_sequence(
     model: Model,
     table: FeatureTable,
@@ -112,7 +94,7 @@ def attribution_matrix(model: Model, table: FeatureTable) -> tuple[np.ndarray, f
     """(n_rows, n_features) contribution matrix plus the shared bias.
 
     Level-by-level vectorized edge walk over each tree; row sums plus bias
-    equal the margins exactly (same additions as the per-row walk,
+    equal the margins exactly (explanation_sequence's additions,
     reordered). Edge e from node i to children[e] carries
     lr * (value[children[e]] - value[i]), and a leaf's self-edges carry +0.0,
     which leaves a cell as it is. At each level every row adds its edge's

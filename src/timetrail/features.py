@@ -111,6 +111,7 @@ def apply_scaler(params: dict, table: FeatureTable) -> FeatureTable:
     clip to the ends.
 
     A feature whose training min equals its max maps to the constant 0.0.
+    A min or max that is NaN or infinite is refused, naming its feature.
     """
     names = tuple(params["feature_names"])
     if names != table.feature_names:
@@ -118,7 +119,12 @@ def apply_scaler(params: dict, table: FeatureTable) -> FeatureTable:
             f"scaler features {names} do not match table features {table.feature_names}"
         )
     mins = np.array([float(v) for v in params["mins"]])
-    span = np.array([float(v) for v in params["maxs"]]) - mins
+    maxs = np.array([float(v) for v in params["maxs"]])
+    for key, ends in (("mins", mins), ("maxs", maxs)):
+        bad = np.flatnonzero(~np.isfinite(ends))
+        if bad.size:
+            raise ValueError(f"scaler {key} of {names[bad[0]]!r} is {ends[bad[0]]}, not finite")
+    span = maxs - mins
     degenerate = span == 0.0
     safe_span = np.where(degenerate, 1.0, span)
     scaled = table.rows - mins

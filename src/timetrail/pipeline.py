@@ -517,19 +517,17 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     probs = predict_proba(_model_for(cfg, "model_timetrail.json", enr), enr)
     flags = (probs >= cfg.threshold).astype(int).tolist()
     points = list(zip(test_rows.timestamp.tolist(), flags))
-    labels = None
-    if (test_rows.label != "").all():
-        labels = (test_rows.label == "fraud").astype(int).tolist()
+    labels = None if enr.labels is None else enr.labels.tolist()
     series = flagged_frequency_series(points, cfg.correlation.window_seconds, labels)
     _write_text(_out(cfg, "flag_series.csv"), series_to_csv(series))
     _write_text(_out(cfg, "flag_series.svg"), series_to_svg(series))
     paths.append(("flag_series.csv", "plot"))
     paths.append(("flag_series.svg", "plot"))
 
-    report = _read_artifact(
-        _out(cfg, "tis_report.json"), lambda p: tis_report_from_json(p.read_text(encoding="utf-8"))
+    hist = _read_artifact(
+        _out(cfg, "tis_report.json"),
+        lambda p: tis_histogram(tis_report_from_json(p.read_text(encoding="utf-8"))),
     )
-    hist = tis_histogram(report)
     _write_text(_out(cfg, "tis_hist.csv"), histogram_to_csv(hist))
     _write_text(_out(cfg, "tis_hist.svg"), histogram_to_svg(hist))
     paths.append(("tis_hist.csv", "plot"))

@@ -5,6 +5,7 @@ PASS/FAIL line per criterion. Oracles here are written from scratch so a
 shared bug in the implementation cannot vouch for itself.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,8 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from timetrail.correlate import RunningMoments, pearson
-from timetrail.explain import attribute_prediction, attribution_matrix, ensemble_bias
+from oracles import attribute_prediction, pearson
+from timetrail.correlate import _window_correlations, correlation_matrix
+from timetrail.enrich import EnrichedTable
+from timetrail.explain import attribution_matrix, ensemble_bias
 from timetrail.features import FeatureTable
 from timetrail.metrics import (
     accuracy_of,
@@ -84,9 +87,17 @@ def test_criterion_01_enriched_model_beats_baseline(tmp_path):
 
 def test_criterion_02_streaming_pearson_agrees_with_two_pass():
     """1000 randomized windows within 1e-9, plus exact scalar anchors."""
-    assert pearson([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == 1.0
-    assert pearson([1.0, 2.0, 3.0], [6.0, 4.0, 2.0]) == -1.0
-    assert abs(pearson([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0]) - 0.8) < 1e-12
+
+    def matrix_r(x, y):
+        n = len(x)
+        columns = {f.name: np.zeros(n) for f in dataclasses.fields(EnrichedTable)}
+        columns.update(amount=np.array(x), hour_of_day=np.array(y))
+        m = correlation_matrix(EnrichedTable(**columns), ("amount", "hour_of_day"))
+        return m["values"][0][1]
+
+    assert matrix_r([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == 1.0
+    assert matrix_r([1.0, 2.0, 3.0], [6.0, 4.0, 2.0]) == -1.0
+    assert abs(matrix_r([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0]) - 0.8) < 1e-12
 
     rng = np.random.default_rng(2024)
     checked_defined = 0
@@ -107,10 +118,8 @@ def test_criterion_02_streaming_pearson_agrees_with_two_pass():
         elif kind == 2:
             y = list(x)
         two_pass = pearson(x, y)
-        acc = RunningMoments()
-        for a, b in zip(x, y):
-            acc.update(a, b)
-        streaming = acc.correlation()
+        # one window that holds the whole series
+        (streaming,) = _window_correlations(np.array(x), np.array(y), np.array([0]), np.array([n]))
         if two_pass is None or streaming is None:
             assert two_pass is None and streaming is None
             checked_undefined += 1

@@ -541,6 +541,44 @@ def test_artifact_that_does_not_fit_the_run_names_its_path(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "stage, key, value",
+    [
+        ("evaluate", "maxs", float("nan")),
+        ("explain", "maxs", float("nan")),
+        ("explain", "mins", float("-inf")),
+        ("plot", "maxs", float("inf")),
+    ],
+)
+def test_scaler_with_a_non_finite_end_names_its_path_and_feature(
+    full_run, tmp_path, capsys, stage, key, value
+):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / "scaler_timetrail.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[key][-1] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity, as json writes them
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    feature = doc["feature_names"][-1]
+    assert err.startswith(f"error: {path}: scaler {key} of {feature!r} is {value}, not finite")
+    assert "Traceback" not in err
+
+
+def test_plot_names_a_tis_report_whose_value_is_out_of_range(full_run, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / "tis_report.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["per_tx"][0]["tis"] = 1.5
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["plot", "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: tis value 1.5 outside [0, 1]")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_is_a_usage_error(tmp_path):
     cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
     with pytest.raises(SystemExit) as exc:

