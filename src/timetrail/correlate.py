@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .enrich import ATTRIBUTE_NAMES, EnrichedTable
+from .enrich import EnrichedTable
 
 
 def _coefficient(sxx: float, syy: float, sxy: float) -> float | None:
@@ -51,10 +51,7 @@ class DynamicCorrelationSeries:
 
 
 def dynamic_correlation(
-    rows: EnrichedTable,
-    pair: tuple[str, str],
-    window_seconds: int,
-    stride_seconds: int | None = None,
+    rows: EnrichedTable, pair: tuple[str, str], window_seconds: int, stride_seconds: int
 ) -> DynamicCorrelationSeries:
     """Windowed correlation of two attributes over time-sorted rows.
 
@@ -62,12 +59,11 @@ def dynamic_correlation(
     per window position until t_max is passed. Each window's rows are taken
     in timestamp order.
     """
-    stride = window_seconds if stride_seconds is None else stride_seconds
-    if stride <= 0 or window_seconds <= 0:
+    if stride_seconds <= 0 or window_seconds <= 0:
         raise ValueError("window and stride must be positive")
-    if stride > window_seconds:
+    if stride_seconds > window_seconds:
         raise ValueError(
-            f"stride {stride} larger than window {window_seconds} would skip rows"
+            f"stride {stride_seconds} larger than window {window_seconds} would skip rows"
         )
     x, y = (rows.column(name) for name in pair)
     if not len(rows):
@@ -76,7 +72,7 @@ def dynamic_correlation(
     ts = rows.timestamp
     if (np.diff(ts) < 0).any():
         raise ValueError("rows must be sorted by timestamp")
-    starts = np.arange(ts[0], ts[-1] + 1, stride)
+    starts = np.arange(ts[0], ts[-1] + 1, stride_seconds)
     coefficients = _window_correlations(
         x, y, np.searchsorted(ts, starts), np.searchsorted(ts, starts + window_seconds)
     )
@@ -131,7 +127,7 @@ def _window_correlations(
     return [_coefficient(*sums) if n >= 2 else None for n, *sums in state.tolist()]
 
 
-def correlation_matrix(rows: EnrichedTable, attributes: Sequence[str] | None = None) -> dict:
+def correlation_matrix(rows: EnrichedTable, attributes: Sequence[str]) -> dict:
     """The heatmap document `{"attributes", "window", "values"}` of the rows:
     pairwise two-pass Pearson, bit for bit the coefficient of the two-pass
     formula over `math.fsum` sums (`tests/oracles.py`'s `pearson`). The window
@@ -145,7 +141,7 @@ def correlation_matrix(rows: EnrichedTable, attributes: Sequence[str] | None = N
     mirrored, so symmetry is exact; the diagonal is 1.0 unless the attribute
     is constant (then undefined).
     """
-    attrs = tuple(attributes) if attributes is not None else ATTRIBUTE_NAMES
+    attrs = tuple(attributes)
     k = len(attrs)
     # (centred column, fsum of its squares), or None: constant or under two rows
     centred: list[tuple[np.ndarray, float] | None] = []

@@ -11,7 +11,9 @@ an exact completeness identity:
 where bias is base_score plus the learning-rate-scaled sum of root values.
 
 TIS for one prediction is the share of absolute contribution mass carried by
-temporal features; it is 0 when the total mass is 0, and always in [0, 1].
+the nine temporal attributes (`ATTRIBUTE_NAMES`); it is 0 when the total mass
+is 0, and always in [0, 1]. `tis_report.json` names that set under
+"temporal_feature_set".
 
 An explanation is one JSON document from explanation_sequence through
 sequence_to_json and the sequence file to render_sequence: tx_id, bias,
@@ -33,8 +35,6 @@ import numpy as np
 from .enrich import ATTRIBUTE_NAMES
 from .features import FeatureTable
 from .model import GBTModel, Model, aligned_rows, feature_major, predict_proba, sigmoid
-
-TEMPORAL_FEATURES = ATTRIBUTE_NAMES
 
 
 def _require_ensemble(model: Model) -> GBTModel:
@@ -61,12 +61,7 @@ def ensemble_bias(model: GBTModel) -> float:
     return model.base_score + model.learning_rate * sum(t.value.item(0) for t in model.trees)
 
 
-def explanation_sequence(
-    model: Model,
-    table: FeatureTable,
-    row_index: int,
-    temporal_feature_set: Sequence[str] = TEMPORAL_FEATURES,
-) -> dict:
+def explanation_sequence(model: Model, table: FeatureTable, row_index: int) -> dict:
     """One row's explanation document (see the module docstring)."""
     gbt = _require_ensemble(model)
     X = aligned_rows(gbt.feature_names, table)
@@ -80,12 +75,12 @@ def explanation_sequence(
     bias = ensemble_bias(gbt)
     margin = bias + sum(s["delta"] for s in steps)
     return {
-        "tx_id": table.tx_ids[row_index] if table.tx_ids is not None else f"row{row_index}",
+        "tx_id": table.tx_ids[row_index],
         "bias": bias,
         "feature_contributions": {k: totals[k] for k in sorted(totals)},
         "margin": margin,
         "probability": float(sigmoid(margin)),
-        "tis": tis(totals, temporal_feature_set),
+        "tis": tis(totals),
         "steps": steps,
     }
 
@@ -120,17 +115,14 @@ def attribution_matrix(model: Model, table: FeatureTable) -> tuple[np.ndarray, f
 # temporal interpretability score
 
 
-def tis(
-    contributions: Mapping[str, float], temporal_feature_set: Sequence[str] = TEMPORAL_FEATURES
-) -> float:
-    """Share of absolute contribution mass on temporal features, in [0, 1]."""
-    temporal = set(temporal_feature_set)
+def tis(contributions: Mapping[str, float]) -> float:
+    """Share of absolute contribution mass on the temporal attributes, in [0, 1]."""
     total = 0.0
     t_mass = 0.0
     for name, value in contributions.items():
         mass = abs(value)
         total += mass
-        if name in temporal:
+        if name in ATTRIBUTE_NAMES:
             t_mass += mass
     if total == 0.0:
         return 0.0
@@ -139,7 +131,6 @@ def tis(
 
 @dataclass(frozen=True)
 class TISReport:
-    temporal_feature_set: tuple[str, ...]
     threshold: float
     per_tx: tuple[tuple[str, float], ...]  # (tx_id, tis) for every scored row
     flagged_tx_ids: tuple[str, ...]
@@ -147,7 +138,7 @@ class TISReport:
 
     def to_json(self) -> str:
         doc = {
-            "temporal_feature_set": list(self.temporal_feature_set),
+            "temporal_feature_set": list(ATTRIBUTE_NAMES),
             "threshold": self.threshold,
             "flagged_tx_ids": list(self.flagged_tx_ids),
             "aggregate": self.aggregate,
@@ -156,46 +147,28 @@ class TISReport:
         return _dumps_with_records(doc, "per_tx", per_tx)
 
 
-def tis_report_from_json(text: str) -> TISReport:
-    doc = json.loads(text)
-    return TISReport(
-        temporal_feature_set=tuple(doc["temporal_feature_set"]),
-        threshold=float(doc["threshold"]),
-        per_tx=tuple((p["tx_id"], float(p["tis"])) for p in doc["per_tx"]),
-        flagged_tx_ids=tuple(doc["flagged_tx_ids"]),
-        aggregate=None if doc["aggregate"] is None else float(doc["aggregate"]),
-    )
-
-
-def aggregate_tis(
-    model: Model,
-    table: FeatureTable,
-    temporal_feature_set: Sequence[str] = TEMPORAL_FEATURES,
-    threshold: float = 0.5,
-) -> TISReport:
+def aggregate_tis(model: Model, table: FeatureTable, threshold: float = 0.5) -> TISReport:
     """Per-row TIS for every row; aggregate averages the rows the model flags.
 
-    Temporal names absent from the model's features contribute no mass.
+    Temporal attributes absent from the model's features contribute no mass.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     gbt = _require_ensemble(model)
     contrib, _ = attribution_matrix(gbt, table)
-    temporal = [i for i, f in enumerate(gbt.feature_names) if f in set(temporal_feature_set)]
+    temporal = [i for i, f in enumerate(gbt.feature_names) if f in ATTRIBUTE_NAMES]
     mass = np.abs(contrib)
     total = mass.sum(axis=1)
     t_mass = mass[:, temporal].sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         scores = np.where(total > 0.0, np.minimum(1.0, t_mass / np.maximum(total, 1e-300)), 0.0)
-    ids = table.tx_ids if table.tx_ids is not None else tuple(f"row{i}" for i in range(len(table)))
     probs = predict_proba(gbt, table)
     flagged = probs >= threshold
     aggregate = float(scores[flagged].mean()) if flagged.any() else None
     return TISReport(
-        temporal_feature_set=tuple(temporal_feature_set),
         threshold=threshold,
-        per_tx=tuple(zip(ids, (float(s) for s in scores))),
-        flagged_tx_ids=tuple(i for i, fl in zip(ids, flagged) if fl),
+        per_tx=tuple(zip(table.tx_ids, (float(s) for s in scores))),
+        flagged_tx_ids=tuple(i for i, fl in zip(table.tx_ids, flagged) if fl),
         aggregate=aggregate,
     )
 

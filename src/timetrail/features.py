@@ -21,14 +21,14 @@ ENRICHED_FEATURES = RAW_FEATURES + ATTRIBUTE_NAMES
 class FeatureTable:
     """Rectangular numeric matrix with named columns.
 
-    labels are 0 (legit) / 1 (fraud) when every row is labeled, else None.
-    tx_ids are carried for fingerprints and explanations.
+    tx_ids name every row, for fingerprints and explanations. labels are
+    0 (legit) / 1 (fraud) when every row is labeled, else None.
     """
 
     feature_names: tuple[str, ...]
     rows: np.ndarray
+    tx_ids: tuple[str, ...]
     labels: np.ndarray | None = None
-    tx_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -45,7 +45,7 @@ class FeatureTable:
             if not np.isin(labels, (0, 1)).all():
                 raise ValueError("labels must be 0 or 1")
             object.__setattr__(self, "labels", labels)
-        if self.tx_ids is not None and len(self.tx_ids) != rows.shape[0]:
+        if len(self.tx_ids) != rows.shape[0]:
             raise ValueError("tx_ids length must match row count")
 
     def __len__(self) -> int:
@@ -56,8 +56,8 @@ class FeatureTable:
         return FeatureTable(
             feature_names=self.feature_names,
             rows=self.rows[idx],
+            tx_ids=tuple(self.tx_ids[i] for i in idx),
             labels=None if self.labels is None else self.labels[idx],
-            tx_ids=None if self.tx_ids is None else tuple(self.tx_ids[i] for i in idx),
         )
 
 
@@ -74,10 +74,7 @@ def _raw_matrix(rows: EnrichedTable) -> np.ndarray:
 
 def _table(rows: EnrichedTable, names: tuple[str, ...], matrix: np.ndarray) -> FeatureTable:
     return FeatureTable(
-        feature_names=names,
-        rows=matrix,
-        labels=_labels_of(rows),
-        tx_ids=tuple(rows.tx_id.tolist()),
+        feature_names=names, rows=matrix, tx_ids=tuple(rows.tx_id.tolist()), labels=_labels_of(rows)
     )
 
 
@@ -111,7 +108,8 @@ def apply_scaler(params: dict, table: FeatureTable) -> FeatureTable:
     clip to the ends.
 
     A feature whose training min equals its max maps to the constant 0.0.
-    A min or max that is NaN or infinite is refused, naming its feature.
+    A min or max that is NaN or infinite, or a min above its max, is refused,
+    naming its feature.
     """
     names = tuple(params["feature_names"])
     if names != table.feature_names:
@@ -124,6 +122,10 @@ def apply_scaler(params: dict, table: FeatureTable) -> FeatureTable:
         bad = np.flatnonzero(~np.isfinite(ends))
         if bad.size:
             raise ValueError(f"scaler {key} of {names[bad[0]]!r} is {ends[bad[0]]}, not finite")
+    above = np.flatnonzero(mins > maxs)
+    if above.size:
+        i = above[0]
+        raise ValueError(f"scaler min of {names[i]!r} is {mins[i]}, above its max {maxs[i]}")
     span = maxs - mins
     degenerate = span == 0.0
     safe_span = np.where(degenerate, 1.0, span)
@@ -132,10 +134,7 @@ def apply_scaler(params: dict, table: FeatureTable) -> FeatureTable:
     np.clip(scaled, 0.0, 1.0, out=scaled)
     scaled[:, degenerate] = 0.0
     return FeatureTable(
-        feature_names=table.feature_names,
-        rows=scaled,
-        labels=table.labels,
-        tx_ids=table.tx_ids,
+        feature_names=table.feature_names, rows=scaled, tx_ids=table.tx_ids, labels=table.labels
     )
 
 

@@ -345,18 +345,13 @@ Model = GBTModel | LogisticModel
 
 
 def aligned_rows(feature_names: Sequence[str], table: FeatureTable) -> np.ndarray:
-    """Rows reordered into the model's feature order; names must match as sets."""
+    """The table's rows, whose features must be the model's in the model's order."""
     names = tuple(feature_names)
-    if tuple(table.feature_names) == names:
-        return table.rows
-    missing = [f for f in names if f not in table.feature_names]
-    extra = [f for f in table.feature_names if f not in names]
-    if missing or extra:
+    if names != table.feature_names:
         raise ValueError(
-            f"feature schema mismatch: missing {missing or 'none'}, unexpected {extra or 'none'}"
+            f"feature schema mismatch: model features {names}, table features {table.feature_names}"
         )
-    order = [table.feature_names.index(f) for f in names]
-    return table.rows[:, order]
+    return table.rows
 
 
 def predict_proba(model: Model, table: FeatureTable) -> np.ndarray:

@@ -37,7 +37,7 @@ from .data import (
     transaction_columns,
 )
 from .enrich import ATTRIBUTE_NAMES, EnrichConfig, EnrichedTable, enrich
-from .explain import aggregate_tis, explanation_sequence, sequence_to_json, tis_report_from_json
+from .explain import aggregate_tis, explanation_sequence, sequence_to_json
 from .features import (
     FeatureTable,
     apply_scaler,
@@ -505,6 +505,12 @@ def stage_explain(cfg: RunConfig) -> list[tuple[str, str]]:
 def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     paths = []
 
+    enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
+    if enr.labels is None:
+        raise ValueError("test split is unlabeled; the flagged series needs labels")
+    test_rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
+    probs = predict_proba(_model_for(cfg, "model_timetrail.json", enr), enr)
+
     svg = _read_artifact(
         _out(cfg, "heatmap_all.json"),
         lambda p: heatmap_to_svg(json.loads(p.read_text(encoding="utf-8"))),
@@ -512,13 +518,9 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     _write_text(_out(cfg, "heatmap_all.svg"), svg)
     paths.append(("heatmap_all.svg", "plot"))
 
-    enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
-    test_rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
-    probs = predict_proba(_model_for(cfg, "model_timetrail.json", enr), enr)
-    flags = (probs >= cfg.threshold).astype(int).tolist()
-    points = list(zip(test_rows.timestamp.tolist(), flags))
-    labels = None if enr.labels is None else enr.labels.tolist()
-    series = flagged_frequency_series(points, cfg.correlation.window_seconds, labels)
+    series = flagged_frequency_series(
+        test_rows.timestamp, probs >= cfg.threshold, enr.labels, cfg.correlation.window_seconds
+    )
     _write_text(_out(cfg, "flag_series.csv"), series_to_csv(series))
     _write_text(_out(cfg, "flag_series.svg"), series_to_svg(series))
     paths.append(("flag_series.csv", "plot"))
@@ -526,7 +528,7 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
 
     hist = _read_artifact(
         _out(cfg, "tis_report.json"),
-        lambda p: tis_histogram(tis_report_from_json(p.read_text(encoding="utf-8"))),
+        lambda p: tis_histogram(r["tis"] for r in json.loads(p.read_text(encoding="utf-8"))["per_tx"]),
     )
     _write_text(_out(cfg, "tis_hist.csv"), histogram_to_csv(hist))
     _write_text(_out(cfg, "tis_hist.svg"), histogram_to_svg(hist))

@@ -4,7 +4,9 @@ Every figure exists first as plain data (CSV or JSON) so downstream tooling
 never has to scrape pixels; the SVG renderings are built from the same data
 with fixed float formatting, so identical inputs yield identical bytes.
 Undefined correlation cells serialize as empty CSV fields / JSON null and
-render as hatched cells.
+render as hatched cells. The flagged-frequency series always carries the
+true fraud count of each window, so it needs a labeled split; the TIS
+histogram has ten uniform bins over [0, 1].
 """
 from __future__ import annotations
 
@@ -12,9 +14,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .explain import TISReport
+import numpy as np
 
 # Diverging scale anchors: -1 cold, 0 neutral, +1 hot.
 _COLD = (33, 102, 172)
@@ -135,58 +137,41 @@ def heatmap_to_svg(m: dict) -> str:
 class TimeSeriesSpec:
     window_seconds: int
     points: tuple[tuple[int, int], ...]  # (window_start, flagged_count)
-    overlay: tuple[tuple[int, int], ...] | None  # (window_start, true_fraud_count)
+    overlay: tuple[tuple[int, int], ...]  # (window_start, true_fraud_count)
 
 
 def flagged_frequency_series(
-    rows: Sequence[tuple[int, int]],
-    window_seconds: int,
-    labels: Sequence[int] | None = None,
+    timestamps: np.ndarray, flags: np.ndarray, labels: np.ndarray, window_seconds: int
 ) -> TimeSeriesSpec:
-    """Count flagged rows per tumbling window over the rows' full time range.
+    """Count flagged rows (flag 1) and true fraud (label 1) per tumbling
+    window over the rows' full time range.
 
-    rows are (timestamp, flag) pairs; optional labels (1 = fraud) add a
-    ground-truth overlay. Interior windows with no flags still appear, so a
-    flagless period is an all-zero series rather than a gap.
+    Interior windows with no flags still appear, so a flagless period is an
+    all-zero series rather than a gap.
     """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
-    if labels is not None and len(labels) != len(rows):
-        raise ValueError("labels length must match rows")
-    if not rows:
-        return TimeSeriesSpec(window_seconds, (), None if labels is None else ())
-    ts = [t for t, _ in rows]
-    t_min, t_max = min(ts), max(ts)
-    n_windows = (t_max - t_min) // window_seconds + 1
-    counts = [0] * n_windows
-    fraud = [0] * n_windows
-    for i, (t, flag) in enumerate(rows):
-        k = (t - t_min) // window_seconds
-        if flag:
-            counts[k] += 1
-        if labels is not None and labels[i]:
-            fraud[k] += 1
-    points = tuple((t_min + k * window_seconds, counts[k]) for k in range(n_windows))
-    overlay = (
-        None
-        if labels is None
-        else tuple((t_min + k * window_seconds, fraud[k]) for k in range(n_windows))
+    ts, flags, labels = (np.asarray(a, dtype=np.int64) for a in (timestamps, flags, labels))
+    if not ts.size == flags.size == labels.size:
+        raise ValueError("timestamps, flags and labels must have one entry per row")
+    if not ts.size:
+        return TimeSeriesSpec(window_seconds, (), ())
+    t_min = int(ts.min())
+    window = (ts - t_min) // window_seconds
+    n_windows = int(window.max()) + 1
+    starts = (t_min + window_seconds * np.arange(n_windows)).tolist()
+    counts, fraud = (
+        np.bincount(window[v == 1], minlength=n_windows).tolist() for v in (flags, labels)
     )
-    return TimeSeriesSpec(window_seconds, points, overlay)
+    return TimeSeriesSpec(window_seconds, tuple(zip(starts, counts)), tuple(zip(starts, fraud)))
 
 
 def series_to_csv(spec: TimeSeriesSpec) -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    if spec.overlay is None:
-        w.writerow(["window_start", "flagged_count"])
-        for t, c in spec.points:
-            w.writerow([t, c])
-    else:
-        w.writerow(["window_start", "flagged_count", "fraud_count"])
-        fraud = dict(spec.overlay)
-        for t, c in spec.points:
-            w.writerow([t, c, fraud.get(t, 0)])
+    w.writerow(["window_start", "flagged_count", "fraud_count"])
+    for (t, c), (_, f) in zip(spec.points, spec.overlay):
+        w.writerow([t, c, f])
     return out.getvalue()
 
 
@@ -216,13 +201,12 @@ def series_to_svg(spec: TimeSeriesSpec) -> str:
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#2166ac" stroke-width="1.5"/>'
     )
-    if spec.overlay is not None:
-        for i, (_, fc) in enumerate(spec.overlay):
-            if fc > 0:
-                parts.append(
-                    f'<circle cx="{x_of(i):.2f}" cy="{y_of(spec.points[i][1]):.2f}" r="3" '
-                    f'fill="#b2182b"><title>{fc} fraud</title></circle>'
-                )
+    for i, (_, fc) in enumerate(spec.overlay):
+        if fc > 0:
+            parts.append(
+                f'<circle cx="{x_of(i):.2f}" cy="{y_of(spec.points[i][1]):.2f}" r="3" '
+                f'fill="#b2182b"><title>{fc} fraud</title></circle>'
+            )
     parts.append(
         f'<line x1="{pad_l}" y1="{height - pad_b}" x2="{width - pad_r}" '
         f'y2="{height - pad_b}" stroke="#444444" stroke-width="1"/>'
@@ -286,21 +270,19 @@ def render_sequence(seq: dict) -> str:
 
 @dataclass(frozen=True)
 class HistogramSpec:
-    edges: tuple[float, ...]  # len bins + 1, uniform over [0, 1]
+    edges: tuple[float, ...]  # len(counts) + 1, uniform over [0, 1]
     counts: tuple[int, ...]
 
 
-def tis_histogram(report: TISReport, bins: int = 10) -> HistogramSpec:
-    """Uniform bins over [0, 1]; the last bin is closed so 1.0 lands inside."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    counts = [0] * bins
-    for _, v in report.per_tx:
+def tis_histogram(values: Iterable[float]) -> HistogramSpec:
+    """Ten uniform bins of TIS values over [0, 1]; the last bin is closed so
+    1.0 lands inside."""
+    counts = [0] * 10
+    for v in values:
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"tis value {v} outside [0, 1]")
-        counts[min(int(v * bins), bins - 1)] += 1
-    edges = tuple(i / bins for i in range(bins + 1))
-    return HistogramSpec(edges=edges, counts=tuple(counts))
+        counts[min(int(v * 10), 9)] += 1
+    return HistogramSpec(edges=tuple(i / 10 for i in range(11)), counts=tuple(counts))
 
 
 def histogram_to_csv(spec: HistogramSpec) -> str:

@@ -180,6 +180,7 @@ def test_criterion_04_attribution_completeness_at_scale():
     table = FeatureTable(
         feature_names=tuple(f"f{i}" for i in range(d)),
         rows=X,
+        tx_ids=tuple(f"t{i}" for i in range(n)),
         labels=y,
     )
     model = train_gbt(table, GBTConfig())  # 200 trees, depth 4
@@ -265,7 +266,9 @@ def test_criterion_07_boosting_monotone_loss_and_split_oracle():
     rng = np.random.default_rng(77)
     X = np.vstack([rng.normal(-2.0, 1.0, (120, 3)), rng.normal(2.0, 1.0, (120, 3))])
     y = np.array([0] * 120 + [1] * 120, dtype=np.int64)
-    table = FeatureTable(feature_names=("a", "b", "c"), rows=X, labels=y)
+    table = FeatureTable(
+        feature_names=("a", "b", "c"), rows=X, tx_ids=tuple(f"t{i}" for i in range(240)), labels=y
+    )
     cfg = GBTConfig()  # 200 trees
     model = train_gbt(table, cfg)
     margin = np.full(len(table), model.base_score)
@@ -293,7 +296,10 @@ def test_criterion_07_boosting_monotone_loss_and_split_oracle():
         if ys.min() == ys.max():
             ys[0] = 1 - ys[0]
         small = FeatureTable(
-            feature_names=tuple(f"f{i}" for i in range(d)), rows=Xs, labels=ys
+            feature_names=tuple(f"f{i}" for i in range(d)),
+            rows=Xs,
+            tx_ids=tuple(f"t{i}" for i in range(n)),
+            labels=ys,
         )
         stump_cfg = GBTConfig(n_trees=1, max_depth=1)
         tree = train_gbt(small, stump_cfg).trees[0]

@@ -566,6 +566,63 @@ def test_scaler_with_a_non_finite_end_names_its_path_and_feature(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage", ["evaluate", "explain", "plot"])
+def test_scaler_with_a_min_above_its_max_names_its_path_and_feature(full_run, tmp_path, capsys, stage):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / "scaler_timetrail.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["mins"][-1] = doc["maxs"][-1] + 5
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    feature, low = doc["feature_names"][-1], float(doc["mins"][-1])
+    assert err.startswith(f"error: {path}: scaler min of {feature!r} is {low}, above its max")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage", ["evaluate", "explain", "plot"])
+def test_model_file_with_permuted_features_names_its_path(full_run, tmp_path, capsys, stage):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / "model_timetrail.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    last = len(doc["feature_names"]) - 1
+
+    def mirror(node):  # the same split, on the feature's place in the reversed list
+        if "feature" in node:
+            node["feature"] = last - node["feature"]
+            mirror(node["left"])
+            mirror(node["right"])
+
+    doc["feature_names"].reverse()
+    for tree in doc["trees"]:
+        mirror(tree)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: feature schema mismatch")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage", ["evaluate", "plot"])
+def test_unlabeled_test_split_is_refused(full_run, tmp_path, capsys, stage):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / "enriched_test.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    rows[0][header.index("label")] = ""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: test split is unlabeled")
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written  # nothing rewritten
+
+
 def test_plot_names_a_tis_report_whose_value_is_out_of_range(full_run, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(full_run, out)

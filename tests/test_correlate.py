@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import pearson, window_correlations
 from timetrail.correlate import _window_correlations, correlation_matrix, dynamic_correlation
 from timetrail.data import Dataset, Transaction
-from timetrail.enrich import EnrichedTable, enrich
+from timetrail.enrich import ATTRIBUTE_NAMES, EnrichedTable, enrich
 
 
 def oracle_pearson(x, y):
@@ -215,7 +215,7 @@ def test_dynamic_correlation_matches_per_window_oracle():
 
 def test_dynamic_correlation_covers_range():
     rows = _enriched_fixture()
-    series = dynamic_correlation(rows, ("hour_of_day", "amount"), 86400)
+    series = dynamic_correlation(rows, ("hour_of_day", "amount"), 86400, 86400)
     ts = rows.timestamp.tolist()
     assert series.points[0][0] == min(ts)
     assert series.points[-1][0] <= max(ts)
@@ -225,18 +225,18 @@ def test_dynamic_correlation_covers_range():
 def test_dynamic_correlation_validates_arguments():
     rows = _enriched_fixture(20)
     with pytest.raises(ValueError):
-        dynamic_correlation(rows, ("hour_of_day", "amount"), 0)
+        dynamic_correlation(rows, ("hour_of_day", "amount"), 0, 0)
     with pytest.raises(ValueError):
         dynamic_correlation(rows, ("hour_of_day", "amount"), 100, 200)
     with pytest.raises(ValueError):
-        dynamic_correlation(rows, ("no_such", "amount"), 100)
+        dynamic_correlation(rows, ("no_such", "amount"), 100, 100)
     with pytest.raises(ValueError):
-        dynamic_correlation(rows[::-1], ("hour_of_day", "amount"), 100)
+        dynamic_correlation(rows[::-1], ("hour_of_day", "amount"), 100, 100)
 
 
 def test_dynamic_correlation_empty_rows():
     rows = _enriched_fixture(20)[:0]
-    assert dynamic_correlation(rows, ("hour_of_day", "amount"), 100).points == ()
+    assert dynamic_correlation(rows, ("hour_of_day", "amount"), 100, 100).points == ()
 
 
 # --- correlation matrix ---------------------------------------------------------
@@ -249,7 +249,7 @@ def _cell(m, a, b):
 
 def test_matrix_symmetric_with_unit_diagonal():
     rows = _enriched_fixture()
-    m = correlation_matrix(rows)
+    m = correlation_matrix(rows, ATTRIBUTE_NAMES)
     k = len(m["attributes"])
     for i in range(k):
         for j in range(k):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from oracles import attribute_prediction
 from timetrail.enrich import ATTRIBUTE_NAMES
 from timetrail.explain import (
-    TEMPORAL_FEATURES,
     TISReport,
     aggregate_tis,
     attribution_matrix,
@@ -23,7 +22,6 @@ from timetrail.explain import (
     explanation_sequence,
     sequence_to_json,
     tis,
-    tis_report_from_json,
 )
 from timetrail.features import FeatureTable
 from timetrail.model import (
@@ -39,17 +37,21 @@ from timetrail.model import (
 )
 
 
-def fitted(n_trees, seed=0, n=150, names=("amount", "velocity", "gap")):
+# amount is not temporal; the other two are two of the nine attributes
+NAMES = ("amount", "user_tx_count_24h", "seconds_since_last_user_tx")
+
+
+def table_of(names, X, labels=None):
+    ids = tuple(f"tx{i:04d}" for i in range(X.shape[0]))
+    return FeatureTable(feature_names=tuple(names), rows=X, tx_ids=ids, labels=labels)
+
+
+def fitted(n_trees, seed=0, n=150, names=NAMES):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, len(names)))
     y = (X[:, -1] + 0.5 * X[:, 0] + 0.3 * rng.normal(size=n) > 0).astype(np.int64)
     y[:2] = [0, 1]
-    table = FeatureTable(
-        feature_names=tuple(names),
-        rows=X,
-        labels=y,
-        tx_ids=tuple(f"tx{i:04d}" for i in range(n)),
-    )
+    table = table_of(names, X, y)
     model = train_gbt(table, GBTConfig(n_trees=n_trees, max_depth=3))
     return model, table
 
@@ -197,7 +199,7 @@ def _lopsided_tree():
 @pytest.fixture(scope="module")
 def walk_cases():
     """(models, tables) by name: every model is scored on every table."""
-    names = ("amount", "velocity", "gap")
+    names = NAMES
     trained, table = fitted(40, seed=21)
     models = {
         "trained": trained,
@@ -214,8 +216,8 @@ def walk_cases():
     X[3:6] = [-1.5, -0.5, 0.5]
     tables = {
         "train_rows": table,
-        "odd_rows": FeatureTable(feature_names=names, rows=X),
-        "no_rows": FeatureTable(feature_names=names, rows=np.zeros((0, 3))),
+        "odd_rows": table_of(names, X),
+        "no_rows": table_of(names, np.zeros((0, 3))),
     }
     return models, tables
 
@@ -236,18 +238,19 @@ def test_tree_walks_equal_the_level_walk_bit_for_bit(walk_cases, model_name, tab
 def _in_layout(names, X, layout):
     """A FeatureTable of X (in the order of names) whose rows are laid out as
     layout says."""
-    if layout == "reordered":  # columns in another order than the model's
-        order = [2, 0, 1]
-        return FeatureTable(feature_names=tuple(names[i] for i in order), rows=X[:, order])
+    if layout == "column_major":
+        table = table_of(names, np.asfortranarray(X))
+        assert table.rows.flags.f_contiguous and not table.rows.flags.c_contiguous
+        return table
     padded = np.full((2 * X.shape[0], X.shape[1] + 2), 7.0)
     padded[::2, 1:-1] = X
-    table = FeatureTable(feature_names=tuple(names), rows=padded[::2, 1:-1])
+    table = table_of(names, padded[::2, 1:-1])
     assert not table.rows.flags.c_contiguous and not table.rows.flags.f_contiguous
     return table
 
 
 @pytest.mark.parametrize("model_name", ["trained", "depth4", "lopsided"])
-@pytest.mark.parametrize("layout", ["reordered", "strided"])
+@pytest.mark.parametrize("layout", ["column_major", "strided"])
 def test_walks_of_any_table_layout_equal_the_level_walk_bit_for_bit(walk_cases, model_name, layout):
     model, X = walk_cases[0][model_name], walk_cases[1]["odd_rows"].rows
     table = _in_layout(model.feature_names, X, layout)
@@ -259,12 +262,12 @@ def test_walks_of_any_table_layout_equal_the_level_walk_bit_for_bit(walk_cases, 
     contrib, _ = attribution_matrix(model, table)
     assert contrib.flags.c_contiguous
     assert np.array_equal(contrib.view(np.int64), want.view(np.int64))
-    # aggregate_tis's row sums over the returned matrix keep the reference's bits
-    temporal = ("velocity", "gap")  # the model's features 1 and 2
+    # aggregate_tis's row sums over the returned matrix keep the reference's
+    # bits; the model's features 1 and 2 are the temporal ones
     mass = np.abs(want)
     total = mass.sum(axis=1)
     scores = np.where(total > 0.0, np.minimum(1.0, mass[:, 1:].sum(axis=1) / np.maximum(total, 1e-300)), 0.0)
-    got = [s for _, s in aggregate_tis(model, table, temporal).per_tx]
+    got = [s for _, s in aggregate_tis(model, table).per_tx]
     assert np.array_equal(np.array(got).view(np.int64), scores.view(np.int64))
 
 
@@ -388,7 +391,7 @@ def test_row_index_bounds():
 
 def test_logistic_model_is_rejected():
     logit = LogisticModel(feature_names=("a",), weights=np.zeros(1), bias=0.0)
-    table = FeatureTable(feature_names=("a",), rows=np.zeros((2, 1)))
+    table = table_of(("a",), np.zeros((2, 1)))
     with pytest.raises(ValueError, match="requires the boosted ensemble"):
         explanation_sequence(logit, table, 0)
     with pytest.raises(ValueError, match="requires the boosted ensemble"):
@@ -400,11 +403,11 @@ def test_logistic_model_is_rejected():
 
 
 def test_tis_extremes_and_halves():
-    assert tis({"velocity": 2.0}, ("velocity",)) == 1.0
-    assert tis({"amount": -3.0}, ("velocity",)) == 0.0
-    assert tis({"amount": 1.0, "velocity": -1.0}, ("velocity",)) == 0.5
-    assert tis({}, ("velocity",)) == 0.0
-    assert tis({"amount": 0.0, "velocity": 0.0}, ("velocity",)) == 0.0
+    assert tis({"is_night": 2.0}) == 1.0
+    assert tis({"amount": -3.0}) == 0.0
+    assert tis({"amount": 1.0, "is_night": -1.0}) == 0.5
+    assert tis({}) == 0.0
+    assert tis({"amount": 0.0, "is_night": 0.0}) == 0.0
 
 
 @settings(max_examples=100)
@@ -415,12 +418,13 @@ def test_tis_extremes_and_halves():
     split=st.integers(0, 8),
 )
 def test_tis_partition_is_additive(values, split):
-    names = [f"f{i}" for i in range(len(values))]
-    mapping = dict(zip(names, values))
-    cut = min(split, len(names))
-    left, right = names[:cut], names[cut:]
-    s_left = tis(mapping, left)
-    s_right = tis(mapping, right)
+    # the first cut values on temporal attributes and the rest on other
+    # features, then the other way round: the two shares partition the mass
+    temporal = list(ATTRIBUTE_NAMES[: len(values)])
+    other = [f"f{i}" for i in range(len(values))]
+    cut = min(split, len(values))
+    s_left = tis(dict(zip(temporal[:cut] + other[cut:], values)))
+    s_right = tis(dict(zip(other[:cut] + temporal[cut:], values)))
     assert 0.0 <= s_left <= 1.0
     if any(v != 0.0 for v in values):
         assert s_left + s_right == pytest.approx(1.0, abs=1e-12)
@@ -428,9 +432,12 @@ def test_tis_partition_is_additive(values, split):
         assert s_left == s_right == 0.0
 
 
-def test_default_temporal_set_is_the_nine_attributes():
-    assert TEMPORAL_FEATURES == ATTRIBUTE_NAMES
-    assert len(TEMPORAL_FEATURES) == 9
+def test_temporal_set_is_the_nine_attributes():
+    assert len(ATTRIBUTE_NAMES) == 9
+    assert tis({name: 1.0 for name in ATTRIBUTE_NAMES}) == 1.0
+    assert tis({"amount": 1.0, "tx_type_transfer": 1.0}) == 0.0
+    doc = json.loads(TISReport(0.5, (), (), None).to_json())
+    assert doc["temporal_feature_set"] == list(ATTRIBUTE_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +446,7 @@ def test_default_temporal_set_is_the_nine_attributes():
 
 def test_aggregate_tis_means_flagged_rows():
     model, table = fitted(40, seed=8)
-    report = aggregate_tis(model, table, temporal_feature_set=("velocity", "gap"), threshold=0.5)
+    report = aggregate_tis(model, table, threshold=0.5)
     assert len(report.per_tx) == len(table)
     assert all(0.0 <= v <= 1.0 for _, v in report.per_tx)
     probs = predict_proba(model, table)
@@ -464,9 +471,9 @@ def test_aggregate_threshold_validation():
         aggregate_tis(model, table, threshold=0.0)
 
 
-def test_temporal_names_missing_from_model_carry_no_mass():
-    model, table = fitted(20, seed=10)
-    report = aggregate_tis(model, table, temporal_feature_set=("not_a_feature",))
+def test_a_model_without_temporal_features_has_no_temporal_mass():
+    model, table = fitted(20, seed=10, names=("amount", "tx_type_transfer", "f2"))
+    report = aggregate_tis(model, table)
     assert all(v == 0.0 for _, v in report.per_tx)
 
 
@@ -476,7 +483,7 @@ def test_temporal_names_missing_from_model_carry_no_mass():
 
 def test_sequence_json_fields():
     model, table = fitted(12, seed=11)
-    seq = explanation_sequence(model, table, 2, temporal_feature_set=("velocity", "gap"))
+    seq = explanation_sequence(model, table, 2)
     doc = json.loads(sequence_to_json(seq))
     assert doc["tx_id"] == seq["tx_id"]
     assert doc["margin"] == pytest.approx(seq["margin"])
@@ -486,7 +493,7 @@ def test_sequence_json_fields():
     assert set(first) == {"tree", "feature", "threshold", "branch", "delta"}
     rollup = doc["feature_contributions"]
     assert sum(rollup.values()) + doc["bias"] == pytest.approx(seq["margin"], abs=1e-9)
-    assert doc["tis"] == pytest.approx(tis(rollup, ("velocity", "gap")))
+    assert doc["tis"] == pytest.approx(tis(rollup))
 
 
 def test_sequence_rollup_matches_attribution():
@@ -501,25 +508,22 @@ def test_sequence_rollup_matches_attribution():
             assert c == 0.0
 
 
-def test_tis_report_json_round_trip():
+def test_tis_report_json_holds_every_field():
     model, table = fitted(20, seed=13)
-    report = aggregate_tis(model, table, temporal_feature_set=("gap",))
-    back = tis_report_from_json(report.to_json())
-    assert back == report
+    report = aggregate_tis(model, table)
+    doc = json.loads(report.to_json())
+    assert doc["temporal_feature_set"] == list(ATTRIBUTE_NAMES)
+    assert doc["threshold"] == report.threshold
+    assert [(p["tx_id"], p["tis"]) for p in doc["per_tx"]] == list(report.per_tx)
+    assert doc["flagged_tx_ids"] == list(report.flagged_tx_ids)
+    assert doc["aggregate"] == report.aggregate
 
 
-def test_tis_report_round_trip_with_no_flags():
-    report_doc = {
-        "temporal_feature_set": ["gap"],
-        "threshold": 0.5,
-        "per_tx": [{"tx_id": "a", "tis": 0.25}],
-        "flagged_tx_ids": [],
-        "aggregate": None,
-    }
-    back = tis_report_from_json(json.dumps(report_doc))
-    assert back.aggregate is None
-    assert back.per_tx == (("a", 0.25),)
-    assert json.loads(back.to_json())["aggregate"] is None
+def test_tis_report_json_with_no_flags():
+    doc = json.loads(TISReport(0.5, (("a", 0.25),), (), None).to_json())
+    assert doc["aggregate"] is None
+    assert doc["flagged_tx_ids"] == []
+    assert doc["per_tx"] == [{"tx_id": "a", "tis": 0.25}]
 
 
 def test_step_deltas_scale_with_learning_rate():
@@ -538,7 +542,7 @@ def test_step_deltas_scale_with_learning_rate():
 
 def reference_tis_report_json(report):
     doc = {
-        "temporal_feature_set": list(report.temporal_feature_set),
+        "temporal_feature_set": list(ATTRIBUTE_NAMES),
         "threshold": report.threshold,
         "per_tx": [{"tx_id": t, "tis": v} for t, v in report.per_tx],
         "flagged_tx_ids": list(report.flagged_tx_ids),
@@ -551,7 +555,7 @@ ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623
 ODD_NAMES = ('quote"d', "back\\slash", "caf\u00e9 \u6f22 \U0001f600", "tab\tnew\nline", "50%", "")
 
 
-def sequence_document(tx_id, bias, steps, margin, probability, temporal_feature_set=TEMPORAL_FEATURES):
+def sequence_document(tx_id, bias, steps, margin, probability):
     """An explanation document over literal steps, rolled up as
     explanation_sequence rolls them up."""
     totals = {}
@@ -563,7 +567,7 @@ def sequence_document(tx_id, bias, steps, margin, probability, temporal_feature_
         "feature_contributions": {k: totals[k] for k in sorted(totals)},
         "margin": margin,
         "probability": probability,
-        "tis": tis(totals, temporal_feature_set),
+        "tis": tis(totals),
         "steps": steps,
     }
 
@@ -580,7 +584,7 @@ def test_sequence_json_equals_json_dumps_on_odd_values():
         for i in range(2 * len(ODD_FLOATS))
     ]
     for tx_id in ODD_NAMES:
-        seq = sequence_document(tx_id, -0.0, steps, math.nan, 5e-324, ODD_NAMES[:3])
+        seq = sequence_document(tx_id, -0.0, steps, math.nan, 5e-324)
         assert sequence_to_json(seq) == json.dumps(seq, indent=2, sort_keys=True)
 
 
@@ -592,7 +596,7 @@ def test_sequence_json_equals_json_dumps_without_steps():
 def test_sequence_json_equals_json_dumps_on_trained_paths():
     model, table = fitted(30, seed=15)
     for i in (0, 9, 77):
-        seq = explanation_sequence(model, table, i, ("gap",))
+        seq = explanation_sequence(model, table, i)
         assert sequence_to_json(seq) == json.dumps(seq, indent=2, sort_keys=True)
 
 
@@ -603,27 +607,24 @@ def test_sequence_json_equals_json_dumps_on_trained_paths():
     ),
     st.text(),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.lists(st.text(), max_size=5),
 )
 @settings(max_examples=200)
-def test_sequence_json_equals_json_dumps(path, tx_id, value, names):
+def test_sequence_json_equals_json_dumps(path, tx_id, value):
     steps = [
         {"tree": i, "feature": name, "threshold": value, "branch": branch, "delta": delta}
         for i, (name, delta, branch) in enumerate(path)
     ]
-    seq = sequence_document(tx_id, value, steps, value, value, names)
+    seq = sequence_document(tx_id, value, steps, value, value)
     assert sequence_to_json(seq) == json.dumps(seq, indent=2, sort_keys=True)
 
 
 @given(
     st.lists(st.tuples(st.text(), st.floats(allow_nan=True, allow_infinity=True)), max_size=20),
     st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
-    st.lists(st.text(), max_size=5),
 )
 @settings(max_examples=200)
-def test_tis_report_json_equals_json_dumps(per_tx, aggregate, names):
+def test_tis_report_json_equals_json_dumps(per_tx, aggregate):
     report = TISReport(
-        temporal_feature_set=tuple(names),
         threshold=0.5,
         per_tx=tuple(per_tx),
         flagged_tx_ids=tuple(t for t, _ in per_tx[:3]),
@@ -635,5 +636,5 @@ def test_tis_report_json_equals_json_dumps(per_tx, aggregate, names):
 def test_tis_report_json_equals_json_dumps_on_odd_values():
     per_tx = tuple((name, v) for name in ODD_NAMES for v in ODD_FLOATS)
     for rows in (per_tx, ()):
-        report = TISReport(ODD_NAMES, 0.5, rows, ODD_NAMES[:2], -math.inf)
+        report = TISReport(0.5, rows, ODD_NAMES[:2], -math.inf)
         assert report.to_json() == reference_tis_report_json(report)

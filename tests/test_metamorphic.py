@@ -1,9 +1,11 @@
 """Metamorphic relations over a whole run.
 
 Each test feeds a transformed copy of a base run's dataset.csv back in
-through input_csv and compares the two runs file by file. No reference
+through input_csv and compares the two runs file by file, or row by row,
+matched by tx_id, where the transformation moves the split. No reference
 implementation is needed: the transformation must leave the outputs as
-the relation says.
+the relation says. One more relation holds within the base run: explain
+and evaluate give each row the same TIS.
 """
 
 import csv
@@ -12,7 +14,8 @@ import random
 
 import pytest
 
-from timetrail.pipeline import config_from_dict, run_all
+from timetrail.enrich import ATTRIBUTE_NAMES
+from timetrail.pipeline import config_from_dict, run_all, run_stage
 
 PARTS = ("train", "val", "test")
 # The CSVs whose rows carry user and terminal ids, and a timestamp.
@@ -140,3 +143,70 @@ def test_shifting_every_timestamp_by_whole_weeks_moves_only_the_times(base_run, 
     base, moved = (json.loads((d / "heatmap_all.json").read_text(encoding="utf-8")) for d in (out, run))
     assert moved["values"] == base["values"]
     assert moved["window"] == {k: v + shift for k, v in base["window"].items()}
+
+
+def test_every_sequence_tis_is_its_tis_report_value(base_run):
+    # explain sums one row's contributions in a loop, evaluate sums the
+    # attribution matrix with numpy: the two may differ in the last bits only
+    out, digests = base_run
+    report = json.loads((out / "tis_report.json").read_text(encoding="utf-8"))
+    per_tx = {p["tx_id"]: p["tis"] for p in report["per_tx"]}
+    names = [n for n in digests if n.startswith("sequence_") and n.endswith(".json")]
+    assert names
+    for name in names:
+        seq = json.loads((out / name).read_text(encoding="utf-8"))
+        assert abs(seq["tis"] - per_tx[seq["tx_id"]]) <= 1e-12, name
+
+
+def _attributes(run):
+    """tx_id -> the nine attribute cells of the row, over every enriched file."""
+    cells = {}
+    for part in PARTS:
+        header, rows = _read(run / f"enriched_{part}.csv")
+        tx, at = header.index("tx_id"), [header.index(a) for a in ATTRIBUTE_NAMES]
+        for r in rows:
+            cells[r[tx]] = [r[i] for i in at]
+    return cells
+
+
+def _enriched_from(source, out):
+    """The attributes a run through enrich gives the rows of source."""
+    cfg = _config(out, source)
+    for stage in ("generate", "preprocess", "enrich"):
+        run_stage(cfg, stage)
+    return _attributes(out)
+
+
+@pytest.mark.parametrize("share", [0.5, 0.8])
+def test_rows_up_to_a_time_keep_their_attributes_without_the_later_rows(base_run, tmp_path, share):
+    out, _ = base_run
+    header, rows = _read(out / "dataset.csv")
+    tx, t = header.index("tx_id"), header.index("timestamp")
+    # every row of the cut's own second stays: a window (t - w, t] counts
+    # same-second peers
+    cut = sorted(int(r[t]) for r in rows)[int(share * len(rows))]
+    kept = [r for r in rows if int(r[t]) <= cut]
+    source = tmp_path / "truncated.csv"
+    _write(source, header, kept)
+    got, base = _enriched_from(source, tmp_path / "out"), _attributes(out)
+    assert got.keys() == base.keys() & {r[tx] for r in kept}
+    assert len(got) < len(base)
+    assert {k: base[k] for k in got} == got
+
+
+def test_dropping_users_leaves_the_other_users_attributes(base_run, tmp_path):
+    out, _ = base_run
+    header, rows = _read(out / "dataset.csv")
+    tx, u = header.index("tx_id"), header.index("user_id")
+    dropped = set(random.Random(7).sample(sorted({r[u] for r in rows}), 30))
+    kept = [r for r in rows if r[u] not in dropped]
+    source = tmp_path / "fewer_users.csv"
+    _write(source, header, kept)
+    got, base = _enriched_from(source, tmp_path / "out"), _attributes(out)
+    assert got.keys() == base.keys() & {r[tx] for r in kept}
+    # a terminal's count takes every user's rows, so it is exempt, and it
+    # shows that the dropped rows were seen
+    terminal = ATTRIBUTE_NAMES.index("terminal_tx_count_48h")
+    assert any(got[k][terminal] != base[k][terminal] for k in got)
+    for k, cells in got.items():
+        assert cells[:terminal] + cells[terminal + 1 :] == base[k][:terminal] + base[k][terminal + 1 :], k

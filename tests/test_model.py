@@ -324,7 +324,7 @@ def test_a_column_of_more_than_65535_values_uses_wider_ranks(monkeypatch):
 
 def test_a_table_without_features_grows_leaves_only():
     y = np.array([0, 1, 1, 0, 0, 0], dtype=np.int64)
-    table = FeatureTable(feature_names=(), rows=np.empty((6, 0)), labels=y)
+    table = make_table(np.empty((6, 0)), y=y)
     model = train_gbt(table, GBTConfig(n_trees=3))
     assert all(tree.depth == 0 for tree in model.trees)
     assert np.allclose(predict_proba(model, table), 2.0 / 6.0, atol=0.05)
@@ -385,7 +385,7 @@ def test_gbt_determinism():
 
 def test_logistic_without_features_learns_prior_log_odds():
     y = np.array([0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int64)
-    table = FeatureTable(feature_names=(), rows=np.empty((8, 0)), labels=y)
+    table = make_table(np.empty((8, 0)), y=y)
     model = train_logistic(table, LogisticConfig(l2=0.0))
     assert model.weights.shape == (0,)
     assert model.bias == pytest.approx(math.log(5.0 / 3.0), abs=1e-5)
@@ -440,19 +440,16 @@ def test_l2_shrinks_weights():
 # schema alignment and validation
 
 
-def test_permuted_schema_predicts_identically():
+def test_permuted_schema_is_rejected():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(50, 3))
     y = rng.integers(0, 2, size=50).astype(np.int64)
     y[:2] = [0, 1]
     table = make_table(X, y=y, names=("a", "b", "c"))
-    model = train_gbt(table, GBTConfig(n_trees=5))
-    shuffled = FeatureTable(
-        feature_names=("c", "a", "b"),
-        rows=X[:, [2, 0, 1]],
-        labels=y,
-    )
-    assert np.array_equal(predict_proba(model, table), predict_proba(model, shuffled))
+    shuffled = make_table(X[:, [2, 0, 1]], y=y, names=("c", "a", "b"))
+    for model in (train_gbt(table, GBTConfig(n_trees=5)), train_logistic(table, LogisticConfig())):
+        with pytest.raises(ValueError, match="feature schema mismatch"):
+            predict_proba(model, shuffled)
 
 
 def test_schema_mismatch_is_rejected():

@@ -9,8 +9,10 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from timetrail.explain import TISReport, sequence_to_json
+from timetrail.explain import sequence_to_json
 from timetrail.plots import (
     HistogramSpec,
     diverging_color,
@@ -121,15 +123,13 @@ def test_heatmap_svg_is_deterministic(matrix):
 
 
 def test_series_zero_fills_interior_windows():
-    rows = [(0, 1), (50, 0), (250, 1)]
-    spec = flagged_frequency_series(rows, window_seconds=100)
-    assert [p for p in spec.points] == [(0, 1), (100, 0), (200, 1)]
-    assert spec.overlay is None
+    spec = flagged_frequency_series([0, 50, 250], [1, 0, 1], [0, 0, 0], window_seconds=100)
+    assert spec.points == ((0, 1), (100, 0), (200, 1))
+    assert spec.overlay == ((0, 0), (100, 0), (200, 0))
 
 
 def test_series_overlay_counts_fraud():
-    rows = [(0, 1), (10, 0), (110, 0)]
-    spec = flagged_frequency_series(rows, 100, labels=[0, 1, 1])
+    spec = flagged_frequency_series([0, 10, 110], [1, 0, 0], [0, 1, 1], 100)
     assert spec.points == ((0, 1), (100, 0))
     assert spec.overlay == ((0, 1), (100, 1))
     csv_text = series_to_csv(spec)
@@ -139,30 +139,57 @@ def test_series_overlay_counts_fraud():
     assert lines[2] == "100,0,1"
 
 
-def test_series_csv_without_overlay():
-    spec = flagged_frequency_series([(5, 1)], 60)
-    assert series_to_csv(spec) == "window_start,flagged_count\n5,1\n"
+def test_series_csv_writes_a_window_without_fraud_as_zero():
+    spec = flagged_frequency_series([5], [1], [0], 60)
+    assert series_to_csv(spec) == "window_start,flagged_count,fraud_count\n5,1,0\n"
 
 
 def test_series_validation():
     with pytest.raises(ValueError, match="window_seconds"):
-        flagged_frequency_series([(0, 1)], 0)
-    with pytest.raises(ValueError, match="labels length"):
-        flagged_frequency_series([(0, 1)], 10, labels=[1, 0])
+        flagged_frequency_series([0], [1], [0], 0)
+    with pytest.raises(ValueError, match="one entry per row"):
+        flagged_frequency_series([0], [1], [1, 0], 10)
 
 
 def test_series_empty_input():
-    spec = flagged_frequency_series([], 60)
-    assert spec.points == ()
+    spec = flagged_frequency_series([], [], [], 60)
+    assert spec.points == spec.overlay == ()
     svg = series_to_svg(spec)
     svg_ok(svg)
     assert "no data" in svg
 
 
+def reference_series(timestamps, flags, labels, window_seconds):
+    """(points, overlay) counted row by row."""
+    t_min = min(timestamps)
+    n = (max(timestamps) - t_min) // window_seconds + 1
+    counts, fraud = [0] * n, [0] * n
+    for t, flag, label in zip(timestamps, flags, labels):
+        k = (t - t_min) // window_seconds
+        counts[k] += flag
+        fraud[k] += label
+    starts = [t_min + k * window_seconds for k in range(n)]
+    return tuple(zip(starts, counts)), tuple(zip(starts, fraud))
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(st.integers(1_600_000_000, 1_600_100_000), st.integers(0, 1), st.integers(0, 1)),
+        min_size=1,
+        max_size=60,
+    ),
+    st.integers(60, 200_000),
+)
+def test_series_equals_a_row_by_row_count(rows, window_seconds):
+    ts, flags, labels = (list(column) for column in zip(*rows))
+    spec = flagged_frequency_series(ts, flags, labels, window_seconds)
+    assert (spec.points, spec.overlay) == reference_series(ts, flags, labels, window_seconds)
+
+
 def test_series_svg_marks_fraud_windows():
-    rows = [(i * 60, 1) for i in range(10)]
     labels = [1 if i == 3 else 0 for i in range(10)]
-    svg = series_to_svg(flagged_frequency_series(rows, 60, labels=labels))
+    svg = series_to_svg(flagged_frequency_series([i * 60 for i in range(10)], [1] * 10, labels, 60))
     svg_ok(svg)
     assert svg.count("<circle") == 1
     assert "<polyline" in svg
@@ -170,7 +197,7 @@ def test_series_svg_marks_fraud_windows():
 
 
 def test_series_svg_is_deterministic():
-    spec = flagged_frequency_series([(i * 7, i % 2) for i in range(50)], 35)
+    spec = flagged_frequency_series([i * 7 for i in range(50)], [i % 2 for i in range(50)], [0] * 50, 35)
     assert series_to_svg(spec) == series_to_svg(spec)
 
 
@@ -239,18 +266,8 @@ def test_sequence_renders_the_same_from_its_file(tmp_path):
 # TIS histogram
 
 
-def report_of(values):
-    return TISReport(
-        temporal_feature_set=("x",),
-        threshold=0.5,
-        per_tx=tuple((f"t{i}", v) for i, v in enumerate(values)),
-        flagged_tx_ids=(),
-        aggregate=None,
-    )
-
-
 def test_histogram_counts_partition():
-    spec = tis_histogram(report_of([0.0, 0.05, 0.5, 0.95, 1.0]), bins=10)
+    spec = tis_histogram([0.0, 0.05, 0.5, 0.95, 1.0])
     assert len(spec.edges) == 11
     assert sum(spec.counts) == 5
     assert spec.counts[0] == 2  # 0.0 and 0.05
@@ -258,26 +275,26 @@ def test_histogram_counts_partition():
     assert spec.counts[9] == 2  # 0.95 plus 1.0 in the closed last bin
 
 
-def test_histogram_single_bin():
-    spec = tis_histogram(report_of([0.2, 0.9]), bins=1)
-    assert spec.counts == (2,)
-    assert spec.edges == (0.0, 1.0)
+def test_histogram_has_ten_uniform_bins():
+    spec = tis_histogram([])
+    assert spec.counts == (0,) * 10
+    assert spec.edges == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError, match="bins"):
-        tis_histogram(report_of([0.5]), bins=0)
-    with pytest.raises(ValueError, match="outside"):
-        tis_histogram(report_of([1.5]))
+    for v in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            tis_histogram([0.5, v])
 
 
 def test_histogram_csv():
-    spec = tis_histogram(report_of([0.25, 0.25, 0.8]), bins=4)
+    spec = tis_histogram([0.25, 0.25, 0.8])
     text = histogram_to_csv(spec)
     lines = text.strip().splitlines()
     assert lines[0] == "bin_start,bin_end,count"
-    assert len(lines) == 5
-    assert lines[2] == "0.25,0.5,2"
+    assert len(lines) == 11
+    assert lines[3] == "0.2,0.3,2"
+    assert lines[9] == "0.8,0.9,1"
 
 
 def test_histogram_svg():

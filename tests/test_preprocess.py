@@ -171,7 +171,8 @@ def test_split_rejects_bad_fractions():
 
 
 def _table(values, name="x"):
-    return FeatureTable(feature_names=(name,), rows=np.array(values, dtype=float).reshape(-1, 1))
+    ids = tuple(f"t{i}" for i in range(len(values)))
+    return FeatureTable(feature_names=(name,), rows=np.array(values, dtype=float).reshape(-1, 1), tx_ids=ids)
 
 
 def test_scaler_examples():
