@@ -1,9 +1,12 @@
 """Classification metrics with honest undefined handling, and report comparison.
 
-Fraud is the positive class. Any metric whose denominator is zero is None
+Fraud is the positive class. ``evaluate`` counts the confusion cells at one
+threshold and divides them; any metric whose denominator is zero is None
 (serialized as null), never a silent 0. AUC uses the rank statistic with
 average ranks, so tied scores earn half credit, which equals trapezoidal
-integration of the ROC curve.
+integration of the ROC curve. ``compare`` gives two reports side by side as
+plain (metric, baseline, timetrail) rows, for a CSV writer or
+``comparison_to_text``.
 """
 from __future__ import annotations
 
@@ -26,14 +29,6 @@ METRIC_NAMES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
 def _check_binary(values: Sequence[int], what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -41,41 +36,6 @@ def _check_binary(values: Sequence[int], what: str) -> np.ndarray:
     if arr.size and not np.isin(arr, (0, 1)).all():
         raise ValueError(f"{what} must contain only 0 and 1")
     return arr.astype(np.int64)
-
-
-def confusion(labels: Sequence[int], predictions: Sequence[int]) -> ConfusionMatrix:
-    y = _check_binary(labels, "labels")
-    p = _check_binary(predictions, "predictions")
-    if y.size != p.size:
-        raise ValueError(f"labels and predictions lengths differ: {y.size} vs {p.size}")
-    return ConfusionMatrix(
-        tp=int(((y == 1) & (p == 1)).sum()),
-        fp=int(((y == 0) & (p == 1)).sum()),
-        tn=int(((y == 0) & (p == 0)).sum()),
-        fn=int(((y == 1) & (p == 0)).sum()),
-    )
-
-
-def precision_of(cm: ConfusionMatrix) -> float | None:
-    d = cm.tp + cm.fp
-    return cm.tp / d if d else None
-
-
-def recall_of(cm: ConfusionMatrix) -> float | None:
-    d = cm.tp + cm.fn
-    return cm.tp / d if d else None
-
-
-def f1_of(cm: ConfusionMatrix) -> float | None:
-    p, r = precision_of(cm), recall_of(cm)
-    if p is None or r is None or p + r == 0.0:
-        return None
-    return 2.0 * p * r / (p + r)
-
-
-def accuracy_of(cm: ConfusionMatrix) -> float | None:
-    n = cm.tp + cm.fp + cm.tn + cm.fn
-    return (cm.tp + cm.tn) / n if n else None
 
 
 def _check_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
@@ -162,18 +122,25 @@ def evaluate(
     y, s = _check_scores(labels, scores)
     if y.size != len(tx_ids):
         raise ValueError("tx_ids length must match labels")
-    preds = (s >= threshold).astype(np.int64)
-    cm = confusion(y, preds)
+    flagged = s >= threshold
+    tp = int((flagged & (y == 1)).sum())
+    fp = int(flagged.sum()) - tp
+    fn = int(y.sum()) - tp
+    precision = tp / (tp + fp) if tp + fp else None
+    recall = tp / (tp + fn) if tp + fn else None
+    f1 = None
+    if precision is not None and recall is not None and precision + recall > 0.0:
+        f1 = 2.0 * precision * recall / (precision + recall)
     return EvaluationReport(
         model_name=model_name,
         threshold=threshold,
         fingerprint=dataset_fingerprint(tx_ids),
         row_count=int(y.size),
         metrics={
-            "accuracy": accuracy_of(cm),
-            "precision": precision_of(cm),
-            "recall": recall_of(cm),
-            "f1": f1_of(cm),
+            "accuracy": (y.size - fp - fn) / y.size if y.size else None,
+            "precision": precision,
+            "recall": recall,
+            "f1": f1,
             "auc_roc": auc_roc(y, s),
             "average_precision": average_precision(y, s),
             "tis": tis_aggregate,
@@ -217,38 +184,27 @@ def load_report(path: str | Path) -> EvaluationReport:
     return report_from_json(Path(path).read_text(encoding="utf-8"))
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    rows: tuple[tuple[str, float | None, float | None], ...]
-
-    def to_csv(self) -> str:
-        def cell(v: float | None) -> str:
-            return "" if v is None else repr(float(v))
-
-        lines = ["metric,baseline,timetrail"]
-        for name, b, t in self.rows:
-            lines.append(f"{name},{cell(b)},{cell(t)}")
-        return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        def cell(v: float | None) -> str:
-            return "undefined" if v is None else f"{v:.4f}"
-
-        width = max(len(n) for n, _, _ in self.rows)
-        header = f"{'metric'.ljust(width)}  {'baseline':>10}  {'timetrail':>10}"
-        lines = [header, "-" * len(header)]
-        for name, b, t in self.rows:
-            lines.append(f"{name.ljust(width)}  {cell(b):>10}  {cell(t):>10}")
-        return "\n".join(lines) + "\n"
-
-
-def compare(baseline: EvaluationReport, timetrail: EvaluationReport) -> ComparisonTable:
-    """Side-by-side metric table; refuses reports from different test sets."""
+def compare(
+    baseline: EvaluationReport, timetrail: EvaluationReport
+) -> list[tuple[str, float | None, float | None]]:
+    """(metric, baseline, timetrail) rows; refuses reports from different test sets."""
     if baseline.fingerprint != timetrail.fingerprint:
         raise ValueError(
             "cannot compare reports with different dataset fingerprints: "
             f"{baseline.fingerprint[:12]} vs {timetrail.fingerprint[:12]}"
         )
-    return ComparisonTable(
-        tuple((name, baseline.metric(name), timetrail.metric(name)) for name in METRIC_NAMES)
-    )
+    return [(name, baseline.metric(name), timetrail.metric(name)) for name in METRIC_NAMES]
+
+
+def comparison_to_text(rows: list[tuple[str, float | None, float | None]]) -> str:
+    """The comparison rows as an aligned table, four decimals or "undefined"."""
+
+    def cell(v: float | None) -> str:
+        return "undefined" if v is None else f"{v:.4f}"
+
+    width = max(len(n) for n, _, _ in rows)
+    header = f"{'metric'.ljust(width)}  {'baseline':>10}  {'timetrail':>10}"
+    lines = [header, "-" * len(header)]
+    for name, b, t in rows:
+        lines.append(f"{name.ljust(width)}  {cell(b):>10}  {cell(t):>10}")
+    return "\n".join(lines) + "\n"

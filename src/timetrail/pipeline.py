@@ -47,7 +47,7 @@ from .features import (
     raw_feature_table,
     save_scaler,
 )
-from .metrics import compare, evaluate, save_report
+from .metrics import compare, comparison_to_text, evaluate, save_report
 from .model import (
     GBTConfig,
     LogisticConfig,
@@ -61,15 +61,14 @@ from .model import (
     undersample,
 )
 from .plots import (
-    coefficients_to_csv,
+    COEFFICIENT_HEADER,
     flagged_frequency_series,
     heatmap_to_csv,
     heatmap_to_json,
     heatmap_to_svg,
-    histogram_to_csv,
     histogram_to_svg,
     render_sequence,
-    series_to_csv,
+    rows_to_csv,
     series_to_svg,
     tis_histogram,
 )
@@ -330,10 +329,10 @@ def stage_preprocess(cfg: RunConfig) -> list[tuple[str, str]]:
     d = load_transactions(_out(cfg, "dataset.csv"))
     clean, report = cleanse(d, cfg.cleanse)
     save_transactions(clean, _out(cfg, "cleansed.csv"))
-    _write_text(_out(cfg, "cleanse_report.json"), report.to_json())
+    _write_text(_out(cfg, "cleanse_report.json"), json.dumps(report, indent=2, sort_keys=True))
     split = temporal_split(clean, cfg.split.train_frac, cfg.split.val_frac)
     paths = [("cleansed.csv", "preprocess"), ("cleanse_report.json", "preprocess")]
-    for part, part_ds in (("train", split.train), ("val", split.val), ("test", split.test)):
+    for part, part_ds in split.items():
         name = f"split_{part}.csv"
         save_transactions(part_ds, _out(cfg, name))
         paths.append((name, "preprocess"))
@@ -351,7 +350,7 @@ def stage_enrich(cfg: RunConfig) -> list[tuple[str, str]]:
     enriched = enrich(load_transactions(_out(cfg, "cleansed.csv")), cfg.enrich)
     split = temporal_split(enriched, cfg.split.train_frac, cfg.split.val_frac)
     paths = []
-    for part, rows in (("train", split.train), ("val", split.val), ("test", split.test)):
+    for part, rows in split.items():
         name = f"enriched_{part}.csv"
         write_enriched_csv(_out(cfg, name), rows)
         paths.append((name, "enrich"))
@@ -371,7 +370,7 @@ def stage_correlate(cfg: RunConfig) -> list[tuple[str, str]]:
         for b in CORRELATION_SERIES[i + 1 :]
         for start, r in dynamic_correlation(rows, (a, b), window, stride).points
     )
-    _write_text(_out(cfg, "dynamic_corr.csv"), coefficients_to_csv(coefficients))
+    _write_text(_out(cfg, "dynamic_corr.csv"), rows_to_csv(COEFFICIENT_HEADER, coefficients))
     return [
         ("heatmap_all.csv", "correlate"),
         ("heatmap_all.json", "correlate"),
@@ -454,9 +453,9 @@ def stage_evaluate(cfg: RunConfig) -> list[tuple[str, str]]:
     )
     save_report(base_report, _out(cfg, "eval_baseline.json"))
     save_report(tt_report, _out(cfg, "eval_timetrail.json"))
-    table = compare(base_report, tt_report)
-    _write_text(_out(cfg, "comparison.csv"), table.to_csv())
-    _write_text(_out(cfg, "comparison.txt"), table.to_text())
+    comparison = compare(base_report, tt_report)
+    _write_text(_out(cfg, "comparison.csv"), rows_to_csv(("metric", "baseline", "timetrail"), comparison))
+    _write_text(_out(cfg, "comparison.txt"), comparison_to_text(comparison))
     _write_text(_out(cfg, "tis_report.json"), tis_report.to_json())
     return [
         ("eval_baseline.json", "evaluate"),
@@ -521,8 +520,9 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     series = flagged_frequency_series(
         test_rows.timestamp, probs >= cfg.threshold, enr.labels, cfg.correlation.window_seconds
     )
-    _write_text(_out(cfg, "flag_series.csv"), series_to_csv(series))
-    _write_text(_out(cfg, "flag_series.svg"), series_to_svg(series))
+    series_csv = rows_to_csv(("window_start", "flagged_count", "fraud_count"), series)
+    _write_text(_out(cfg, "flag_series.csv"), series_csv)
+    _write_text(_out(cfg, "flag_series.svg"), series_to_svg(series, cfg.correlation.window_seconds))
     paths.append(("flag_series.csv", "plot"))
     paths.append(("flag_series.svg", "plot"))
 
@@ -530,7 +530,7 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
         _out(cfg, "tis_report.json"),
         lambda p: tis_histogram(r["tis"] for r in json.loads(p.read_text(encoding="utf-8"))["per_tx"]),
     )
-    _write_text(_out(cfg, "tis_hist.csv"), histogram_to_csv(hist))
+    _write_text(_out(cfg, "tis_hist.csv"), rows_to_csv(("bin_start", "bin_end", "count"), hist))
     _write_text(_out(cfg, "tis_hist.svg"), histogram_to_svg(hist))
     paths.append(("tis_hist.csv", "plot"))
     paths.append(("tis_hist.svg", "plot"))

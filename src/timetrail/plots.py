@@ -1,19 +1,22 @@
 """Plot-data exporters and deterministic SVG renderings.
 
-Every figure exists first as plain data (CSV or JSON) so downstream tooling
-never has to scrape pixels; the SVG renderings are built from the same data
-with fixed float formatting, so identical inputs yield identical bytes.
-Undefined correlation cells serialize as empty CSV fields / JSON null and
-render as hatched cells. The flagged-frequency series always carries the
-true fraud count of each window, so it needs a labeled split; the TIS
-histogram has ten uniform bins over [0, 1].
+Every figure exists first as plain data, rows of a table or a JSON
+document, so downstream tooling never has to scrape pixels; one writer,
+``rows_to_csv``, makes every CSV, and the SVG renderings are built from the
+same data with fixed float formatting, so identical inputs yield identical
+bytes. Undefined correlation cells serialize as empty CSV fields / JSON null
+and render as hatched cells; a heatmap value that is neither null nor a
+number in [-1, 1], or a non-finite number in an explanation, is refused.
+The flagged-frequency series always carries the true fraud count of each
+window, so it needs a labeled split; the TIS histogram has ten uniform bins
+over [0, 1].
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from dataclasses import dataclass
+import math
 from typing import Iterable
 
 import numpy as np
@@ -55,29 +58,33 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def rows_to_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """A header line, then one line per row. csv writes a float by its repr,
+    so a read gives back its bits, and None as an empty field."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # correlation coefficients and the heatmap
 
-
-def coefficients_to_csv(rows: Iterable[tuple]) -> str:
-    """One line per (attr_a, attr_b, window_start, window_end, coefficient);
-    an undefined coefficient (None) has no value."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["attr_a", "attr_b", "window_start", "window_end", "coefficient"])
-    for a, b, start, end, r in rows:
-        w.writerow([a, b, start, end, "" if r is None else repr(float(r))])
-    return out.getvalue()
+COEFFICIENT_HEADER = ("attr_a", "attr_b", "window_start", "window_end", "coefficient")
 
 
 def heatmap_to_csv(m: dict) -> str:
     """The heatmap document in long form, one row per ordered cell."""
     window = m["window"] or {"start": "", "end": ""}
     attrs = m["attributes"]
-    return coefficients_to_csv(
-        (a, b, window["start"], window["end"], m["values"][i][j])
-        for i, a in enumerate(attrs)
-        for j, b in enumerate(attrs)
+    return rows_to_csv(
+        COEFFICIENT_HEADER,
+        (
+            (a, b, window["start"], window["end"], m["values"][i][j])
+            for i, a in enumerate(attrs)
+            for j, b in enumerate(attrs)
+        ),
     )
 
 
@@ -110,6 +117,9 @@ def heatmap_to_svg(m: dict) -> str:
         )
         for j in range(k):
             v = values[i][j]
+            if v is not None and (type(v) not in (int, float) or not -1.0 <= v <= 1.0):
+                cell_name = f"{attrs[i]} / {attrs[j]}"
+                raise ValueError(f"heatmap value of {cell_name} is {v!r}, not a number in [-1, 1]")
             x = left + j * cell
             y0 = top + i * cell
             fill_attr = "url(#undef)" if v is None else diverging_color(v)
@@ -133,18 +143,11 @@ def heatmap_to_svg(m: dict) -> str:
 # flagged-transaction frequency series
 
 
-@dataclass(frozen=True)
-class TimeSeriesSpec:
-    window_seconds: int
-    points: tuple[tuple[int, int], ...]  # (window_start, flagged_count)
-    overlay: tuple[tuple[int, int], ...]  # (window_start, true_fraud_count)
-
-
 def flagged_frequency_series(
     timestamps: np.ndarray, flags: np.ndarray, labels: np.ndarray, window_seconds: int
-) -> TimeSeriesSpec:
-    """Count flagged rows (flag 1) and true fraud (label 1) per tumbling
-    window over the rows' full time range.
+) -> list[tuple[int, int, int]]:
+    """(window_start, flagged_count, fraud_count) per tumbling window over the
+    rows' full time range: flagged rows have flag 1, true fraud label 1.
 
     Interior windows with no flags still appear, so a flagless period is an
     all-zero series rather than a gap.
@@ -155,7 +158,7 @@ def flagged_frequency_series(
     if not ts.size == flags.size == labels.size:
         raise ValueError("timestamps, flags and labels must have one entry per row")
     if not ts.size:
-        return TimeSeriesSpec(window_seconds, (), ())
+        return []
     t_min = int(ts.min())
     window = (ts - t_min) // window_seconds
     n_windows = int(window.max()) + 1
@@ -163,23 +166,14 @@ def flagged_frequency_series(
     counts, fraud = (
         np.bincount(window[v == 1], minlength=n_windows).tolist() for v in (flags, labels)
     )
-    return TimeSeriesSpec(window_seconds, tuple(zip(starts, counts)), tuple(zip(starts, fraud)))
+    return list(zip(starts, counts, fraud))
 
 
-def series_to_csv(spec: TimeSeriesSpec) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["window_start", "flagged_count", "fraud_count"])
-    for (t, c), (_, f) in zip(spec.points, spec.overlay):
-        w.writerow([t, c, f])
-    return out.getvalue()
-
-
-def series_to_svg(spec: TimeSeriesSpec) -> str:
+def series_to_svg(rows: list[tuple[int, int, int]], window_seconds: int) -> str:
     """Flagged counts as a polyline; windows holding true fraud get red dots."""
     width, height = 640, 220
     pad_l, pad_r, pad_t, pad_b = 48, 12, 14, 26
-    n = len(spec.points)
+    n = len(rows)
     parts = []
     if n == 0:
         parts.append(
@@ -187,7 +181,7 @@ def series_to_svg(spec: TimeSeriesSpec) -> str:
             f'font-family="monospace" font-size="12">no data</text>'
         )
         return _svg(width, height, "".join(parts))
-    max_count = max(max(c for _, c in spec.points), 1)
+    max_count = max(max(c for _, c, _ in rows), 1)
     span_x = width - pad_l - pad_r
     span_y = height - pad_t - pad_b
 
@@ -197,14 +191,14 @@ def series_to_svg(spec: TimeSeriesSpec) -> str:
     def y_of(c: int) -> float:
         return pad_t + span_y * (1.0 - c / max_count)
 
-    coords = " ".join(f"{x_of(i):.2f},{y_of(c):.2f}" for i, (_, c) in enumerate(spec.points))
+    coords = " ".join(f"{x_of(i):.2f},{y_of(c):.2f}" for i, (_, c, _) in enumerate(rows))
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#2166ac" stroke-width="1.5"/>'
     )
-    for i, (_, fc) in enumerate(spec.overlay):
+    for i, (_, c, fc) in enumerate(rows):
         if fc > 0:
             parts.append(
-                f'<circle cx="{x_of(i):.2f}" cy="{y_of(spec.points[i][1]):.2f}" r="3" '
+                f'<circle cx="{x_of(i):.2f}" cy="{y_of(c):.2f}" r="3" '
                 f'fill="#b2182b"><title>{fc} fraud</title></circle>'
             )
     parts.append(
@@ -221,7 +215,7 @@ def series_to_svg(spec: TimeSeriesSpec) -> str:
     )
     parts.append(
         f'<text x="{pad_l}" y="{height - 8}" font-size="10" font-family="monospace">'
-        f"window={spec.window_seconds}s, {n} windows</text>"
+        f"window={window_seconds}s, {n} windows</text>"
     )
     return _svg(width, height, "".join(parts))
 
@@ -232,6 +226,12 @@ def series_to_svg(spec: TimeSeriesSpec) -> str:
 
 def render_sequence(seq: dict) -> str:
     """An explanation document's n splits as n+1 nodes: bias, then one per step."""
+    numbers = [(key, seq[key]) for key in ("bias", "margin", "probability")]
+    for k, s in enumerate(seq["steps"]):
+        numbers += [(f"step {k} {key}", s[key]) for key in ("threshold", "delta")]
+    for name, v in numbers:
+        if not math.isfinite(v):
+            raise ValueError(f"sequence {name} is {v!r}, not a finite number")
     row_h = 26
     width = 560
     n = len(seq["steps"])
@@ -268,46 +268,31 @@ def render_sequence(seq: dict) -> str:
 # TIS histogram
 
 
-@dataclass(frozen=True)
-class HistogramSpec:
-    edges: tuple[float, ...]  # len(counts) + 1, uniform over [0, 1]
-    counts: tuple[int, ...]
-
-
-def tis_histogram(values: Iterable[float]) -> HistogramSpec:
-    """Ten uniform bins of TIS values over [0, 1]; the last bin is closed so
-    1.0 lands inside."""
+def tis_histogram(values: Iterable[float]) -> list[tuple[float, float, int]]:
+    """(bin_start, bin_end, count) of ten uniform bins of TIS values over
+    [0, 1]; the last bin is closed so 1.0 lands inside."""
     counts = [0] * 10
     for v in values:
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"tis value {v} outside [0, 1]")
         counts[min(int(v * 10), 9)] += 1
-    return HistogramSpec(edges=tuple(i / 10 for i in range(11)), counts=tuple(counts))
+    return [(i / 10, (i + 1) / 10, c) for i, c in enumerate(counts)]
 
 
-def histogram_to_csv(spec: HistogramSpec) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["bin_start", "bin_end", "count"])
-    for i, c in enumerate(spec.counts):
-        w.writerow([repr(spec.edges[i]), repr(spec.edges[i + 1]), c])
-    return out.getvalue()
-
-
-def histogram_to_svg(spec: HistogramSpec) -> str:
+def histogram_to_svg(rows: list[tuple[float, float, int]]) -> str:
     width, height = 420, 200
     pad_l, pad_b, pad_t = 40, 24, 12
-    bins = len(spec.counts)
-    max_c = max(max(spec.counts), 1) if spec.counts else 1
+    bins = len(rows)
+    max_c = max(max(c for _, _, c in rows), 1)
     bar_w = (width - pad_l - 12) / bins
     parts = []
-    for i, c in enumerate(spec.counts):
+    for i, (lo, hi, c) in enumerate(rows):
         h = (height - pad_t - pad_b) * c / max_c
         x = pad_l + i * bar_w
         y = height - pad_b - h
         parts.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w - 2:.2f}" height="{h:.2f}" '
-            f'fill="#2166ac"><title>[{spec.edges[i]:.2f}, {spec.edges[i + 1]:.2f}'
+            f'fill="#2166ac"><title>[{lo:.2f}, {hi:.2f}'
             f"{']' if i == bins - 1 else ')'}: {c}</title></rect>"
         )
     parts.append(

@@ -1,9 +1,13 @@
-"""Dataset cleansing and chronological splitting, on the Dataset's columns."""
+"""Dataset cleansing and chronological splitting, on the Dataset's columns.
+
+Both give plain data: ``cleanse`` returns the kept rows with its report as a
+dict (the cleanse_report.json document), and ``temporal_split`` the parts as
+a dict of train, val and test.
+"""
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,20 +34,6 @@ class CleansePolicy:
             raise ValueError(f"iqr_k must be finite and non-negative, got {self.iqr_k}")
 
 
-@dataclass(frozen=True, slots=True)
-class CleanseReport:
-    rows_in: int
-    rows_out: int
-    duplicates_dropped: int
-    missing_dropped: int
-    outliers_removed: int
-    amount_fence_low: float | None
-    amount_fence_high: float | None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
 def _first_rows(d: Dataset, policy: CleansePolicy) -> np.ndarray:
     """Ascending positions of the first row of each duplicate key; keys
     compare as Python values, so -0.0 == 0.0 and missing == missing."""
@@ -66,10 +56,11 @@ def amount_fences(amounts: Sequence[float], k: float) -> tuple[float, float]:
     return (float(q1 - k * iqr), float(q3 + k * iqr))
 
 
-def cleanse(d: Dataset, policy: CleansePolicy | None = None) -> tuple[Dataset, CleanseReport]:
+def cleanse(d: Dataset, policy: CleansePolicy | None = None) -> tuple[Dataset, dict]:
     """Drop duplicates (first kept), rows with missing mandatory fields, and
     optionally amount outliers beyond the IQR fences. A missing field is ""
-    or, for the amount, NaN.
+    or, for the amount, NaN. The report is the cleanse_report.json document:
+    the row counts and the fences (None when outliers are kept).
 
     Each removed row is counted once, in the first category that catches it;
     rows_in == rows_out + duplicates_dropped + missing_dropped + outliers_removed.
@@ -98,27 +89,21 @@ def cleanse(d: Dataset, policy: CleansePolicy | None = None) -> tuple[Dataset, C
     outliers = len(complete) - len(kept)
 
     out = d[kept]
-    report = CleanseReport(
-        rows_in=len(d),
-        rows_out=len(out),
-        duplicates_dropped=duplicates,
-        missing_dropped=missing,
-        outliers_removed=outliers,
-        amount_fence_low=fence_low,
-        amount_fence_high=fence_high,
-    )
+    report = {
+        "rows_in": len(d),
+        "rows_out": len(out),
+        "duplicates_dropped": duplicates,
+        "missing_dropped": missing,
+        "outliers_removed": outliers,
+        "amount_fence_low": fence_low,
+        "amount_fence_high": fence_high,
+    }
     return out, report
 
 
-@dataclass(frozen=True)
-class Split:
-    train: Dataset
-    val: Dataset
-    test: Dataset
-
-
-def temporal_split(d: Dataset, train_frac: float, val_frac: float) -> Split:
-    """Chronological three-way split at timestamp quantile boundaries.
+def temporal_split(d: Dataset, train_frac: float, val_frac: float) -> dict[str, Dataset]:
+    """Chronological three-way split at timestamp quantile boundaries, as
+    {"train", "val", "test"} in that order.
 
     Rows sharing a boundary timestamp all go to the earlier part, so no
     timestamp straddles a boundary. Errors if any part would be empty.
@@ -144,4 +129,4 @@ def temporal_split(d: Dataset, train_frac: float, val_frac: float) -> Split:
         raise ValueError(
             "dataset too small to populate train, val, and test at these fractions"
         )
-    return Split(train=d[:c1], val=d[c1:c2], test=d[c2:])
+    return {"train": d[:c1], "val": d[c1:c2], "test": d[c2:]}

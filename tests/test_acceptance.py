@@ -20,15 +20,7 @@ from timetrail.correlate import _window_correlations, correlation_matrix
 from timetrail.enrich import EnrichedTable
 from timetrail.explain import attribution_matrix, ensemble_bias
 from timetrail.features import FeatureTable
-from timetrail.metrics import (
-    accuracy_of,
-    auc_roc,
-    average_precision,
-    confusion,
-    f1_of,
-    precision_of,
-    recall_of,
-)
+from timetrail.metrics import auc_roc, average_precision, evaluate
 from timetrail.model import (
     GBTConfig,
     feature_major,
@@ -132,16 +124,18 @@ def test_criterion_02_streaming_pearson_agrees_with_two_pass():
 
 def test_criterion_03_metrics_match_brute_force():
     """Exact confusion ratios on small fixtures; AUC/AP vs naive oracles, 1e-12."""
-    cm = confusion([1, 1, 1, 0], [1, 1, 0, 1])
-    assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 0, 1)
-    assert precision_of(cm) == 2 / 3
-    assert recall_of(cm) == 2 / 3
-    assert f1_of(cm) == 2 / 3
-    assert accuracy_of(cm) == 1 / 2
-    perfect = confusion([0, 1, 0, 1, 1], [0, 1, 0, 1, 1])
-    assert precision_of(perfect) == recall_of(perfect) == f1_of(perfect) == 1.0
-    assert precision_of(confusion([1, 0], [0, 0])) is None
-    assert recall_of(confusion([0, 0], [0, 1])) is None
+
+    def confusion_ratios(labels, predictions):
+        # 0/1 predictions as scores: at threshold 0.5 the flagged rows are the 1s
+        ids = [f"t{i}" for i in range(len(labels))]
+        report = evaluate(labels, predictions, 0.5, ids, "fixture")
+        return [report.metric(m) for m in ("precision", "recall", "f1", "accuracy")]
+
+    # tp 2, fp 1, tn 0, fn 1
+    assert confusion_ratios([1, 1, 1, 0], [1, 1, 0, 1]) == [2 / 3, 2 / 3, 2 / 3, 1 / 2]
+    assert confusion_ratios([0, 1, 0, 1, 1], [0, 1, 0, 1, 1]) == [1.0, 1.0, 1.0, 1.0]
+    assert confusion_ratios([1, 0], [0, 0])[0] is None  # nothing flagged: no precision
+    assert confusion_ratios([0, 0], [0, 1])[1] is None  # no fraud: no recall
 
     def oracle_auc(y, s):
         pos = [v for c, v in zip(y, s) if c == 1]

@@ -507,6 +507,8 @@ def test_input_field_over_the_csv_limit_names_the_file_and_line(tmp_path, capsys
         ("plot", "heatmap_all.json", '{"attributes": []}'),
         ("plot", "tis_report.json", "{}"),
         ("plot", "sequence_*.json", '{"tx_id": "t0"}'),
+        ("plot", "heatmap_all.json", '{"attributes": ["a", "b"], "window": null, "values": [[1.0, NaN], [0.5, 1.0]]}'),
+        ("plot", "sequence_*.json", '{"tx_id": "t0", "bias": 0.0, "margin": Infinity, "probability": 0.5, "steps": []}'),
     ],
 )
 def test_malformed_json_artifact_names_its_path(full_run, tmp_path, capsys, stage, name, text):

@@ -14,24 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timetrail.metrics import (
-    ComparisonTable,
-    ConfusionMatrix,
     METRIC_NAMES,
-    accuracy_of,
     auc_roc,
     average_precision,
     compare,
-    confusion,
+    comparison_to_text,
     dataset_fingerprint,
     evaluate,
-    f1_of,
     load_report,
-    precision_of,
-    recall_of,
     report_from_json,
     report_to_json,
     save_report,
 )
+from timetrail.plots import rows_to_csv
 
 
 def oracle_auc(y, s):
@@ -114,36 +109,43 @@ def loop_ap(y, s):
 # confusion counts and derived ratios
 
 
+def ratios(labels, predictions):
+    """evaluate's confusion ratios, with the predictions as 0/1 scores at 0.5."""
+    report = evaluate(labels, predictions, 0.5, [str(i) for i in range(len(labels))], "m")
+    return {name: report.metric(name) for name in ("accuracy", "precision", "recall", "f1")}
+
+
 def test_confusion_worked_example():
-    cm = confusion([1, 1, 1, 0], [1, 1, 0, 1])
-    assert cm == ConfusionMatrix(tp=2, fp=1, tn=0, fn=1)
-    assert precision_of(cm) == pytest.approx(2 / 3)
-    assert recall_of(cm) == pytest.approx(2 / 3)
-    assert f1_of(cm) == pytest.approx(2 / 3)
-    assert accuracy_of(cm) == pytest.approx(0.5)
+    # tp 2, fp 1, tn 0, fn 1
+    assert ratios([1, 1, 1, 0], [1, 1, 0, 1]) == {
+        "accuracy": 1 / 2,
+        "precision": 2 / 3,
+        "recall": 2 / 3,
+        "f1": 2 / 3,
+    }
 
 
 def test_ratios_undefined_when_denominator_is_zero():
-    nothing_flagged = ConfusionMatrix(tp=0, fp=0, tn=5, fn=2)
-    assert precision_of(nothing_flagged) is None
-    assert f1_of(nothing_flagged) is None
-    no_positives = ConfusionMatrix(tp=0, fp=3, tn=5, fn=0)
-    assert recall_of(no_positives) is None
-    assert f1_of(no_positives) is None
-    empty = ConfusionMatrix(0, 0, 0, 0)
-    assert accuracy_of(empty) is None
+    nothing_flagged = ratios([0] * 5 + [1] * 2, [0] * 7)  # tp 0, fp 0, tn 5, fn 2
+    assert nothing_flagged["precision"] is None
+    assert nothing_flagged["f1"] is None
+    no_positives = ratios([0] * 8, [1] * 3 + [0] * 5)  # tp 0, fp 3, tn 5, fn 0
+    assert no_positives["recall"] is None
+    assert no_positives["f1"] is None
+    assert ratios([], [])["accuracy"] is None
     # defined precision and recall that are both zero still give no f1
-    all_wrong = ConfusionMatrix(tp=0, fp=2, tn=0, fn=2)
-    assert f1_of(all_wrong) is None
+    all_wrong = ratios([0, 0, 1, 1], [1, 1, 0, 0])  # tp 0, fp 2, tn 0, fn 2
+    assert all_wrong["precision"] == all_wrong["recall"] == 0.0
+    assert all_wrong["f1"] is None
 
 
-def test_confusion_input_validation():
+def test_evaluate_label_validation():
     with pytest.raises(ValueError, match="only 0 and 1"):
-        confusion([0, 2], [0, 1])
+        ratios([0, 2], [0, 1])
     with pytest.raises(ValueError, match="lengths differ"):
-        confusion([0, 1], [0])
+        evaluate([0, 1], [0], 0.5, ("a", "b"), "m")
     with pytest.raises(ValueError, match="one-dimensional"):
-        confusion(np.zeros((2, 2)), np.zeros((2, 2)))
+        evaluate(np.zeros((2, 2)), np.zeros((2, 2)), 0.5, ("a", "b"), "m")
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +297,23 @@ def test_compare_requires_matching_fingerprints():
 
 def test_compare_renders_csv_and_text():
     base, rich = eval_pair()
-    table = compare(base, rich)
-    assert [r[0] for r in table.rows] == list(METRIC_NAMES)
+    rows = compare(base, rich)
+    assert [r[0] for r in rows] == list(METRIC_NAMES)
+    assert rows[-1] == ("tis", None, 0.9)
 
-    csv_text = table.to_csv()
+    csv_text = rows_to_csv(("metric", "baseline", "timetrail"), rows)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "metric,baseline,timetrail"
     assert len(lines) == 1 + len(METRIC_NAMES)
     by_name = {ln.split(",")[0]: ln for ln in lines[1:]}
     assert by_name["tis"] == "tis,,0.9"  # undefined baseline cell is empty
 
-    text = table.to_text()
+    text = comparison_to_text(rows)
     assert "undefined" in text
     assert "0.9000" in text
     assert text.splitlines()[0].split() == ["metric", "baseline", "timetrail"]
 
 
-def test_comparison_table_alignment():
-    table = ComparisonTable(rows=(("accuracy", 0.5, 0.75), ("f1", None, 1.0)))
-    lines = table.to_text().splitlines()
+def test_comparison_text_alignment():
+    lines = comparison_to_text([("accuracy", 0.5, 0.75), ("f1", None, 1.0)]).splitlines()
     assert len({len(ln) for ln in lines if ln}) == 1  # every row padded to one width

@@ -14,19 +14,19 @@ from hypothesis import strategies as st
 
 from timetrail.explain import sequence_to_json
 from timetrail.plots import (
-    HistogramSpec,
     diverging_color,
     flagged_frequency_series,
     heatmap_to_csv,
     heatmap_to_json,
     heatmap_to_svg,
-    histogram_to_csv,
     histogram_to_svg,
     render_sequence,
-    series_to_csv,
+    rows_to_csv,
     series_to_svg,
     tis_histogram,
 )
+
+SERIES_HEADER = ("window_start", "flagged_count", "fraud_count")
 
 
 def svg_ok(text: str) -> ET.Element:
@@ -118,30 +118,55 @@ def test_heatmap_svg_is_deterministic(matrix):
     assert heatmap_to_svg(matrix) == heatmap_to_svg(matrix)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 5.0, -1.0000000000000002, True, "0.5"])
+def test_heatmap_svg_refuses_a_value_that_is_not_a_coefficient(matrix, value):
+    matrix["values"][1][2] = value
+    with pytest.raises(ValueError, match=r"heatmap value of b / c is .*not a number in \[-1, 1\]"):
+        heatmap_to_svg(matrix)
+
+
+def test_heatmap_svg_draws_the_bounds_of_the_range(matrix):
+    matrix["values"][1][2] = -1.0
+    matrix["values"][2][1] = 1
+    svg_ok(heatmap_to_svg(matrix))
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer
+
+
+def test_rows_to_csv_writes_floats_by_repr_and_none_as_empty():
+    rows = [("a", 0.37499999999999994, None), ("b,c", 1e-300, -0.0), ("d", 5e-324, 1e16)]
+    assert rows_to_csv(("name", "x", "y"), rows) == (
+        "name,x,y\n"
+        "a,0.37499999999999994,\n"
+        '"b,c",1e-300,-0.0\n'
+        "d,5e-324,1e+16\n"
+    )
+    assert rows_to_csv(("name",), []) == "name\n"
+
+
 # ---------------------------------------------------------------------------
 # flagged-frequency series
 
 
 def test_series_zero_fills_interior_windows():
-    spec = flagged_frequency_series([0, 50, 250], [1, 0, 1], [0, 0, 0], window_seconds=100)
-    assert spec.points == ((0, 1), (100, 0), (200, 1))
-    assert spec.overlay == ((0, 0), (100, 0), (200, 0))
+    rows = flagged_frequency_series([0, 50, 250], [1, 0, 1], [0, 0, 0], window_seconds=100)
+    assert rows == [(0, 1, 0), (100, 0, 0), (200, 1, 0)]
 
 
-def test_series_overlay_counts_fraud():
-    spec = flagged_frequency_series([0, 10, 110], [1, 0, 0], [0, 1, 1], 100)
-    assert spec.points == ((0, 1), (100, 0))
-    assert spec.overlay == ((0, 1), (100, 1))
-    csv_text = series_to_csv(spec)
-    lines = csv_text.strip().splitlines()
+def test_series_counts_fraud():
+    rows = flagged_frequency_series([0, 10, 110], [1, 0, 0], [0, 1, 1], 100)
+    assert rows == [(0, 1, 1), (100, 0, 1)]
+    lines = rows_to_csv(SERIES_HEADER, rows).strip().splitlines()
     assert lines[0] == "window_start,flagged_count,fraud_count"
     assert lines[1] == "0,1,1"
     assert lines[2] == "100,0,1"
 
 
 def test_series_csv_writes_a_window_without_fraud_as_zero():
-    spec = flagged_frequency_series([5], [1], [0], 60)
-    assert series_to_csv(spec) == "window_start,flagged_count,fraud_count\n5,1,0\n"
+    rows = flagged_frequency_series([5], [1], [0], 60)
+    assert rows_to_csv(SERIES_HEADER, rows) == "window_start,flagged_count,fraud_count\n5,1,0\n"
 
 
 def test_series_validation():
@@ -152,15 +177,15 @@ def test_series_validation():
 
 
 def test_series_empty_input():
-    spec = flagged_frequency_series([], [], [], 60)
-    assert spec.points == spec.overlay == ()
-    svg = series_to_svg(spec)
+    rows = flagged_frequency_series([], [], [], 60)
+    assert rows == []
+    svg = series_to_svg(rows, 60)
     svg_ok(svg)
     assert "no data" in svg
 
 
 def reference_series(timestamps, flags, labels, window_seconds):
-    """(points, overlay) counted row by row."""
+    """(window_start, flagged_count, fraud_count) counted row by row."""
     t_min = min(timestamps)
     n = (max(timestamps) - t_min) // window_seconds + 1
     counts, fraud = [0] * n, [0] * n
@@ -169,7 +194,7 @@ def reference_series(timestamps, flags, labels, window_seconds):
         counts[k] += flag
         fraud[k] += label
     starts = [t_min + k * window_seconds for k in range(n)]
-    return tuple(zip(starts, counts)), tuple(zip(starts, fraud))
+    return list(zip(starts, counts, fraud))
 
 
 @settings(max_examples=100)
@@ -183,13 +208,13 @@ def reference_series(timestamps, flags, labels, window_seconds):
 )
 def test_series_equals_a_row_by_row_count(rows, window_seconds):
     ts, flags, labels = (list(column) for column in zip(*rows))
-    spec = flagged_frequency_series(ts, flags, labels, window_seconds)
-    assert (spec.points, spec.overlay) == reference_series(ts, flags, labels, window_seconds)
+    got = flagged_frequency_series(ts, flags, labels, window_seconds)
+    assert got == reference_series(ts, flags, labels, window_seconds)
 
 
 def test_series_svg_marks_fraud_windows():
     labels = [1 if i == 3 else 0 for i in range(10)]
-    svg = series_to_svg(flagged_frequency_series([i * 60 for i in range(10)], [1] * 10, labels, 60))
+    svg = series_to_svg(flagged_frequency_series([i * 60 for i in range(10)], [1] * 10, labels, 60), 60)
     svg_ok(svg)
     assert svg.count("<circle") == 1
     assert "<polyline" in svg
@@ -197,8 +222,9 @@ def test_series_svg_marks_fraud_windows():
 
 
 def test_series_svg_is_deterministic():
-    spec = flagged_frequency_series([i * 7 for i in range(50)], [i % 2 for i in range(50)], [0] * 50, 35)
-    assert series_to_svg(spec) == series_to_svg(spec)
+    rows = flagged_frequency_series([i * 7 for i in range(50)], [i % 2 for i in range(50)], [0] * 50, 35)
+    assert series_to_svg(rows, 35) == series_to_svg(rows, 35)
+    assert "window=35s, 10 windows" in series_to_svg(rows, 35)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +276,7 @@ def test_sequence_rendering_is_deterministic():
 
 def test_sequence_renders_the_same_from_its_file(tmp_path):
     seq = make_sequence(6)
-    for step, value in zip(seq["steps"], (-0.0, 5e-324, 1e16, -1e-7, math.inf, math.nan)):
+    for step, value in zip(seq["steps"], (-0.0, 5e-324, 1e16, -1e-7, 1.7976931348623157e308, -5e-324)):
         step["threshold"] = value
     seq["margin"] = -0.0
     path = tmp_path / "sequence_tx000042.json"
@@ -262,23 +288,40 @@ def test_sequence_renders_the_same_from_its_file(tmp_path):
     assert "tx000042: margin -0.000000, p = 0.500000" in svg
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "step, name, label",
+    [
+        (None, "bias", "bias"),
+        (None, "margin", "margin"),
+        (None, "probability", "probability"),
+        (1, "threshold", "step 1 threshold"),
+        (2, "delta", "step 2 delta"),
+    ],
+)
+def test_sequence_refuses_a_number_that_is_not_finite(step, name, label, value):
+    seq = make_sequence(3)
+    (seq if step is None else seq["steps"][step])[name] = value
+    with pytest.raises(ValueError, match=f"sequence {label} is {value!r}, not a finite number"):
+        render_sequence(seq)
+
+
 # ---------------------------------------------------------------------------
 # TIS histogram
 
 
 def test_histogram_counts_partition():
-    spec = tis_histogram([0.0, 0.05, 0.5, 0.95, 1.0])
-    assert len(spec.edges) == 11
-    assert sum(spec.counts) == 5
-    assert spec.counts[0] == 2  # 0.0 and 0.05
-    assert spec.counts[5] == 1
-    assert spec.counts[9] == 2  # 0.95 plus 1.0 in the closed last bin
+    counts = [c for _, _, c in tis_histogram([0.0, 0.05, 0.5, 0.95, 1.0])]
+    assert len(counts) == 10
+    assert sum(counts) == 5
+    assert counts[0] == 2  # 0.0 and 0.05
+    assert counts[5] == 1
+    assert counts[9] == 2  # 0.95 plus 1.0 in the closed last bin
 
 
 def test_histogram_has_ten_uniform_bins():
-    spec = tis_histogram([])
-    assert spec.counts == (0,) * 10
-    assert spec.edges == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    edges = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    assert tis_histogram([]) == [(edges[i], edges[i + 1], 0) for i in range(10)]
 
 
 def test_histogram_validation():
@@ -288,8 +331,7 @@ def test_histogram_validation():
 
 
 def test_histogram_csv():
-    spec = tis_histogram([0.25, 0.25, 0.8])
-    text = histogram_to_csv(spec)
+    text = rows_to_csv(("bin_start", "bin_end", "count"), tis_histogram([0.25, 0.25, 0.8]))
     lines = text.strip().splitlines()
     assert lines[0] == "bin_start,bin_end,count"
     assert len(lines) == 11
@@ -298,9 +340,10 @@ def test_histogram_csv():
 
 
 def test_histogram_svg():
-    spec = HistogramSpec(edges=(0.0, 0.5, 1.0), counts=(3, 1))
-    svg = histogram_to_svg(spec)
+    rows = [(0.0, 0.5, 3), (0.5, 1.0, 1)]
+    svg = histogram_to_svg(rows)
     svg_ok(svg)
     assert count_rects(svg) == 2
     assert "0.0" in svg and "1.0" in svg
-    assert histogram_to_svg(spec) == histogram_to_svg(spec)
+    assert "[0.50, 1.00]: 1" in svg  # the last bin is closed
+    assert histogram_to_svg(rows) == histogram_to_svg(rows)

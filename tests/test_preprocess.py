@@ -42,11 +42,11 @@ def test_iqr_fence_example():
 def test_outlier_example_removes_only_extreme():
     rows = [_tx(i, 100 + i, amount=a) for i, a in enumerate([10, 11, 12, 10, 11, 1e6])]
     clean, report = cleanse(_dataset(rows), CleansePolicy())
-    assert report.outliers_removed == 1
-    assert report.rows_out == 5
+    assert report["outliers_removed"] == 1
+    assert report["rows_out"] == 5
     assert (clean.amount < 1e6).all()
-    assert report.amount_fence_low == pytest.approx(5.75)
-    assert report.amount_fence_high == pytest.approx(16.25)
+    assert report["amount_fence_low"] == pytest.approx(5.75)
+    assert report["amount_fence_high"] == pytest.approx(16.25)
 
 
 def test_dedupe_keeps_first_occurrence():
@@ -56,7 +56,7 @@ def test_dedupe_keeps_first_occurrence():
         Transaction("other", 150, "u3", "t1", 3.0, "purchase"),
     ]
     clean, report = cleanse(_dataset(rows), CleansePolicy(remove_outliers=False))
-    assert report.duplicates_dropped == 1
+    assert report["duplicates_dropped"] == 1
     kept = dict(zip(clean.tx_id.tolist(), clean.timestamp.tolist()))
     assert kept["dup"] == 100  # earliest instance survives
 
@@ -67,7 +67,7 @@ def test_composite_dedupe_key():
     clean, report = cleanse(
         _dataset([a, b]), CleansePolicy(dedupe_key="composite", remove_outliers=False)
     )
-    assert report.duplicates_dropped == 1
+    assert report["duplicates_dropped"] == 1
     assert len(clean) == 1
 
 
@@ -78,7 +78,7 @@ def test_missing_mandatory_dropped():
         Transaction("m2", 120, "u1", "t1", None, "purchase"),
     ]
     clean, report = cleanse(_dataset(rows), CleansePolicy(remove_outliers=False))
-    assert report.missing_dropped == 2
+    assert report["missing_dropped"] == 2
     assert len(clean) == 1
 
 
@@ -93,22 +93,31 @@ def test_counts_reconcile_exactly():
         Transaction("miss", 160, None, "t1", 10.0, "purchase"),
     ]
     clean, r = cleanse(_dataset(rows), CleansePolicy())
-    assert r.rows_in == len(rows)
-    assert r.rows_in == r.rows_out + r.duplicates_dropped + r.missing_dropped + r.outliers_removed
-    assert r.rows_out == len(clean)
+    assert r["rows_in"] == len(rows)
+    assert r["rows_in"] == (
+        r["rows_out"] + r["duplicates_dropped"] + r["missing_dropped"] + r["outliers_removed"]
+    )
+    assert r["rows_out"] == len(clean)
 
 
 def test_no_outlier_pass_when_disabled():
     rows = [_tx(0, 100, amount=1.0), _tx(1, 110, amount=1e12)]
     _, report = cleanse(_dataset(rows), CleansePolicy(remove_outliers=False))
-    assert report.outliers_removed == 0
-    assert report.amount_fence_low is None and report.amount_fence_high is None
+    assert report["outliers_removed"] == 0
+    assert report["amount_fence_low"] is None and report["amount_fence_high"] is None
 
 
-def test_report_json_round_trip():
+def test_report_is_the_json_document():
     _, report = cleanse(_dataset([_tx(0, 100)]), CleansePolicy())
-    doc = json.loads(report.to_json())
-    assert doc["rows_in"] == 1 and doc["rows_out"] == 1
+    assert json.loads(json.dumps(report)) == report == {
+        "rows_in": 1,
+        "rows_out": 1,
+        "duplicates_dropped": 0,
+        "missing_dropped": 0,
+        "outliers_removed": 0,
+        "amount_fence_low": 10.0,
+        "amount_fence_high": 10.0,
+    }
 
 
 def test_bad_policy_rejected():
@@ -124,16 +133,17 @@ def test_bad_policy_rejected():
 def test_split_example_counts():
     rows = [_tx(i, i + 1) for i in range(10)]  # ts 1..10
     split = temporal_split(_dataset(rows), 0.6, 0.2)
-    assert split.train.timestamp.tolist() == [1, 2, 3, 4, 5, 6]
-    assert split.val.timestamp.tolist() == [7, 8]
-    assert split.test.timestamp.tolist() == [9, 10]
+    assert list(split) == ["train", "val", "test"]
+    assert split["train"].timestamp.tolist() == [1, 2, 3, 4, 5, 6]
+    assert split["val"].timestamp.tolist() == [7, 8]
+    assert split["test"].timestamp.tolist() == [9, 10]
 
 
 def test_split_is_chronological():
     rows = [_tx(i, 1000 + 7 * i) for i in range(50)]
     split = temporal_split(_dataset(rows), 0.6, 0.2)
-    assert split.train.timestamp.max() < split.val.timestamp.min()
-    assert split.val.timestamp.max() < split.test.timestamp.min()
+    assert split["train"].timestamp.max() < split["val"].timestamp.min()
+    assert split["val"].timestamp.max() < split["test"].timestamp.min()
 
 
 def test_split_ties_do_not_straddle():
@@ -148,14 +158,14 @@ def test_split_boundary_ties_go_earlier():
     ts = [1, 2, 3, 4, 5, 6, 6, 6, 9, 10, 11, 12]
     rows = [_tx(i, t) for i, t in enumerate(ts)]
     split = temporal_split(_dataset(rows), 0.5, 0.25)
-    train_ts = split.train.timestamp.tolist()
+    train_ts = split["train"].timestamp.tolist()
     assert train_ts.count(6) == 3  # the tie run stays in train
 
 
 def test_split_conservation_property():
     rows = [_tx(i, 100 + 13 * i) for i in range(37)]
     split = temporal_split(_dataset(rows), 0.6, 0.2)
-    ids = split.train.tx_id.tolist() + split.val.tx_id.tolist() + split.test.tx_id.tolist()
+    ids = split["train"].tx_id.tolist() + split["val"].tx_id.tolist() + split["test"].tx_id.tolist()
     assert sorted(ids) == sorted(t.tx_id for t in rows)
 
 
