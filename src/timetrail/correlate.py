@@ -45,6 +45,17 @@ def _coefficient(sxx: float, syy: float, sxy: float) -> float | None:
     return max(-1.0, min(1.0, r))
 
 
+def check_window(window_seconds: int, stride_seconds: int) -> None:
+    """Refuse a window or stride that is not positive, or a stride that would
+    skip rows between windows."""
+    if stride_seconds <= 0 or window_seconds <= 0:
+        raise ValueError("window and stride must be positive")
+    if stride_seconds > window_seconds:
+        raise ValueError(
+            f"stride {stride_seconds} larger than window {window_seconds} would skip rows"
+        )
+
+
 @dataclass(frozen=True)
 class DynamicCorrelationSeries:
     points: tuple[tuple[int, float | None], ...]  # (window_start, coefficient)
@@ -59,12 +70,7 @@ def dynamic_correlation(
     per window position until t_max is passed. Each window's rows are taken
     in timestamp order.
     """
-    if stride_seconds <= 0 or window_seconds <= 0:
-        raise ValueError("window and stride must be positive")
-    if stride_seconds > window_seconds:
-        raise ValueError(
-            f"stride {stride_seconds} larger than window {window_seconds} would skip rows"
-        )
+    check_window(window_seconds, stride_seconds)
     x, y = (rows.column(name) for name in pair)
     if not len(rows):
         return DynamicCorrelationSeries(())

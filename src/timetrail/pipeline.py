@@ -1,10 +1,12 @@
 """End-to-end orchestration: config schema, stages, and the run manifest.
 
-Each stage reads its inputs from the output directory and writes its
-artifacts back there, so stages can run standalone from the CLI as long as
-their upstream files exist. Every writer is deterministic (sorted JSON keys,
-repr floats, fixed line endings); running the same config twice produces
-byte-identical artifacts, and ``manifest.json`` records the sha256 of each.
+Each stage reads its inputs from the output directory, writes its artifacts
+back there and returns their names in the order it wrote them; ``run_stage``
+pairs each name with the stage, and ``run_all`` lists the pairs, with each
+file's sha256, in ``manifest.json``. Stages can run standalone from the CLI
+as long as their upstream files exist. Every writer is deterministic (sorted
+JSON keys, repr floats, fixed line endings), so running the same config twice
+produces byte-identical artifacts.
 
 Transaction and enriched CSV files are both read by ``data.read_table``;
 this module only checks an enriched file's header and names its path.
@@ -24,7 +26,7 @@ from typing import Callable, Sequence, TypeVar, get_args, get_origin, get_type_h
 
 import numpy as np
 
-from .correlate import correlation_matrix, dynamic_correlation
+from .correlate import check_window, correlation_matrix, dynamic_correlation
 from .data import (
     BASE_COLUMNS,
     OPTIONAL_COLUMNS,
@@ -72,19 +74,8 @@ from .plots import (
     series_to_svg,
     tis_histogram,
 )
-from .preprocess import MANDATORY_FIELDS, CleansePolicy, cleanse, temporal_split
+from .preprocess import MANDATORY_FIELDS, CleansePolicy, check_fractions, cleanse, temporal_split
 from .simulate import ScenarioConfig, generate
-
-STAGES = (
-    "generate",
-    "preprocess",
-    "enrich",
-    "correlate",
-    "train",
-    "evaluate",
-    "explain",
-    "plot",
-)
 
 # Series the windowed-correlation artifact pairs up: the nine temporal
 # attributes plus the raw amount.
@@ -97,10 +88,7 @@ class SplitFractions:
     val_frac: float = 0.2
 
     def validate(self) -> None:
-        if not (0.0 < self.train_frac < 1.0 and 0.0 < self.val_frac < 1.0):
-            raise ValueError("split fractions must be in (0, 1)")
-        if self.train_frac + self.val_frac >= 1.0:
-            raise ValueError("train_frac + val_frac must be below 1 to leave a test part")
+        check_fractions(self.train_frac, self.val_frac)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,10 +97,7 @@ class CorrelationConfig:
     stride_seconds: int = 86400
 
     def validate(self) -> None:
-        if self.window_seconds <= 0 or self.stride_seconds <= 0:
-            raise ValueError("correlation window and stride must be positive")
-        if self.stride_seconds > self.window_seconds:
-            raise ValueError("correlation stride must not exceed the window")
+        check_window(self.window_seconds, self.stride_seconds)
 
 
 @dataclass(frozen=True)
@@ -236,7 +221,7 @@ def load_config(path: str | Path, seed: int | None = None, out_dir: str | None =
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
             raise ValueError(f"config is not valid JSON: {e}") from e
     return config_from_dict(doc, seed=seed, out_dir=out_dir)
 
@@ -264,13 +249,14 @@ T = TypeVar("T")
 
 def _read_artifact(path: Path, load: Callable[[Path], T]) -> T:
     """load(path), where a file that is not the artifact it should be (invalid
-    JSON, a missing key, a value of the wrong type) fails as a ValueError that
-    names the path. A missing or unreadable file stays an OSError."""
+    JSON, JSON nested too deeply to read, a missing key, a value of the wrong
+    type) fails as a ValueError that names the path. A missing or unreadable
+    file stays an OSError."""
     try:
         return load(path)
     except KeyError as e:
         raise ValueError(f"{path}: missing key {e}") from None
-    except (ValueError, TypeError, AttributeError, IndexError) as e:
+    except (ValueError, TypeError, AttributeError, IndexError, RecursionError) as e:
         raise ValueError(f"{path}: {e}") from None
 
 
@@ -301,45 +287,35 @@ def read_enriched_csv(path: Path) -> EnrichedTable:
             raise ValueError(f"{path}: {e}") from None
 
 
-def _read_all_enriched(cfg: RunConfig) -> EnrichedTable:
-    """Train, val, and test back to back: chronological because the split is."""
-    return EnrichedTable.concat(
-        [read_enriched_csv(_out(cfg, f"enriched_{p}.csv")) for p in ("train", "val", "test")]
-    )
-
-
 def _undersample_seed(cfg: RunConfig) -> int:
     return int(np.random.SeedSequence([cfg.seed, 1001]).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
-# stages; each returns (relative path, stage name) pairs for the manifest
+# stages; each returns the names of the artifacts it wrote
 
 
-def stage_generate(cfg: RunConfig) -> list[tuple[str, str]]:
+def stage_generate(cfg: RunConfig) -> list[str]:
     if cfg.input_csv is not None:
         d = load_transactions(cfg.input_csv)
     else:
         d = generate(cfg.generator)
     save_transactions(d, _out(cfg, "dataset.csv"))
-    return [("dataset.csv", "generate")]
+    return ["dataset.csv"]
 
 
-def stage_preprocess(cfg: RunConfig) -> list[tuple[str, str]]:
+def stage_preprocess(cfg: RunConfig) -> list[str]:
     d = load_transactions(_out(cfg, "dataset.csv"))
     clean, report = cleanse(d, cfg.cleanse)
     save_transactions(clean, _out(cfg, "cleansed.csv"))
     _write_text(_out(cfg, "cleanse_report.json"), json.dumps(report, indent=2, sort_keys=True))
     split = temporal_split(clean, cfg.split.train_frac, cfg.split.val_frac)
-    paths = [("cleansed.csv", "preprocess"), ("cleanse_report.json", "preprocess")]
     for part, part_ds in split.items():
-        name = f"split_{part}.csv"
-        save_transactions(part_ds, _out(cfg, name))
-        paths.append((name, "preprocess"))
-    return paths
+        save_transactions(part_ds, _out(cfg, f"split_{part}.csv"))
+    return ["cleansed.csv", "cleanse_report.json", *(f"split_{part}.csv" for part in split)]
 
 
-def stage_enrich(cfg: RunConfig) -> list[tuple[str, str]]:
+def stage_enrich(cfg: RunConfig) -> list[str]:
     """Enrich over the full cleansed timeline, then cut it as preprocess did.
 
     The attributes only look backward, so later splits see their true history
@@ -349,16 +325,16 @@ def stage_enrich(cfg: RunConfig) -> list[tuple[str, str]]:
     """
     enriched = enrich(load_transactions(_out(cfg, "cleansed.csv")), cfg.enrich)
     split = temporal_split(enriched, cfg.split.train_frac, cfg.split.val_frac)
-    paths = []
     for part, rows in split.items():
-        name = f"enriched_{part}.csv"
-        write_enriched_csv(_out(cfg, name), rows)
-        paths.append((name, "enrich"))
-    return paths
+        write_enriched_csv(_out(cfg, f"enriched_{part}.csv"), rows)
+    return [f"enriched_{part}.csv" for part in split]
 
 
-def stage_correlate(cfg: RunConfig) -> list[tuple[str, str]]:
-    rows = _read_all_enriched(cfg)
+def stage_correlate(cfg: RunConfig) -> list[str]:
+    # train, val and test back to back: chronological because the split is
+    rows = EnrichedTable.concat(
+        [read_enriched_csv(_out(cfg, f"enriched_{p}.csv")) for p in ("train", "val", "test")]
+    )
     m = correlation_matrix(rows, CORRELATION_SERIES)
     _write_text(_out(cfg, "heatmap_all.csv"), heatmap_to_csv(m))
     _write_text(_out(cfg, "heatmap_all.json"), heatmap_to_json(m))
@@ -371,35 +347,25 @@ def stage_correlate(cfg: RunConfig) -> list[tuple[str, str]]:
         for start, r in dynamic_correlation(rows, (a, b), window, stride).points
     )
     _write_text(_out(cfg, "dynamic_corr.csv"), rows_to_csv(COEFFICIENT_HEADER, coefficients))
-    return [
-        ("heatmap_all.csv", "correlate"),
-        ("heatmap_all.json", "correlate"),
-        ("dynamic_corr.csv", "correlate"),
-    ]
+    return ["heatmap_all.csv", "heatmap_all.json", "dynamic_corr.csv"]
 
 
-def _scaled(cfg: RunConfig, name: str, table: FeatureTable) -> FeatureTable:
-    """table scaled by the saved scaler `name`, which must fit its features."""
-    return _read_artifact(_out(cfg, name), lambda p: apply_scaler(load_scaler(p), table))
-
-
-def _timetrail_table(cfg: RunConfig, rows: EnrichedTable) -> FeatureTable:
-    """The GBT's feature table of enriched rows, scaled by the saved params."""
-    return _scaled(cfg, "scaler_timetrail.json", enriched_feature_table(rows))
-
-
-def _model_for(cfg: RunConfig, name: str, table: FeatureTable) -> Model:
-    """The saved model `name`, which must take table's features."""
+def _load_fitted(cfg: RunConfig, kind: str, table: FeatureTable) -> tuple[FeatureTable, Model]:
+    """table scaled by scaler_<kind>.json, and model_<kind>.json, which must
+    take the scaled table's features; `kind` is baseline or timetrail."""
+    scaled = _read_artifact(
+        _out(cfg, f"scaler_{kind}.json"), lambda p: apply_scaler(load_scaler(p), table)
+    )
 
     def load(path: Path) -> Model:
         model = load_model(path)
-        aligned_rows(model.feature_names, table)
+        aligned_rows(model.feature_names, scaled)
         return model
 
-    return _read_artifact(_out(cfg, name), load)
+    return scaled, _read_artifact(_out(cfg, f"model_{kind}.json"), load)
 
 
-def stage_train(cfg: RunConfig) -> list[tuple[str, str]]:
+def stage_train(cfg: RunConfig) -> list[str]:
     rows = read_enriched_csv(_out(cfg, "enriched_train.csv"))
     raw = raw_feature_table(rows)
     enr = enriched_feature_table(rows)
@@ -423,21 +389,21 @@ def stage_train(cfg: RunConfig) -> list[tuple[str, str]]:
     save_model(baseline, _out(cfg, "model_baseline.json"))
     save_model(timetrail, _out(cfg, "model_timetrail.json"))
     return [
-        ("scaler_baseline.json", "train"),
-        ("scaler_timetrail.json", "train"),
-        ("model_baseline.json", "train"),
-        ("model_timetrail.json", "train"),
+        "scaler_baseline.json",
+        "scaler_timetrail.json",
+        "model_baseline.json",
+        "model_timetrail.json",
     ]
 
 
-def stage_evaluate(cfg: RunConfig) -> list[tuple[str, str]]:
+def stage_evaluate(cfg: RunConfig) -> list[str]:
     rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
-    raw = _scaled(cfg, "scaler_baseline.json", raw_feature_table(rows))
-    enr = _timetrail_table(cfg, rows)
+    raw = raw_feature_table(rows)
+    enr = enriched_feature_table(rows)
     if raw.labels is None:
         raise ValueError("test split is unlabeled; evaluation needs labels")
-    baseline = _model_for(cfg, "model_baseline.json", raw)
-    timetrail = _model_for(cfg, "model_timetrail.json", enr)
+    raw, baseline = _load_fitted(cfg, "baseline", raw)
+    enr, timetrail = _load_fitted(cfg, "timetrail", enr)
 
     tis_report = aggregate_tis(timetrail, enr, threshold=cfg.threshold)
     base_report = evaluate(
@@ -458,11 +424,11 @@ def stage_evaluate(cfg: RunConfig) -> list[tuple[str, str]]:
     _write_text(_out(cfg, "comparison.txt"), comparison_to_text(comparison))
     _write_text(_out(cfg, "tis_report.json"), tis_report.to_json())
     return [
-        ("eval_baseline.json", "evaluate"),
-        ("eval_timetrail.json", "evaluate"),
-        ("comparison.csv", "evaluate"),
-        ("comparison.txt", "evaluate"),
-        ("tis_report.json", "evaluate"),
+        "eval_baseline.json",
+        "eval_timetrail.json",
+        "comparison.csv",
+        "comparison.txt",
+        "tis_report.json",
     ]
 
 
@@ -488,34 +454,32 @@ def explained_rows(
     return chosen
 
 
-def stage_explain(cfg: RunConfig) -> list[tuple[str, str]]:
-    enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
-    timetrail = _model_for(cfg, "model_timetrail.json", enr)
+def stage_explain(cfg: RunConfig) -> list[str]:
+    enr = enriched_feature_table(read_enriched_csv(_out(cfg, "enriched_test.csv")))
+    enr, timetrail = _load_fitted(cfg, "timetrail", enr)
     probs = predict_proba(timetrail, enr)
-    paths = []
+    names = []
     for i in explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations):
         seq = explanation_sequence(timetrail, enr, i)
         name = f"sequence_{enr.tx_ids[i]}.json"
         _write_text(_out(cfg, name), sequence_to_json(seq))
-        paths.append((name, "explain"))
-    return paths
+        names.append(name)
+    return names
 
 
-def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
-    paths = []
-
-    enr = _timetrail_table(cfg, read_enriched_csv(_out(cfg, "enriched_test.csv")))
+def stage_plot(cfg: RunConfig) -> list[str]:
+    enr = enriched_feature_table(read_enriched_csv(_out(cfg, "enriched_test.csv")))
     if enr.labels is None:
         raise ValueError("test split is unlabeled; the flagged series needs labels")
     test_rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
-    probs = predict_proba(_model_for(cfg, "model_timetrail.json", enr), enr)
+    enr, timetrail = _load_fitted(cfg, "timetrail", enr)
+    probs = predict_proba(timetrail, enr)
 
     svg = _read_artifact(
         _out(cfg, "heatmap_all.json"),
         lambda p: heatmap_to_svg(json.loads(p.read_text(encoding="utf-8"))),
     )
     _write_text(_out(cfg, "heatmap_all.svg"), svg)
-    paths.append(("heatmap_all.svg", "plot"))
 
     series = flagged_frequency_series(
         test_rows.timestamp, probs >= cfg.threshold, enr.labels, cfg.correlation.window_seconds
@@ -523,8 +487,6 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     series_csv = rows_to_csv(("window_start", "flagged_count", "fraud_count"), series)
     _write_text(_out(cfg, "flag_series.csv"), series_csv)
     _write_text(_out(cfg, "flag_series.svg"), series_to_svg(series, cfg.correlation.window_seconds))
-    paths.append(("flag_series.csv", "plot"))
-    paths.append(("flag_series.svg", "plot"))
 
     hist = _read_artifact(
         _out(cfg, "tis_report.json"),
@@ -532,8 +494,7 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
     )
     _write_text(_out(cfg, "tis_hist.csv"), rows_to_csv(("bin_start", "bin_end", "count"), hist))
     _write_text(_out(cfg, "tis_hist.svg"), histogram_to_svg(hist))
-    paths.append(("tis_hist.csv", "plot"))
-    paths.append(("tis_hist.svg", "plot"))
+    names = ["heatmap_all.svg", "flag_series.csv", "flag_series.svg", "tis_hist.csv", "tis_hist.svg"]
 
     # only this run's sequences: the directory may hold an earlier run's
     explained = explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations)
@@ -543,8 +504,8 @@ def stage_plot(cfg: RunConfig) -> list[tuple[str, str]]:
         )
         name = seq_name.removesuffix(".json") + ".svg"
         _write_text(_out(cfg, name), svg)
-        paths.append((name, "plot"))
-    return paths
+        names.append(name)
+    return names
 
 
 _STAGE_FUNCS = {
@@ -557,13 +518,15 @@ _STAGE_FUNCS = {
     "explain": stage_explain,
     "plot": stage_plot,
 }
+STAGES = tuple(_STAGE_FUNCS)  # in run order
 
 
 def run_stage(cfg: RunConfig, stage: str) -> list[tuple[str, str]]:
+    """Run one stage; the (name, stage) pair of each artifact it wrote."""
     if stage not in _STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return _STAGE_FUNCS[stage](cfg)
+    return [(name, stage) for name in _STAGE_FUNCS[stage](cfg)]
 
 
 def _sha256_of(path: Path) -> str:
@@ -580,12 +543,10 @@ def run_all(cfg: RunConfig) -> list[dict]:
     The manifest lists every artifact with its sha256 but not itself, so two
     runs can be compared by comparing the manifest files alone.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    entries: list[dict] = []
-    for stage in STAGES:
-        for rel, st in _STAGE_FUNCS[stage](cfg):
-            entries.append(
-                {"path": rel, "sha256": _sha256_of(Path(cfg.out_dir) / rel), "stage": st}
-            )
+    entries = [
+        {"path": rel, "sha256": _sha256_of(_out(cfg, rel)), "stage": st}
+        for stage in STAGES
+        for rel, st in run_stage(cfg, stage)
+    ]
     _write_text(_out(cfg, "manifest.json"), json.dumps(entries, indent=2, sort_keys=True))
     return entries

@@ -101,6 +101,16 @@ def cleanse(d: Dataset, policy: CleansePolicy | None = None) -> tuple[Dataset, d
     return out, report
 
 
+def check_fractions(train_frac: float, val_frac: float) -> None:
+    """Refuse split fractions outside (0, 1) or leaving no room for test."""
+    if not (0.0 < train_frac < 1.0 and 0.0 < val_frac < 1.0):
+        raise ValueError(f"fractions must be in (0, 1), got train={train_frac} val={val_frac}")
+    if train_frac + val_frac >= 1.0:
+        raise ValueError(
+            f"train_frac + val_frac must leave room for test, got {train_frac + val_frac}"
+        )
+
+
 def temporal_split(d: Dataset, train_frac: float, val_frac: float) -> dict[str, Dataset]:
     """Chronological three-way split at timestamp quantile boundaries, as
     {"train", "val", "test"} in that order.
@@ -108,12 +118,7 @@ def temporal_split(d: Dataset, train_frac: float, val_frac: float) -> dict[str, 
     Rows sharing a boundary timestamp all go to the earlier part, so no
     timestamp straddles a boundary. Errors if any part would be empty.
     """
-    if not (0.0 < train_frac < 1.0 and 0.0 < val_frac < 1.0):
-        raise ValueError(f"fractions must be in (0, 1), got train={train_frac} val={val_frac}")
-    if train_frac + val_frac >= 1.0:
-        raise ValueError(
-            f"train_frac + val_frac must leave room for test, got {train_frac + val_frac}"
-        )
+    check_fractions(train_frac, val_frac)
     ts = d.timestamp
     n = len(ts)
 

@@ -41,6 +41,27 @@ def tiny_config(out_dir, seed=0):
     }
 
 
+# JSON nested too deeply to read, built by joining text, as json.dumps
+# recurses too: tree 0 of a model as a chain of 3,000 splits, a heatmap's
+# attributes as lists nested 3,000 deep, and a config as objects nested
+# 100,000 deep. Up to 3.11 json's decoder stops at sys.getrecursionlimit();
+# from 3.12 it has its own, higher C limit and may read 3,000 levels, and then
+# the model loader's recursion or the heatmap renderer refuses the file by its
+# path. A config that decodes would fail on its first unknown field instead,
+# so it is nested past the decoder's limit on every supported Python.
+DEEP = 3000
+DEEP_MODEL = (
+    '{"format_version": 1, "type": "gbt", "feature_names": ["amount"], "base_score": 0.0, '
+    '"learning_rate": 0.1, "trees": ['
+    + '{"value": 0.0, "feature": 0, "threshold": 0.5, "left": ' * DEEP
+    + '{"value": 0.0}'
+    + ', "right": {"value": 0.0}}' * DEEP
+    + "]}"
+)
+DEEP_HEATMAP = '{"attributes": ' + "[" * DEEP + "]" * DEEP + ', "window": null, "values": []}'
+DEEP_CONFIG = '{"generator": ' * 100_000 + "{}" + "}" * 100_000
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -78,9 +99,9 @@ def test_generate_writes_exact_fraud_count(tmp_path):
 def test_run_stage_one_stage_at_a_time_writes_what_run_all_writes(tmp_path, full_run):
     out = tmp_path / "not" / "yet"  # run_stage makes the directory
     cfg = load_config(write_config(tmp_path, tiny_config(out)))
-    written = [rel for stage in STAGES for rel, _ in run_stage(cfg, stage)]
+    written = [pair for stage in STAGES for pair in run_stage(cfg, stage)]
     manifest = json.loads((full_run / "manifest.json").read_text(encoding="utf-8"))
-    assert written == [e["path"] for e in manifest]
+    assert written == [(e["path"], e["stage"]) for e in manifest]
     for entry in manifest:
         blob = (out / entry["path"]).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == entry["sha256"], entry["path"]
@@ -465,11 +486,14 @@ def test_readme_library_block_runs():
     assert len(scope["features"]) == len(scope["train"]) > 0
 
 
-def test_invalid_json_config(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["{not json", DEEP_CONFIG], ids=["syntax", "deep"])
+def test_invalid_json_config(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     assert main(["run-all", "--config", str(path)]) == 1
-    assert "not valid JSON" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON")
+    assert "Traceback" not in err
 
 
 def test_missing_config_file(tmp_path):
@@ -509,6 +533,8 @@ def test_input_field_over_the_csv_limit_names_the_file_and_line(tmp_path, capsys
         ("plot", "sequence_*.json", '{"tx_id": "t0"}'),
         ("plot", "heatmap_all.json", '{"attributes": ["a", "b"], "window": null, "values": [[1.0, NaN], [0.5, 1.0]]}'),
         ("plot", "sequence_*.json", '{"tx_id": "t0", "bias": 0.0, "margin": Infinity, "probability": 0.5, "steps": []}'),
+        pytest.param("explain", "model_timetrail.json", DEEP_MODEL, id="explain-deep-model"),
+        pytest.param("plot", "heatmap_all.json", DEEP_HEATMAP, id="plot-deep-heatmap"),
     ],
 )
 def test_malformed_json_artifact_names_its_path(full_run, tmp_path, capsys, stage, name, text):
@@ -645,10 +671,23 @@ def test_unknown_subcommand_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_bad_threshold_rejected_before_any_work(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("threshold", 1.5, "threshold must be in (0, 1), got 1.5"),
+        ("split", {"train_frac": 0.6, "val_frac": 0.4}, "train_frac + val_frac must leave room for test"),
+        (
+            "correlation",
+            {"window_seconds": 86400, "stride_seconds": 172800},
+            "stride 172800 larger than window 86400 would skip rows",
+        ),
+    ],
+    ids=["threshold", "split", "correlation"],
+)
+def test_bad_threshold_rejected_before_any_work(tmp_path, capsys, key, value, message):
     doc = tiny_config(tmp_path / "out")
-    doc["threshold"] = 1.5
+    doc[key] = value
     cfg = write_config(tmp_path, doc)
     assert main(["run-all", "--config", cfg]) == 1
-    assert "threshold" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not Path(tmp_path / "out").exists()
