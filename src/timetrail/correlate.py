@@ -79,8 +79,9 @@ def dynamic_correlation(
     if (np.diff(ts) < 0).any():
         raise ValueError("rows must be sorted by timestamp")
     starts = np.arange(ts[0], ts[-1] + 1, stride_seconds)
+    # ts - window >= start ends a window; start + window could wrap in int64
     coefficients = _window_correlations(
-        x, y, np.searchsorted(ts, starts), np.searchsorted(ts, starts + window_seconds)
+        x, y, np.searchsorted(ts, starts), np.searchsorted(ts - window_seconds, starts)
     )
     return DynamicCorrelationSeries(tuple(zip(starts.tolist(), coefficients)))
 

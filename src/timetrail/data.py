@@ -1,4 +1,4 @@
-"""Transaction data model and CSV ingestion.
+"""The transaction data model and CSV ingestion.
 
 A Dataset holds transactions as numpy columns sorted by (timestamp, tx_id).
 Timestamps are integer epoch seconds, UTC. Input CSV may carry either epoch
@@ -32,7 +32,6 @@ LABELS = ("legit", "fraud")
 # auxiliary tag produced by the synthetic generator.
 BASE_COLUMNS = ("tx_id", "timestamp", "user_id", "terminal_id", "amount", "tx_type")
 OPTIONAL_COLUMNS = ("label", "scenario")
-STRING_COLUMNS = ("tx_id", "user_id", "terminal_id", "tx_type", "label", "scenario")
 
 # tx_ids name artifact files (sequence_<tx_id>.json), so they stay path-safe.
 TX_ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
@@ -65,20 +64,6 @@ class ParseError(ValueError):
     """Malformed input row; message names the line number and field."""
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """One literal row for Dataset.from_rows; None marks a missing value."""
-
-    tx_id: str
-    timestamp: int
-    user_id: str | None
-    terminal_id: str | None
-    amount: float | None
-    tx_type: str | None
-    label: str | None = None
-    scenario: str | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Transactions as numpy columns, sorted by (timestamp, tx_id).
@@ -98,18 +83,6 @@ class Dataset:
     tx_type: np.ndarray
     label: np.ndarray
     scenario: np.ndarray
-
-    @staticmethod
-    def from_rows(rows: Iterable[Transaction]) -> "Dataset":
-        rows = list(rows)
-        return Dataset(
-            timestamp=np.array([t.timestamp for t in rows], dtype=np.int64),
-            amount=np.array([np.nan if t.amount is None else t.amount for t in rows], dtype=float),
-            **{
-                name: np.array([getattr(t, name) or "" for t in rows], dtype=object)
-                for name in STRING_COLUMNS
-            },
-        )._sorted()
 
     @classmethod
     def concat(cls, parts: Sequence["Dataset"]):

@@ -1,9 +1,10 @@
 """Temporal enrichment: per-transaction attributes computed from history only.
 
 The rolling counts cover the half-open window (t - w, t] and include the row
-itself and its same-second peers, so counts are always >= 1. The 30-day
-amount mean uses strictly earlier rows only. Nothing after a row's timestamp
-can influence its attributes.
+itself and its same-second peers, so counts are always >= 1. The recency is
+capped at RECENCY_CAP_SECONDS (30 days), which a user's first transaction
+also gets. The 30-day amount mean uses strictly earlier rows only. Nothing
+after a row's timestamp can influence its attributes.
 """
 from __future__ import annotations
 
@@ -32,18 +33,8 @@ NIGHT_END_HOUR = 6
 # Ratio floor keeping amount_over_user_mean_30d strictly positive for 0 amounts.
 MIN_AMOUNT_RATIO = 1e-9
 AMOUNT_MEAN_WINDOW = 30 * DAY
-
-
-@dataclass(frozen=True, slots=True)
-class EnrichConfig:
-    # Recency saturates here; also the sentinel for a user's first transaction.
-    recency_cap_seconds: int = 30 * DAY
-
-    def validate(self) -> None:
-        if self.recency_cap_seconds <= 0:
-            raise ValueError(
-                f"recency_cap_seconds must be positive, got {self.recency_cap_seconds}"
-            )
+# Recency saturates here; also the sentinel for a user's first transaction.
+RECENCY_CAP_SECONDS = 30 * DAY
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +120,7 @@ def _earlier_sums(values: np.ndarray, group_start: np.ndarray) -> np.ndarray:
 
 
 def _recency_and_ratio(
-    order, key, offset, ts: np.ndarray, amount: np.ndarray, cap: int
+    order, key, offset, ts: np.ndarray, amount: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seconds since the user's previous transaction, and amount over the mean
     of the user's strictly earlier rows in (t - 30d, t).
@@ -143,8 +134,8 @@ def _recency_and_ratio(
     group_start = np.searchsorted(key, key - offset, side="left")
     ts, amount = ts[order], amount[order]
 
-    gap = np.minimum(ts - ts[np.maximum(tie_start - 1, 0)], cap)
-    recency = np.where(tie_start == group_start, cap, gap)
+    gap = np.minimum(ts - ts[np.maximum(tie_start - 1, 0)], RECENCY_CAP_SECONDS)
+    recency = np.where(tie_start == group_start, RECENCY_CAP_SECONDS, gap)
     recency[tie_end - tie_start > 1] = 0
 
     earlier = _earlier_sums(amount, group_start)
@@ -161,10 +152,8 @@ def _recency_and_ratio(
     return out_recency, out_ratio
 
 
-def enrich(d: Dataset, cfg: EnrichConfig | None = None) -> EnrichedTable:
+def enrich(d: Dataset) -> EnrichedTable:
     """Attach the nine temporal attributes to every row, in dataset order."""
-    cfg = cfg or EnrichConfig()
-    cfg.validate()
     bad = (d.user_id == "") | (d.terminal_id == "") | np.isnan(d.amount)
     if bad.any():
         raise ValueError(
@@ -172,7 +161,7 @@ def enrich(d: Dataset, cfg: EnrichConfig | None = None) -> EnrichedTable:
         )
     ts = d.timestamp
     by_user = _group_keys(d.user_id, ts)
-    recency, ratio = _recency_and_ratio(*by_user, ts, d.amount, cfg.recency_cap_seconds)
+    recency, ratio = _recency_and_ratio(*by_user, ts, d.amount)
     hour = hour_of_day(ts)
     return EnrichedTable(
         **{f.name: getattr(d, f.name) for f in fields(Dataset)},

@@ -8,7 +8,7 @@ as long as their upstream files exist. Every writer is deterministic (sorted
 JSON keys, repr floats, fixed line endings), so running the same config twice
 produces byte-identical artifacts.
 
-Transaction and enriched CSV files are both read by ``data.read_table``;
+The transaction and enriched CSV files are both read by ``data.read_table``;
 this module only checks an enriched file's header and names its path.
 """
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .data import (
     save_transactions,
     transaction_columns,
 )
-from .enrich import ATTRIBUTE_NAMES, EnrichConfig, EnrichedTable, enrich
+from .enrich import ATTRIBUTE_NAMES, EnrichedTable, enrich
 from .explain import aggregate_tis, explanation_sequence, sequence_to_json
 from .features import (
     FeatureTable,
@@ -108,7 +108,6 @@ class RunConfig:
     generator: ScenarioConfig = field(default_factory=ScenarioConfig)
     cleanse: CleansePolicy = field(default_factory=CleansePolicy)
     split: SplitFractions = field(default_factory=SplitFractions)
-    enrich: EnrichConfig = field(default_factory=EnrichConfig)
     correlation: CorrelationConfig = field(default_factory=CorrelationConfig)
     gbt: GBTConfig = field(default_factory=GBTConfig)
     logistic: LogisticConfig = field(default_factory=LogisticConfig)
@@ -124,7 +123,6 @@ class RunConfig:
         self.generator.validate()
         self.cleanse.validate()
         self.split.validate()
-        self.enrich.validate()
         self.correlation.validate()
         self.gbt.validate()
         self.logistic.validate()
@@ -145,7 +143,7 @@ def _read(tp, value, name: str):
     """`value` from a JSON document read as the declared type `tp`.
 
     An int may be written as a real with no fraction and must fit int64; a
-    float is any finite number, kept as written. bool and str take only
+    float is any finite number, read as a float. bool and str take only
     themselves. A dataclass is an object of its fields, where null means the
     field's default unless the field is optional. The items of an integer
     pair (a period) may also be ISO 8601 strings. A rejection names the field
@@ -193,7 +191,7 @@ def _read(tp, value, name: str):
         return int(value)
     if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
         raise _rejected(name, "finite", value)
-    return value
+    return float(value)
 
 
 def config_from_dict(
@@ -261,7 +259,7 @@ def _read_artifact(path: Path, load: Callable[[Path], T]) -> T:
 
 
 def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
-    """Transaction columns plus the nine attributes; floats via repr so reads are exact."""
+    """The transaction columns plus the nine attributes; floats via repr so reads are exact."""
     _write_text(path, columns_to_csv(rows, transaction_columns(rows) + ATTRIBUTE_NAMES))
 
 
@@ -323,7 +321,7 @@ def stage_enrich(cfg: RunConfig) -> list[str]:
     timestamps, and enrich keeps cleansed.csv's row order, so the cut falls
     where preprocess's did; no split file is read.
     """
-    enriched = enrich(load_transactions(_out(cfg, "cleansed.csv")), cfg.enrich)
+    enriched = enrich(load_transactions(_out(cfg, "cleansed.csv")))
     split = temporal_split(enriched, cfg.split.train_frac, cfg.split.val_frac)
     for part, rows in split.items():
         write_enriched_csv(_out(cfg, f"enriched_{part}.csv"), rows)

@@ -1,11 +1,30 @@
 import re
+from collections import namedtuple
+from dataclasses import fields
 
 from hypothesis import HealthCheck, settings
+
+from timetrail.data import BASE_COLUMNS, OPTIONAL_COLUMNS, Dataset, parse_transactions
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("default")
+
+Row = namedtuple("Row", [f.name for f in fields(Dataset)])
+
+
+def transactions(rows) -> Dataset:
+    """parse_transactions of CSV text holding `rows`: tuples in BASE_COLUMNS
+    order, then an optional label and scenario, where None is an empty cell."""
+    lines = [",".join("" if v is None else str(v) for v in (*row, "", "")[:8]) for row in rows]
+    return parse_transactions("\n".join([",".join(BASE_COLUMNS + OPTIONAL_COLUMNS), *lines]))
+
+
+def records(d: Dataset) -> list[Row]:
+    """The dataset's rows as named tuples, read from its columns ("" where unset)."""
+    return [Row(*row) for row in zip(*(getattr(d, n).tolist() for n in Row._fields))]
+
 
 # One line per numbered end-to-end criterion is printed after the run; the
 # numbers match the test_criterion_NN names in test_acceptance.py.

@@ -404,7 +404,7 @@ def test_non_finite_config_numbers_are_rejected_by_name(tmp_path, capsys, sectio
         ("generator.scenario_mix.burst", "1"),
         ("input_csv", 5),
         ("out_dir", 5),
-        ("enrich.recency_cap_seconds", 1.5),
+        ("correlation.stride_seconds", 1.5),
         ("logistic.max_epochs", 10.5),
         ("generator.n_users", 10**30),
         ("gbt.n_trees", 2**70),
@@ -454,6 +454,23 @@ def test_integer_field_takes_a_real_with_no_fraction(tmp_path):
     assert rows == 50000 and type(rows) is int
 
 
+@pytest.mark.parametrize(
+    "key, integer, real",
+    [("learning_rate", 1, 1.0), pytest.param("l2", 10**300, 1e300, id="l2-10**300")],
+)
+def test_real_field_reads_an_integer_as_the_same_real(tmp_path, key, integer, real):
+    # the JSON integer trains the model its real does, byte for byte
+    models = []
+    for value in (integer, real):
+        out = tmp_path / type(value).__name__
+        cfg = load_config(write_config(tmp_path, tiny_config(out) | {"gbt": {key: value}}))
+        assert type(getattr(cfg.gbt, key)) is float
+        for stage in STAGES[: STAGES.index("train") + 1]:
+            run_stage(cfg, stage)
+        models.append((out / "model_timetrail.json").read_bytes())
+    assert models[0] == models[1]
+
+
 def test_period_at_or_before_the_epoch_is_rejected(tmp_path, capsys):
     doc = tiny_config(tmp_path / "out")
     doc["generator"]["period"] = [-86400, 432000]
@@ -467,6 +484,13 @@ def test_temporal_features_is_not_a_config_field(tmp_path):
     doc = tiny_config(tmp_path / "out") | {"temporal_features": list(ATTRIBUTE_NAMES)}
     with pytest.raises(ValueError, match=r"^unknown config field 'temporal_features'$"):
         config_from_dict(doc)
+
+
+def test_enrich_is_not_a_config_field(tmp_path, capsys):
+    doc = tiny_config(tmp_path / "out") | {"enrich": {"recency_cap_seconds": 86400}}
+    assert main(["run-all", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "error: unknown config field 'enrich'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_readme_config_loads():

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import transactions
 from oracles import pearson, window_correlations
 from timetrail.correlate import _window_correlations, correlation_matrix, dynamic_correlation
-from timetrail.data import Dataset, Transaction
 from timetrail.enrich import ATTRIBUTE_NAMES, EnrichedTable, enrich
 
 
@@ -182,7 +182,7 @@ def test_windows_handle_large_offsets():
 def _enriched_fixture(n=200, seed=3):
     rng = random.Random(seed)
     rows = [
-        Transaction(
+        (
             f"tx{i:04d}",
             1_000_000 + rng.randint(0, 6 * 86400),
             f"u{rng.randint(0, 5)}",
@@ -192,7 +192,7 @@ def _enriched_fixture(n=200, seed=3):
         )
         for i in range(n)
     ]
-    return enrich(Dataset.from_rows(rows))
+    return enrich(transactions(rows))
 
 
 def test_dynamic_correlation_matches_per_window_oracle():
@@ -220,6 +220,16 @@ def test_dynamic_correlation_covers_range():
     assert series.points[0][0] == min(ts)
     assert series.points[-1][0] <= max(ts)
     assert series.points[-1][0] + 86400 > max(ts)
+
+
+def test_dynamic_correlation_largest_window_ends_at_the_last_row():
+    # start + window wraps in int64 here; each window must still take every later row
+    rows = _enriched_fixture()
+    span = int(rows.timestamp[-1] - rows.timestamp[0]) + 1
+    pair = ("hour_of_day", "amount")
+    largest = dynamic_correlation(rows, pair, int(np.iinfo(np.int64).max), 86400).points
+    assert largest == dynamic_correlation(rows, pair, span, 86400).points
+    assert all(r is not None for _, r in largest[:-1])
 
 
 def test_dynamic_correlation_validates_arguments():
@@ -287,10 +297,8 @@ def test_matrix_cells_match_pearson():
 
 
 def test_matrix_constant_attribute_undefined_off_diagonal():
-    rows = [
-        Transaction(f"tx{i}", 1000 + i, "u1", "t1", 10.0, "purchase") for i in range(5)
-    ]
-    m = correlation_matrix(enrich(Dataset.from_rows(rows)), ("is_night", "amount"))
+    rows = [(f"tx{i}", 1000 + i, "u1", "t1", 10.0, "purchase") for i in range(5)]
+    m = correlation_matrix(enrich(transactions(rows)), ("is_night", "amount"))
     assert _cell(m, "is_night", "amount") is None  # is_night constant here
     assert _cell(m, "amount", "amount") is None  # amount constant too
 

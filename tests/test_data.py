@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import transactions
 from timetrail.data import (
     LABELS,
     TX_TYPES,
     Dataset,
     ParseError,
-    Transaction,
     day_of_week,
     hour_of_day,
     parse_timestamp,
@@ -213,12 +213,8 @@ def test_serialize_emits_epoch_and_round_trips():
 
 
 def test_scenario_column_only_when_tagged():
-    plain = Dataset.from_rows(
-        [Transaction("a", 100, "u1", "t1", 1.0, "purchase", "legit")]
-    )
-    tagged = Dataset.from_rows(
-        [Transaction("a", 100, "u1", "t1", 1.0, "purchase", "fraud", "burst")]
-    )
+    plain = transactions([("a", 100, "u1", "t1", 1.0, "purchase", "legit")])
+    tagged = transactions([("a", 100, "u1", "t1", 1.0, "purchase", "fraud", "burst")])
     assert "scenario" not in serialize_transactions(plain).splitlines()[0]
     assert serialize_transactions(tagged).splitlines()[0].endswith("label,scenario")
     rt = parse_transactions(serialize_transactions(tagged))
@@ -234,27 +230,22 @@ _ids = st.text(
 
 @st.composite
 def _transactions(draw):
+    """Rows as numpy columns in (timestamp, tx_id) order, built without the
+    reader under test; "" and NaN are missing values."""
     n = draw(st.integers(1, 30))
-    rows = []
-    for i in range(n):
-        rows.append(
-            Transaction(
-                tx_id=f"tx{i}_{draw(_ids)}",
-                timestamp=draw(st.integers(1, 2_000_000_000)),
-                user_id=draw(st.one_of(st.none(), _ids)),
-                terminal_id=draw(st.one_of(st.none(), _ids)),
-                amount=draw(
-                    st.one_of(
-                        st.none(),
-                        st.floats(0, 1e12, allow_nan=False, allow_infinity=False),
-                    )
-                ),
-                tx_type=draw(st.one_of(st.none(), st.sampled_from(TX_TYPES))),
-                label=draw(st.one_of(st.none(), st.sampled_from(LABELS))),
-                scenario=draw(st.one_of(st.none(), st.just("burst"))),
-            )
-        )
-    return Dataset.from_rows(rows)
+    column = lambda values, dtype=object: np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype)
+    text = lambda values: column(st.one_of(st.just(""), values))
+    d = Dataset(
+        tx_id=np.array([f"tx{i}_{v}" for i, v in enumerate(column(_ids))], dtype=object),
+        timestamp=column(st.integers(1, 2_000_000_000), np.int64),
+        user_id=text(_ids),
+        terminal_id=text(_ids),
+        amount=column(st.one_of(st.just(np.nan), st.floats(0, 1e12)), np.float64),
+        tx_type=text(st.sampled_from(TX_TYPES)),
+        label=text(st.sampled_from(LABELS)),
+        scenario=text(st.just("burst")),
+    )
+    return d[np.lexsort((d.tx_id, d.timestamp))]
 
 
 @given(_transactions())

@@ -8,13 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timetrail.data import Dataset, Transaction, parse_timestamp
-from timetrail.enrich import (
-    ATTRIBUTE_NAMES,
-    DAY,
-    EnrichConfig,
-    enrich,
-)
+from conftest import records as _rows
+from conftest import transactions
+from timetrail.data import parse_timestamp
+from timetrail.enrich import ATTRIBUTE_NAMES, DAY, RECENCY_CAP_SECONDS, enrich
 from timetrail.features import enriched_feature_table
 from timetrail.pipeline import read_enriched_csv, write_enriched_csv
 
@@ -23,17 +20,11 @@ CAP = 30 * DAY
 
 
 def _tx(i, ts, user="u1", terminal="t1", amount=10.0):
-    return Transaction(f"tx{i:04d}", ts, user, terminal, amount, "purchase")
+    return (f"tx{i:04d}", ts, user, terminal, amount, "purchase")
 
 
-def _enrich_rows(rows, cfg=None):
-    return enrich(Dataset.from_rows(rows), cfg)
-
-
-def _rows(d):
-    """The dataset's rows as records, read from its columns ("" where unset)."""
-    names = [f.name for f in fields(Transaction)]
-    return [Transaction(*row) for row in zip(*(getattr(d, n).tolist() for n in names))]
+def _enrich_rows(rows):
+    return enrich(transactions(rows))
 
 
 # --- brute-force oracles -----------------------------------------------------
@@ -89,7 +80,7 @@ def test_recency_example():
 def test_recency_saturates_at_cap():
     rows = [_tx(0, 100), _tx(1, 100 + CAP + 999)]
     out = _enrich_rows(rows)
-    assert out.seconds_since_last_user_tx[1] == CAP
+    assert out.seconds_since_last_user_tx[1] == CAP == RECENCY_CAP_SECONDS
 
 
 def test_recency_tie_is_zero():
@@ -101,11 +92,7 @@ def test_recency_tie_is_zero():
 
 def test_48h_count_example():
     # transactions at hours 0, 10, 50: at t=50h the (2h, 50h] window holds 10h and 50h
-    rows = [_tx(i, h * HOUR) for i, h in enumerate([0, 10, 50])]
-    rows = [
-        Transaction(t.tx_id, t.timestamp + 1, t.user_id, t.terminal_id, t.amount, t.tx_type)
-        for t in rows
-    ]  # keep timestamps positive at hour 0
+    rows = [_tx(i, h * HOUR + 1) for i, h in enumerate([0, 10, 50])]  # positive at hour 0
     out = _enrich_rows(rows)
     assert out.user_tx_count_48h[2] == 2
     assert out.user_tx_count_48h[1] == 2
@@ -168,23 +155,15 @@ def test_terminal_count_groups_by_terminal():
 
 
 def test_enrich_requires_complete_rows():
-    bad = Transaction("x", 100, None, "t1", 1.0, "purchase")
     with pytest.raises(ValueError) as err:
-        enrich(Dataset.from_rows([bad]))
+        enrich(transactions([("x", 100, None, "t1", 1.0, "purchase")]))
     assert "cleanse" in str(err.value)
 
 
 def test_enrich_rejects_timestamps_too_far_apart_to_key():
     rows = [_tx(0, 1, user="u1"), _tx(1, 2**62, user="u2")]
     with pytest.raises(ValueError, match="too wide"):
-        enrich(Dataset.from_rows(rows))
-
-
-def test_custom_recency_cap():
-    rows = [_tx(0, 100), _tx(1, 100 + 5000)]
-    out = _enrich_rows(rows, EnrichConfig(recency_cap_seconds=1000))
-    assert out.seconds_since_last_user_tx[0] == 1000
-    assert out.seconds_since_last_user_tx[1] == 1000
+        _enrich_rows(rows)
 
 
 @pytest.mark.parametrize("labeled", [False, True])
@@ -195,10 +174,10 @@ def test_enriched_csv_round_trip_is_exact(tmp_path, labeled):
         label = ("fraud" if fraud else "legit") if labeled else None
         scenario = "burst" if labeled and fraud else None
         rows.append(
-            Transaction(f"tx{i:04d}", 1_000_000 + 977 * i, f"u{i % 3}", f"t{i % 2}",
-                        0.1 * i + 1 / 3, "purchase", label, scenario)
+            (f"tx{i:04d}", 1_000_000 + 977 * i, f"u{i % 3}", f"t{i % 2}", 0.1 * i + 1 / 3, "purchase",
+             label, scenario)
         )
-    table = enrich(Dataset.from_rows(rows))
+    table = _enrich_rows(rows)
     path = tmp_path / "enriched.csv"
     write_enriched_csv(path, table)
     back = read_enriched_csv(path)
@@ -269,7 +248,7 @@ def _cell(k, text):
 )
 def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):
     path = tmp_path / "enriched.csv"
-    write_enriched_csv(path, enrich(Dataset.from_rows([_tx(i, 1_000_000 + 977 * i) for i in range(12)])))
+    write_enriched_csv(path, _enrich_rows([_tx(i, 1_000_000 + 977 * i) for i in range(12)]))
     lines = path.read_text(encoding="utf-8").split("\n")
     assert len(lines[0].split(",")) == 16 and lines[4].startswith("tx0003,")
     for i, edit in edits.items():
@@ -291,7 +270,7 @@ def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):
 )
 def test_enriched_csv_rejects_a_header_enrich_never_writes(tmp_path, edit, problem):
     path = tmp_path / "enriched.csv"
-    write_enriched_csv(path, enrich(Dataset.from_rows([_tx(i, 1_000_000 + 977 * i) for i in range(3)])))
+    write_enriched_csv(path, _enrich_rows([_tx(i, 1_000_000 + 977 * i) for i in range(3)]))
     header, rest = path.read_text(encoding="utf-8").split("\n", 1)
     header = edit(header)
     path.write_text(header and header + "\n" + rest, encoding="utf-8")  # no header, no file
@@ -306,7 +285,7 @@ def _random_rows(rng, n, n_users=4, n_terminals=3, span=10 * DAY):
     rows = []
     for i in range(n):
         rows.append(
-            Transaction(
+            (
                 f"tx{i:04d}",
                 rng.randint(1_000_000, 1_000_000 + span),
                 f"u{rng.randint(0, n_users - 1)}",
@@ -322,7 +301,7 @@ def test_all_window_attributes_match_oracles():
     rng = random.Random(42)
     for trial in range(8):
         rows = _random_rows(rng, 120)
-        d = Dataset.from_rows(rows)
+        d = transactions(rows)
         out = enrich(d)
         sorted_rows = _rows(d)
         user = lambda t: t.user_id
@@ -344,7 +323,7 @@ def test_all_window_attributes_match_oracles():
 def test_dense_tie_fixture_matches_oracles():
     rng = random.Random(7)
     rows = [
-        Transaction(
+        (
             f"tx{i:04d}",
             1_000_000 + rng.randint(0, 5) * HOUR,  # heavy timestamp collisions
             f"u{rng.randint(0, 1)}",
@@ -354,7 +333,7 @@ def test_dense_tie_fixture_matches_oracles():
         )
         for i in range(60)
     ]
-    d = Dataset.from_rows(rows)
+    d = transactions(rows)
     out = enrich(d)
     sorted_rows = _rows(d)
     for i in range(len(out)):
@@ -380,7 +359,7 @@ def test_no_lookahead_property(timestamps, user_count):
     rows = [
         _tx(i, ts, user=f"u{i % (user_count + 1)}") for i, ts in enumerate(timestamps)
     ]
-    d = Dataset.from_rows(rows)
+    d = transactions(rows)
     full = enrich(d)
     cut = len(d) // 2 + 1
     prefix = d[:cut]
@@ -398,8 +377,8 @@ def test_input_order_invariance(timestamps):
     rows = [_tx(i, ts) for i, ts in enumerate(timestamps)]
     shuffled = list(rows)
     random.Random(0).shuffle(shuffled)
-    a = enrich(Dataset.from_rows(rows))
-    b = enrich(Dataset.from_rows(shuffled))
+    a = _enrich_rows(rows)
+    b = _enrich_rows(shuffled)
     assert a.tx_id.tolist() == b.tx_id.tolist()
     for name in ATTRIBUTE_NAMES:
         assert a.column(name).tolist() == b.column(name).tolist()
@@ -409,7 +388,7 @@ def test_input_order_invariance(timestamps):
 @settings(max_examples=60)
 def test_self_inclusion_and_monotone_windows(timestamps):
     rows = [_tx(i, ts) for i, ts in enumerate(timestamps)]
-    a = enrich(Dataset.from_rows(rows))
+    a = _enrich_rows(rows)
     assert (a.user_tx_count_24h >= 1).all()  # a row always sees itself
     assert (a.user_tx_count_24h <= a.user_tx_count_48h).all()
     assert (a.user_tx_count_48h <= a.user_tx_count_7d).all()

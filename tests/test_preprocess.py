@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from timetrail.data import Dataset, Transaction
+from conftest import transactions as _dataset
 from timetrail.features import (
     FeatureTable,
     apply_scaler,
@@ -21,11 +21,7 @@ import numpy as np
 
 
 def _tx(i, ts, user="u1", terminal="t1", amount=10.0, tx_type="purchase", label=None):
-    return Transaction(f"tx{i:03d}", ts, user, terminal, amount, tx_type, label)
-
-
-def _dataset(rows):
-    return Dataset.from_rows(rows)
+    return (f"tx{i:03d}", ts, user, terminal, amount, tx_type, label)
 
 
 # --- cleanse ---------------------------------------------------------------
@@ -51,9 +47,9 @@ def test_outlier_example_removes_only_extreme():
 
 def test_dedupe_keeps_first_occurrence():
     rows = [
-        Transaction("dup", 100, "u1", "t1", 1.0, "purchase"),
-        Transaction("dup", 200, "u2", "t2", 2.0, "transfer"),
-        Transaction("other", 150, "u3", "t1", 3.0, "purchase"),
+        ("dup", 100, "u1", "t1", 1.0, "purchase"),
+        ("dup", 200, "u2", "t2", 2.0, "transfer"),
+        ("other", 150, "u3", "t1", 3.0, "purchase"),
     ]
     clean, report = cleanse(_dataset(rows), CleansePolicy(remove_outliers=False))
     assert report["duplicates_dropped"] == 1
@@ -62,8 +58,8 @@ def test_dedupe_keeps_first_occurrence():
 
 
 def test_composite_dedupe_key():
-    a = Transaction("a", 100, "u1", "t1", 5.0, "purchase")
-    b = Transaction("b", 100, "u1", "t1", 5.0, "purchase")  # same composite key
+    a = ("a", 100, "u1", "t1", 5.0, "purchase")
+    b = ("b", 100, "u1", "t1", 5.0, "purchase")  # same composite key
     clean, report = cleanse(
         _dataset([a, b]), CleansePolicy(dedupe_key="composite", remove_outliers=False)
     )
@@ -74,8 +70,8 @@ def test_composite_dedupe_key():
 def test_missing_mandatory_dropped():
     rows = [
         _tx(0, 100),
-        Transaction("m1", 110, None, "t1", 1.0, "purchase"),
-        Transaction("m2", 120, "u1", "t1", None, "purchase"),
+        ("m1", 110, None, "t1", 1.0, "purchase"),
+        ("m2", 120, "u1", "t1", None, "purchase"),
     ]
     clean, report = cleanse(_dataset(rows), CleansePolicy(remove_outliers=False))
     assert report["missing_dropped"] == 2
@@ -89,8 +85,8 @@ def test_counts_reconcile_exactly():
         _tx(2, 120, amount=11.0),
         _tx(3, 130, amount=9.5),
         _tx(4, 140, amount=1e9),
-        Transaction("tx001", 150, "u1", "t1", 10.0, "purchase"),  # dup id
-        Transaction("miss", 160, None, "t1", 10.0, "purchase"),
+        ("tx001", 150, "u1", "t1", 10.0, "purchase"),  # dup id
+        ("miss", 160, None, "t1", 10.0, "purchase"),
     ]
     clean, r = cleanse(_dataset(rows), CleansePolicy())
     assert r["rows_in"] == len(rows)
@@ -166,7 +162,7 @@ def test_split_conservation_property():
     rows = [_tx(i, 100 + 13 * i) for i in range(37)]
     split = temporal_split(_dataset(rows), 0.6, 0.2)
     ids = split["train"].tx_id.tolist() + split["val"].tx_id.tolist() + split["test"].tx_id.tolist()
-    assert sorted(ids) == sorted(t.tx_id for t in rows)
+    assert sorted(ids) == sorted(t[0] for t in rows)
 
 
 def test_split_rejects_bad_fractions():

@@ -1,12 +1,12 @@
 """Synthetic generator tests: exact counts, determinism, scenario structure."""
 
 import hashlib
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from timetrail.data import Transaction, hour_of_day, serialize_transactions
+from conftest import records as _rows
+from timetrail.data import hour_of_day, serialize_transactions
 from timetrail.simulate import (
     DAY,
     HOUR,
@@ -20,12 +20,6 @@ from timetrail.simulate import (
 
 START = 1672531200  # 2023-01-01T00:00:00Z
 END = 1688169600  # 2023-07-01T00:00:00Z
-
-
-def _rows(d):
-    """The dataset's rows as records, read from its columns ("" where unset)."""
-    names = [f.name for f in fields(Transaction)]
-    return [Transaction(*row) for row in zip(*(getattr(d, n).tolist() for n in names))]
 
 
 @pytest.fixture(scope="module")
