@@ -10,8 +10,9 @@ UTC), and positive; an amount is a decimal or exponent literal,
 [+-]?(d+[.d*] | .d+)([eE][+-]?d+), finite and >= 0. The '_' separators and
 non-ASCII digits that int() and float() also read are rejected.
 
-read_table converts transaction and enriched files alike; a table type names
-its number columns in NUMBERS, and every other column holds text.
+This is the one module that knows the CSV format: parse_transactions reads
+transaction and enriched files alike, and rows_to_csv writes every CSV file.
+A table type names its number columns in NUMBERS; the others hold text.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import io
 import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -90,8 +92,13 @@ class Dataset:
         return cls(**{f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)})
 
     def _sorted(self) -> "Dataset":
-        """The rows in (timestamp, tx_id) order; ties keep their order."""
-        return self[np.lexsort((self.tx_id, self.timestamp))]
+        """The rows in (timestamp, tx_id) order, ties keeping their order; the
+        table itself, not a copy, when its rows are in that order already."""
+        ts, ids = self.timestamp, self.tx_id
+        tied = ts[1:] == ts[:-1]
+        if (ts[1:] >= ts[:-1]).all() and (ids[1:][tied] >= ids[:-1][tied]).all():
+            return self
+        return self[np.lexsort((ids, ts))]
 
     def __len__(self) -> int:
         return len(self.tx_id)
@@ -122,12 +129,15 @@ def day_of_week(ts: int) -> int:
     return (ts // 86400 + 3) % 7
 
 
-def _check_header(header: list[str]) -> tuple[str, ...]:
+def _check_header(header: list[str], table: type) -> tuple[str, ...]:
+    own = tuple(f.name for f in fields(table))[len(BASE_COLUMNS + OPTIONAL_COLUMNS) :]
     cleaned = tuple(h.strip() for h in header)
-    if cleaned not in (BASE_COLUMNS, BASE_COLUMNS + ("label",), BASE_COLUMNS + OPTIONAL_COLUMNS):
+    heads = (BASE_COLUMNS, BASE_COLUMNS + ("label",), BASE_COLUMNS + OPTIONAL_COLUMNS)
+    if cleaned not in [head + own for head in heads]:
+        then = f", then {list(own)}" if own else ""
         raise ParseError(
             f"line 1: bad header {list(cleaned)}; expected {list(BASE_COLUMNS)} "
-            "with optional trailing 'label' and 'scenario' columns"
+            f"with optional trailing 'label' and 'scenario' columns{then}"
         )
     return cleaned
 
@@ -231,17 +241,32 @@ def _convert(rows: list[list], columns: tuple[str, ...], table: type, must: set[
     return table(**out)
 
 
-def read_table(reader, rows: Iterable[list[str]], columns: tuple[str, ...], table: type = Dataset,
-               required: Iterable[str] = ()):
-    """The `table` of CSV `rows` (from `reader`, which counts their lines)
-    in file order, converted CHUNK_ROWS rows at a time. Each row needs one
-    field per column; tx_id, the int columns and the `required` ones need a
-    value. An error names the first bad row in file order."""
+def parse_transactions(source: str | Iterable[str], table: type = Dataset, required: Iterable[str] = ()):
+    """CSV text (or an iterable of lines) as a sorted `table`, by default a Dataset.
+
+    The header is BASE_COLUMNS, then label and scenario if present, then the
+    table type's own columns. Rows are preserved verbatim apart from type
+    conversion; duplicate tx_ids and missing field values survive until
+    cleanse. Blank lines are skipped. Each row needs one field per column;
+    tx_id, the int columns and the `required` ones need a value. Rows are
+    converted CHUNK_ROWS at a time, and an error names the first bad row in
+    file order.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("line 1: empty input, header row required") from None
+    except csv.Error as e:
+        raise ParseError(f"line {reader.line_num}: {e}") from None
+    columns = _check_header(header, table)
     must = {"tx_id", *required, *(name for name, kind in table.NUMBERS.items() if kind is int)}
     parts, chunk, shared = [], [], {}
     stop: Exception | None = None  # raised unless a row before it is bad
     try:
-        for values in rows:
+        for values in filter(None, reader):
             if len(values) != len(columns):
                 stop = ParseError(
                     f"line {reader.line_num}: expected {len(columns)} fields, got {len(values)}"
@@ -257,40 +282,16 @@ def read_table(reader, rows: Iterable[list[str]], columns: tuple[str, ...], tabl
     parts.append(_convert(chunk, columns, table, must, shared))
     if stop is not None:
         raise stop
-    return table.concat(parts)
+    return table.concat(parts)._sorted()
 
 
-def parse_transactions(source: str | Iterable[str]) -> Dataset:
-    """Parse CSV text (or an iterable of lines) into a sorted Dataset.
-
-    Rows are preserved verbatim apart from type conversion; duplicate tx_ids
-    and missing field values survive until cleanse. Blank lines are skipped.
-    An error names the first bad row in file order.
-    """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: empty input, header row required") from None
-    except csv.Error as e:
-        raise ParseError(f"line {reader.line_num}: {e}") from None
-    return read_table(reader, filter(None, reader), _check_header(header))._sorted()
-
-
-def load_transactions(path: str | Path) -> Dataset:
-    """parse_transactions of the file at path; an error names the path."""
+def load_transactions(path: str | Path, table: type = Dataset, required: Iterable[str] = ()):
+    """parse_transactions of the file at path; an error, bytes not UTF-8 too, names the path."""
     with open(path, "r", newline="", encoding="utf-8") as f:
         try:
-            return parse_transactions(f)
-        except ParseError as e:
+            return parse_transactions(f, table, required)
+        except (ParseError, UnicodeDecodeError) as e:
             raise ParseError(f"{path}: {e}") from None
-
-
-def transaction_columns(d: Dataset) -> tuple[str, ...]:
-    """BASE_COLUMNS and label, then scenario if some row carries a scenario tag."""
-    return BASE_COLUMNS + OPTIONAL_COLUMNS[: 2 if (d.scenario != "").any() else 1]
 
 
 def _csv_text(column: np.ndarray) -> list[str]:
@@ -299,25 +300,29 @@ def _csv_text(column: np.ndarray) -> list[str]:
     return column.tolist() if column.dtype == object else list(map(str, column.tolist()))
 
 
-def columns_to_csv(table: Dataset, columns: Sequence[str]) -> str:
-    """CSV text of the named columns, floats via repr and "" for NaN,
-    converted and written CHUNK_ROWS rows at a time."""
+def rows_to_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """A header line, then one line per row. csv writes a float by its repr,
+    so a read gives back its bits, and None as an empty field."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for lo in range(0, len(table), CHUNK_ROWS):
-        values = [_csv_text(getattr(table, name)[lo : lo + CHUNK_ROWS]) for name in columns]
-        writer.writerows(zip(*values))
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
     return out.getvalue()
 
 
-def serialize_transactions(d: Dataset) -> str:
-    """CSV text for a dataset; inverse of parse_transactions.
+def serialize_transactions(t: Dataset) -> str:
+    """CSV text of a table's columns in field order, CHUNK_ROWS rows at a time;
+    inverse of parse_transactions.
 
     Timestamps are emitted as epoch seconds, amounts via repr. The scenario
     column appears only when some row carries a scenario tag.
     """
-    return columns_to_csv(d, transaction_columns(d))
+    names = [f.name for f in fields(t) if f.name != "scenario" or (t.scenario != "").any()]
+    chunks = (
+        zip(*(_csv_text(getattr(t, name)[lo : lo + CHUNK_ROWS]) for name in names))
+        for lo in range(0, len(t), CHUNK_ROWS)
+    )
+    return rows_to_csv(names, chain.from_iterable(chunks))
 
 
 def save_transactions(d: Dataset, path: str | Path) -> None:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, day_of_week, hour_of_day
+from .data import Dataset, day_of_week, hour_of_day, load_transactions
+from .preprocess import MANDATORY_FIELDS
 
 DAY = 86400
 ATTRIBUTE_NAMES = (
@@ -64,6 +66,11 @@ class EnrichedTable(Dataset):
                 f"unknown attribute {name!r}; expected one of {ATTRIBUTE_NAMES + ('amount',)}"
             )
         return getattr(self, name).astype(np.float64)
+
+
+def read_enriched_csv(path: str | Path) -> EnrichedTable:
+    """An enriched file's table; each row needs the mandatory fields and the attributes."""
+    return load_transactions(path, EnrichedTable, MANDATORY_FIELDS + ATTRIBUTE_NAMES)
 
 
 def _group_keys(ids: np.ndarray, ts: np.ndarray):

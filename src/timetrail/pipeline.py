@@ -8,12 +8,11 @@ as long as their upstream files exist. Every writer is deterministic (sorted
 JSON keys, repr floats, fixed line endings), so running the same config twice
 produces byte-identical artifacts.
 
-The transaction and enriched CSV files are both read by ``data.read_table``;
-this module only checks an enriched file's header and names its path.
+Every CSV file, transaction or enriched, is read and written by ``data``,
+the one module that knows the CSV format.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -28,17 +27,14 @@ import numpy as np
 
 from .correlate import check_window, correlation_matrix, dynamic_correlation
 from .data import (
-    BASE_COLUMNS,
-    OPTIONAL_COLUMNS,
-    ParseError,
-    columns_to_csv,
+    _INT64,
     load_transactions,
     parse_timestamp,
-    read_table,
+    rows_to_csv,
     save_transactions,
-    transaction_columns,
+    serialize_transactions,
 )
-from .enrich import ATTRIBUTE_NAMES, EnrichedTable, enrich
+from .enrich import ATTRIBUTE_NAMES, EnrichedTable, enrich, read_enriched_csv
 from .explain import aggregate_tis, explanation_sequence, sequence_to_json
 from .features import (
     FeatureTable,
@@ -70,11 +66,10 @@ from .plots import (
     heatmap_to_svg,
     histogram_to_svg,
     render_sequence,
-    rows_to_csv,
     series_to_svg,
     tis_histogram,
 )
-from .preprocess import MANDATORY_FIELDS, CleansePolicy, check_fractions, cleanse, temporal_split
+from .preprocess import CleansePolicy, check_fractions, cleanse, temporal_split
 from .simulate import ScenarioConfig, generate
 
 # Series the windowed-correlation artifact pairs up: the nine temporal
@@ -219,7 +214,7 @@ def load_config(path: str | Path, seed: int | None = None, out_dir: str | None =
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as e:  # too deep, not UTF-8
             raise ValueError(f"config is not valid JSON: {e}") from e
     return config_from_dict(doc, seed=seed, out_dir=out_dir)
 
@@ -240,8 +235,6 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-_INT64 = np.iinfo(np.int64)
-
 T = TypeVar("T")
 
 
@@ -259,30 +252,7 @@ def _read_artifact(path: Path, load: Callable[[Path], T]) -> T:
 
 
 def write_enriched_csv(path: Path, rows: EnrichedTable) -> None:
-    """The transaction columns plus the nine attributes; floats via repr so reads are exact."""
-    _write_text(path, columns_to_csv(rows, transaction_columns(rows) + ATTRIBUTE_NAMES))
-
-
-def read_enriched_csv(path: Path) -> EnrichedTable:
-    """An enriched file's table in file order, read by the transaction file's
-    grammar. A blank line is a bad row, and every row needs the mandatory
-    fields and the nine attributes; an error names the path, line and field."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except csv.Error as e:  # e.g. a name over csv.field_size_limit()
-            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
-        if header is None:
-            raise ValueError(f"{path}: empty enriched file")
-        base = list(BASE_COLUMNS + OPTIONAL_COLUMNS[:1])
-        if header[-9:] != list(ATTRIBUTE_NAMES) or header[:-9] not in (base, base + ["scenario"]):
-            raise ValueError(f"{path}: unexpected enriched header")
-        required = MANDATORY_FIELDS + ATTRIBUTE_NAMES
-        try:
-            return read_table(reader, reader, tuple(header), EnrichedTable, required)
-        except ParseError as e:
-            raise ValueError(f"{path}: {e}") from None
+    _write_text(path, serialize_transactions(rows))
 
 
 def _undersample_seed(cfg: RunConfig) -> int:
@@ -333,11 +303,15 @@ def stage_correlate(cfg: RunConfig) -> list[str]:
     rows = EnrichedTable.concat(
         [read_enriched_csv(_out(cfg, f"enriched_{p}.csv")) for p in ("train", "val", "test")]
     )
+    window, stride = cfg.correlation.window_seconds, cfg.correlation.stride_seconds
+    if len(rows):  # window_end is written as start + window, so it must fit int64
+        first, last = int(rows.timestamp[0]), int(rows.timestamp[-1])
+        if last - (last - first) % stride + window > _INT64.max:
+            raise ValueError(f"correlation.window_seconds {window} ends the last window past int64")
     m = correlation_matrix(rows, CORRELATION_SERIES)
     _write_text(_out(cfg, "heatmap_all.csv"), heatmap_to_csv(m))
     _write_text(_out(cfg, "heatmap_all.json"), heatmap_to_json(m))
 
-    window, stride = cfg.correlation.window_seconds, cfg.correlation.stride_seconds
     coefficients = (
         (a, b, start, start + window, r)
         for i, a in enumerate(CORRELATION_SERIES)

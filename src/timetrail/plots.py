@@ -1,25 +1,25 @@
 """Plot-data exporters and deterministic SVG renderings.
 
 Every figure exists first as plain data, rows of a table or a JSON
-document, so downstream tooling never has to scrape pixels; one writer,
-``rows_to_csv``, makes every CSV, and the SVG renderings are built from the
-same data with fixed float formatting, so identical inputs yield identical
-bytes. Undefined correlation cells serialize as empty CSV fields / JSON null
-and render as hatched cells; a heatmap value that is neither null nor a
-number in [-1, 1], or a non-finite number in an explanation, is refused.
-The flagged-frequency series always carries the true fraud count of each
-window, so it needs a labeled split; the TIS histogram has ten uniform bins
-over [0, 1].
+document, so downstream tooling never has to scrape pixels; the one CSV
+writer, ``data.rows_to_csv``, makes every CSV, and the SVG renderings are
+built from the same data with fixed float formatting, so identical inputs
+yield identical bytes. Undefined correlation cells serialize as empty CSV
+fields / JSON null and render as hatched cells; a heatmap value that is
+neither null nor a number in [-1, 1], or a non-finite number in an
+explanation, is refused. The flagged-frequency series always carries the
+true fraud count of each window, so it needs a labeled split; the TIS
+histogram has ten uniform bins over [0, 1].
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import Iterable
 
 import numpy as np
+
+from .data import rows_to_csv
 
 # Diverging scale anchors: -1 cold, 0 neutral, +1 hot.
 _COLD = (33, 102, 172)
@@ -56,16 +56,6 @@ _HATCH_DEF = (
 
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def rows_to_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
-    """A header line, then one line per row. csv writes a float by its repr,
-    so a read gives back its bits, and None as an empty field."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -510,13 +510,30 @@ def test_readme_library_block_runs():
     assert len(scope["features"]) == len(scope["train"]) > 0
 
 
-@pytest.mark.parametrize("text", ["{not json", DEEP_CONFIG], ids=["syntax", "deep"])
+@pytest.mark.parametrize("text", ["{not json", DEEP_CONFIG, b'{"seed": "\xff"}'], ids=["syntax", "deep", "not-utf8"])
 def test_invalid_json_config(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert main(["run-all", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config is not valid JSON")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "stage, name, source",
+    [("generate", "input.csv", "dataset.csv"), ("evaluate", "enriched_test.csv", "enriched_test.csv")],
+)
+def test_csv_file_that_is_not_utf8_names_its_path(full_run, tmp_path, capsys, stage, name, source):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    header, rest = (out / source).read_bytes().split(b"\n", 1)
+    (out / name).write_bytes(header + b"\n" + rest.replace(b",", b",\xff", 1))
+    doc = tiny_config(out)
+    doc["input_csv"] = str(out / name)
+    assert main([stage, "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / name}: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in err
 
 
@@ -686,6 +703,41 @@ def test_plot_names_a_tis_report_whose_value_is_out_of_range(full_run, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: tis value 1.5 outside [0, 1]")
     assert "Traceback" not in err
+
+
+CORRELATE_FILES = ("heatmap_all.csv", "heatmap_all.json", "dynamic_corr.csv")
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _last_window_start(run):
+    with open(run / "dynamic_corr.csv", newline="", encoding="utf-8") as fh:
+        return max(int(row["window_start"]) for row in csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("past", ["one second", "int64 max"])
+def test_correlation_window_ending_past_int64_is_refused_before_any_file(full_run, tmp_path, capsys, past):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    for name in CORRELATE_FILES:
+        (out / name).unlink()
+    doc = tiny_config(out)
+    window = INT64_MAX - _last_window_start(full_run) + 1 if past == "one second" else INT64_MAX
+    doc["correlation"]["window_seconds"] = window
+    assert main(["correlate", "--config", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: correlation.window_seconds {window} ")
+    assert "Traceback" not in err
+    assert not any((out / name).exists() for name in CORRELATE_FILES)
+
+
+def test_correlation_window_ending_at_int64_max_runs(full_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    doc = tiny_config(out)
+    doc["correlation"]["window_seconds"] = INT64_MAX - _last_window_start(full_run)
+    assert main(["correlate", "--config", write_config(tmp_path, doc)]) == 0
+    with open(out / "dynamic_corr.csv", newline="", encoding="utf-8") as fh:
+        assert max(int(row["window_end"]) for row in csv.DictReader(fh)) == INT64_MAX
 
 
 def test_unknown_subcommand_is_a_usage_error(tmp_path):

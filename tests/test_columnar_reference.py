@@ -145,7 +145,7 @@ def ref_parse(text: str) -> tuple[RefTx, ...]:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
-        columns = data._check_header(header)
+        columns = data._check_header(header, data.Dataset)
         rows = []
         for values in reader:
             if not values:
@@ -462,7 +462,7 @@ def test_enriched_file_names_the_base_cell_the_transaction_grammar_names(tmp_pat
     label = [] if "label" in header else [""]
     tx_path, enriched_path = tmp_path / "tx.csv", tmp_path / "enriched.csv"
     # both files on the same lines: every field quoted, so a CR or LF stays in
-    # its cell, and no blank line, which an enriched file may not hold
+    # its cell, and blank lines left out of both
     with open(tx_path, "w", newline="") as tx, open(enriched_path, "w", newline="") as enriched:
         tx_out = csv.writer(tx, lineterminator="\n", quoting=csv.QUOTE_ALL)
         enriched_out = csv.writer(enriched, lineterminator="\n", quoting=csv.QUOTE_ALL)

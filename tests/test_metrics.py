@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timetrail.data import rows_to_csv
 from timetrail.metrics import (
     METRIC_NAMES,
     auc_roc,
@@ -26,7 +27,6 @@ from timetrail.metrics import (
     report_to_json,
     save_report,
 )
-from timetrail.plots import rows_to_csv
 
 
 def oracle_auc(y, s):

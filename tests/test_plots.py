@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timetrail.data import rows_to_csv
 from timetrail.explain import sequence_to_json
 from timetrail.plots import (
     diverging_color,
@@ -21,7 +22,6 @@ from timetrail.plots import (
     heatmap_to_svg,
     histogram_to_svg,
     render_sequence,
-    rows_to_csv,
     series_to_svg,
     tis_histogram,
 )
