@@ -279,6 +279,8 @@ def parse_transactions(source: str | Iterable[str], table: type = Dataset, requi
                 chunk = []
     except csv.Error as e:  # e.g. a field over csv.field_size_limit()
         stop = ParseError(f"line {reader.line_num}: {e}")
+    except UnicodeDecodeError as e:  # load_transactions says where, in the file
+        stop = e
     parts.append(_convert(chunk, columns, table, must, shared))
     if stop is not None:
         raise stop
@@ -286,12 +288,23 @@ def parse_transactions(source: str | Iterable[str], table: type = Dataset, requi
 
 
 def load_transactions(path: str | Path, table: type = Dataset, required: Iterable[str] = ()):
-    """parse_transactions of the file at path; an error, bytes not UTF-8 too, names the path."""
+    """parse_transactions of the file at path; an error names the path. Bytes
+    that are not UTF-8 fail by the line and the file offset of the first one."""
     with open(path, "r", newline="", encoding="utf-8") as f:
         try:
             return parse_transactions(f, table, required)
-        except (ParseError, UnicodeDecodeError) as e:
+        except ParseError as e:
             raise ParseError(f"{path}: {e}") from None
+        except UnicodeDecodeError:  # its position counts from the decoder's last chunk
+            data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len(data[: e.start + 1].splitlines())  # the lines csv counts: LF, CR or CRLF ends one
+        raise ParseError(
+            f"{path}: line {line}: byte {data[e.start]:#04x} at offset {e.start} is not UTF-8 ({e.reason})"
+        ) from None
+    raise ParseError(f"{path}: not UTF-8")  # the file changed while it was read
 
 
 def _csv_text(column: np.ndarray) -> list[str]:

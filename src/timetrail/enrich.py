@@ -68,9 +68,10 @@ class EnrichedTable(Dataset):
         return getattr(self, name).astype(np.float64)
 
 
-def read_enriched_csv(path: str | Path) -> EnrichedTable:
-    """An enriched file's table; each row needs the mandatory fields and the attributes."""
-    return load_transactions(path, EnrichedTable, MANDATORY_FIELDS + ATTRIBUTE_NAMES)
+def read_enriched_csv(path: str | Path, labeled: bool = False) -> EnrichedTable:
+    """An enriched file's table; each row needs the mandatory fields and the
+    attributes, and a label too when `labeled`."""
+    return load_transactions(path, EnrichedTable, MANDATORY_FIELDS + ATTRIBUTE_NAMES + ("label",) * labeled)
 
 
 def _group_keys(ids: np.ndarray, ts: np.ndarray):

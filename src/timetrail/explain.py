@@ -25,9 +25,7 @@ delta the learning-rate-scaled change in node value), feature_contributions
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -178,38 +176,24 @@ def sequence_to_json(seq: dict) -> str:
     return _dumps_with_records(seq, "steps", seq["steps"])
 
 
-def _json_value(v) -> str:
-    """One scalar as json.dumps writes it."""
-    t = type(v)
-    if t is str:
-        return encode_basestring_ascii(v)
-    if t is float and math.isfinite(v):
-        return float.__repr__(v)
-    if t is int:
-        return int.__repr__(v)
-    return json.dumps(v)  # NaN, infinities, None, bools, subclasses
-
-
 def _dumps_with_records(doc: dict, key: str, records: Sequence[dict]) -> str:
     """json.dumps({**doc, key: records}, indent=2, sort_keys=True), byte for
     byte, with the records written directly.
 
-    json's indenting encoder is pure Python and slow on long lists; here each
-    record (a flat dict; all share the first one's keys) fills one template.
-    The rest of the document still goes through json.dumps.
+    json's indenting encoder is pure Python and slow on long lists; here the
+    records (flat dicts) go through its compact encoder in one call, with the
+    indented form's separator inside a record. An encoded string holds no raw
+    newline, so the text that call puts between two records occurs nowhere
+    else, and it becomes the indented join. The rest of the document still
+    goes through json.dumps.
     """
     text = json.dumps({**doc, key: []}, indent=2, sort_keys=True)
     if not records:
         return text
     # top-level keys are the only lines indented by exactly two spaces, and
     # strings hold no raw newline, so this marker occurs once
-    marker = f"\n  {encode_basestring_ascii(key)}: []"
+    marker = f"\n  {json.dumps(key)}: []"
     head, _, tail = text.partition(marker)
-    keys = sorted(records[0])
-    template = "{" + ",".join(
-        "\n      " + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
-    ) + "\n    }"
-    items = ",\n    ".join(
-        template % tuple([_json_value(rec[k]) for k in keys]) for rec in records
-    )
-    return f"{head}{marker[:-2]}[\n    {items}\n  ]{tail}"
+    items = json.dumps(list(records), sort_keys=True, separators=(",\n      ", ": "))
+    items = items[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return f"{head}{marker[:-2]}[\n    {{\n      {items}\n    }}\n  ]{tail}"

@@ -493,20 +493,24 @@ def _node_to_dict(tree: Tree, i: int) -> dict:
     return doc
 
 
-def _node_from_dict(doc: dict, depth: int, nodes: list[list]) -> int:
-    """Append the node of doc, then its subtree, as _build_node does."""
+def _node_from_dict(doc: dict, depth: int, nodes: list[list], width: int, tree: int) -> int:
+    """Append the node of doc, then its subtree, as _build_node does. A split's
+    feature is a JSON integer that indexes the model's `width` names."""
     i = len(nodes)
     nodes.append([0, math.inf, i, i, float(doc["value"]), depth])
     if "feature" in doc:
-        left = _node_from_dict(doc["left"], depth + 1, nodes)
-        right = _node_from_dict(doc["right"], depth + 1, nodes)
-        nodes[i][:4] = int(doc["feature"]), float(doc["threshold"]), left, right
+        feature = doc["feature"]
+        if type(feature) is not int or not 0 <= feature < width:
+            raise ValueError(f"tree {tree} splits on feature {feature!r}, outside the {width} names")
+        left = _node_from_dict(doc["left"], depth + 1, nodes, width, tree)
+        right = _node_from_dict(doc["right"], depth + 1, nodes, width, tree)
+        nodes[i][:4] = feature, float(doc["threshold"]), left, right
     return i
 
 
-def _tree_from_dict(doc: dict) -> Tree:
+def _tree_from_dict(doc: dict, width: int, tree: int) -> Tree:
     nodes: list[list] = []
-    _node_from_dict(doc, 0, nodes)
+    _node_from_dict(doc, 0, nodes, width, tree)
     return Tree.from_nodes(nodes)
 
 
@@ -550,11 +554,8 @@ def model_from_json(text: str) -> Model:
     kind = doc.get("type")
     if kind == "gbt":
         names = tuple(doc["feature_names"])
-        trees = tuple(_tree_from_dict(d) for d in doc["trees"])
+        trees = tuple(_tree_from_dict(d, len(names), t_i) for t_i, d in enumerate(doc["trees"]))
         for t_i, tree in enumerate(trees):
-            bad = [f for f in tree.feature.tolist() if not 0 <= f < len(names)]
-            if tree.depth and bad:  # a leaf tests feature 0, even without names
-                raise ValueError(f"tree {t_i} splits on feature {bad[0]}, outside the {len(names)} names")
             split = tree.children[0::2] != np.arange(tree.value.size)  # a leaf's threshold is +inf
             for field, values in (("value", tree.value), ("threshold", tree.threshold[split])):
                 if not np.isfinite(values).all():
@@ -566,11 +567,11 @@ def model_from_json(text: str) -> Model:
             trees=trees,
         )
     if kind == "logistic":
-        return LogisticModel(
-            feature_names=tuple(doc["feature_names"]),
-            weights=_finite("weights", np.array(doc["weights"], dtype=np.float64)),
-            bias=_finite("bias", doc["bias"]),
-        )
+        names = tuple(doc["feature_names"])
+        weights = _finite("weights", np.array(doc["weights"], dtype=np.float64))
+        if weights.shape != (len(names),):
+            raise ValueError(f"model weights must be a list of {len(names)} numbers, one per feature name")
+        return LogisticModel(feature_names=names, weights=weights, bias=_finite("bias", doc["bias"]))
     raise ValueError(f"unknown model type {kind!r}")
 
 

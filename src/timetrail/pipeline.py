@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Sequence, TypeVar, get_args, get_origin, get_type_hints
@@ -69,7 +69,7 @@ from .plots import (
     series_to_svg,
     tis_histogram,
 )
-from .preprocess import CleansePolicy, check_fractions, cleanse, temporal_split
+from .preprocess import MANDATORY_FIELDS, CleansePolicy, check_fractions, cleanse, temporal_split
 from .simulate import ScenarioConfig, generate
 
 # Series the windowed-correlation artifact pairs up: the nine temporal
@@ -115,12 +115,13 @@ class RunConfig:
         for name, seed in (("seed", self.seed), ("generator.seed", self.generator.seed)):
             if seed < 0:
                 raise _rejected(name, "non-negative", seed)
-        self.generator.validate()
-        self.cleanse.validate()
-        self.split.validate()
-        self.correlation.validate()
-        self.gbt.validate()
-        self.logistic.validate()
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if is_dataclass(section):
+                try:
+                    section.validate()
+                except ValueError as e:
+                    raise ValueError(f"config field '{f.name}': {e}") from None
         ratio = self.undersample_ratio
         if ratio is not None and not 0.0 < ratio < math.inf:  # NaN fails too
             raise ValueError(f"undersample_ratio must be finite and positive, or null, got {ratio}")
@@ -241,13 +242,13 @@ T = TypeVar("T")
 def _read_artifact(path: Path, load: Callable[[Path], T]) -> T:
     """load(path), where a file that is not the artifact it should be (invalid
     JSON, JSON nested too deeply to read, a missing key, a value of the wrong
-    type) fails as a ValueError that names the path. A missing or unreadable
-    file stays an OSError."""
+    type, an integer past the float range) fails as a ValueError that names
+    the path. A missing or unreadable file stays an OSError."""
     try:
         return load(path)
     except KeyError as e:
         raise ValueError(f"{path}: missing key {e}") from None
-    except (ValueError, TypeError, AttributeError, IndexError, RecursionError) as e:
+    except (ValueError, TypeError, AttributeError, IndexError, OverflowError, RecursionError) as e:
         raise ValueError(f"{path}: {e}") from None
 
 
@@ -291,7 +292,7 @@ def stage_enrich(cfg: RunConfig) -> list[str]:
     timestamps, and enrich keeps cleansed.csv's row order, so the cut falls
     where preprocess's did; no split file is read.
     """
-    enriched = enrich(load_transactions(_out(cfg, "cleansed.csv")))
+    enriched = enrich(load_transactions(_out(cfg, "cleansed.csv"), required=MANDATORY_FIELDS))
     split = temporal_split(enriched, cfg.split.train_frac, cfg.split.val_frac)
     for part, rows in split.items():
         write_enriched_csv(_out(cfg, f"enriched_{part}.csv"), rows)
@@ -322,6 +323,12 @@ def stage_correlate(cfg: RunConfig) -> list[str]:
     return ["heatmap_all.csv", "heatmap_all.json", "dynamic_corr.csv"]
 
 
+def _models() -> tuple[tuple[str, Callable[[EnrichedTable], FeatureTable]], ...]:
+    """(kind, the function that makes its feature table) of the baseline and
+    the timetrail model, looked up at each call, so a rebound name is used."""
+    return (("baseline", raw_feature_table), ("timetrail", enriched_feature_table))
+
+
 def _load_fitted(cfg: RunConfig, kind: str, table: FeatureTable) -> tuple[FeatureTable, Model]:
     """table scaled by scaler_<kind>.json, and model_<kind>.json, which must
     take the scaled table's features; `kind` is baseline or timetrail."""
@@ -338,44 +345,29 @@ def _load_fitted(cfg: RunConfig, kind: str, table: FeatureTable) -> tuple[Featur
 
 
 def stage_train(cfg: RunConfig) -> list[str]:
-    rows = read_enriched_csv(_out(cfg, "enriched_train.csv"))
-    raw = raw_feature_table(rows)
-    enr = enriched_feature_table(rows)
-
-    raw_scaler = fit_scaler(raw)
-    enr_scaler = fit_scaler(enr)
-    save_scaler(raw_scaler, _out(cfg, "scaler_baseline.json"))
-    save_scaler(enr_scaler, _out(cfg, "scaler_timetrail.json"))
-    raw = apply_scaler(raw_scaler, raw)
-    enr = apply_scaler(enr_scaler, enr)
-
-    if cfg.undersample_ratio is not None:
-        seed = _undersample_seed(cfg)
-        # Same labels and seed on both tables, so both models train on the
-        # exact same undersampled rows.
-        raw = undersample(raw, cfg.undersample_ratio, seed)
-        enr = undersample(enr, cfg.undersample_ratio, seed)
-
-    baseline = train_logistic(raw, cfg.logistic)
-    timetrail = train_gbt(enr, cfg.gbt)
-    save_model(baseline, _out(cfg, "model_baseline.json"))
-    save_model(timetrail, _out(cfg, "model_timetrail.json"))
-    return [
-        "scaler_baseline.json",
-        "scaler_timetrail.json",
-        "model_baseline.json",
-        "model_timetrail.json",
-    ]
+    rows = read_enriched_csv(_out(cfg, "enriched_train.csv"), labeled=True)
+    tables = []
+    for kind, features in _models():
+        table = features(rows)
+        scaler = fit_scaler(table)
+        save_scaler(scaler, _out(cfg, f"scaler_{kind}.json"))
+        table = apply_scaler(scaler, table)
+        if cfg.undersample_ratio is not None:
+            # the same labels and seed for both tables, so both models train
+            # on the exact same undersampled rows
+            table = undersample(table, cfg.undersample_ratio, _undersample_seed(cfg))
+        tables.append(table)
+    raw, enr = tables
+    save_model(train_logistic(raw, cfg.logistic), _out(cfg, "model_baseline.json"))
+    save_model(train_gbt(enr, cfg.gbt), _out(cfg, "model_timetrail.json"))
+    return [f"{artifact}_{kind}.json" for artifact in ("scaler", "model") for kind, _ in _models()]
 
 
 def stage_evaluate(cfg: RunConfig) -> list[str]:
-    rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
-    raw = raw_feature_table(rows)
-    enr = enriched_feature_table(rows)
-    if raw.labels is None:
-        raise ValueError("test split is unlabeled; evaluation needs labels")
-    raw, baseline = _load_fitted(cfg, "baseline", raw)
-    enr, timetrail = _load_fitted(cfg, "timetrail", enr)
+    rows = read_enriched_csv(_out(cfg, "enriched_test.csv"), labeled=True)
+    (raw, baseline), (enr, timetrail) = (
+        _load_fitted(cfg, kind, features(rows)) for kind, features in _models()
+    )
 
     tis_report = aggregate_tis(timetrail, enr, threshold=cfg.threshold)
     base_report = evaluate(
@@ -414,16 +406,10 @@ def explained_rows(
     each sequence file is written once. At most top_k rows.
     """
     p = probs.tolist()
-    flagged = sorted(np.flatnonzero(probs >= threshold).tolist(), key=lambda i: (-p[i], tx_ids[i]))
-    chosen: list[int] = []
-    seen: set[str] = set()
-    for i in flagged:
-        if len(chosen) == top_k:
-            break
-        if tx_ids[i] not in seen:
-            seen.add(tx_ids[i])
-            chosen.append(i)
-    return chosen
+    best: dict[str, int] = {}
+    for i in sorted(np.flatnonzero(probs >= threshold).tolist(), key=lambda i: (-p[i], tx_ids[i])):
+        best.setdefault(tx_ids[i], i)
+    return list(best.values())[:top_k]
 
 
 def stage_explain(cfg: RunConfig) -> list[str]:
@@ -440,9 +426,7 @@ def stage_explain(cfg: RunConfig) -> list[str]:
 
 
 def stage_plot(cfg: RunConfig) -> list[str]:
-    enr = enriched_feature_table(read_enriched_csv(_out(cfg, "enriched_test.csv")))
-    if enr.labels is None:
-        raise ValueError("test split is unlabeled; the flagged series needs labels")
+    enr = enriched_feature_table(read_enriched_csv(_out(cfg, "enriched_test.csv"), labeled=True))
     test_rows = read_enriched_csv(_out(cfg, "enriched_test.csv"))
     enr, timetrail = _load_fitted(cfg, "timetrail", enr)
     probs = predict_proba(timetrail, enr)

@@ -520,20 +520,29 @@ def test_invalid_json_config(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("row", [1, -2], ids=["first-row", "last-row"])
 @pytest.mark.parametrize(
     "stage, name, source",
     [("generate", "input.csv", "dataset.csv"), ("evaluate", "enriched_test.csv", "enriched_test.csv")],
 )
-def test_csv_file_that_is_not_utf8_names_its_path(full_run, tmp_path, capsys, stage, name, source):
+def test_csv_file_that_is_not_utf8_names_its_path(full_run, tmp_path, capsys, stage, name, source, row):
+    # the last row lies past the text decoder's first chunk, whose positions
+    # are not the file's
     out = tmp_path / "out"
     shutil.copytree(full_run, out)
-    header, rest = (out / source).read_bytes().split(b"\n", 1)
-    (out / name).write_bytes(header + b"\n" + rest.replace(b",", b",\xff", 1))
+    lines = (out / source).read_bytes().split(b"\n")  # the last item is empty
+    lines[row] = lines[row].replace(b",", b",\xff", 1)
+    data = b"\n".join(lines)
+    (out / name).write_bytes(data)
     doc = tiny_config(out)
     doc["input_csv"] = str(out / name)
     assert main([stage, "--config", write_config(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / name}: 'utf-8' codec can't decode byte 0xff")
+    line, offset = row % len(lines) + 1, data.index(b"\xff")
+    assert offset > 8192 or row == 1
+    assert err.startswith(
+        f"error: {out / name}: line {line}: byte 0xff at offset {offset} is not UTF-8 (invalid start byte)"
+    )
     assert "Traceback" not in err
 
 
@@ -674,22 +683,82 @@ def test_model_file_with_permuted_features_names_its_path(full_run, tmp_path, ca
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("stage", ["evaluate", "plot"])
-def test_unlabeled_test_split_is_refused(full_run, tmp_path, capsys, stage):
+@pytest.mark.parametrize("stage", ["evaluate", "explain", "plot"])
+@pytest.mark.parametrize(
+    "key, value, detail",
+    [
+        ("feature", 10**30, "tree 0 splits on feature 1000000000000000000000000000000, outside the 14 names"),
+        ("feature", 3.5, "tree 0 splits on feature 3.5, outside the 14 names"),
+        ("feature", True, "tree 0 splits on feature True, outside the 14 names"),
+        ("threshold", 10**400, "int too large to convert to float"),
+    ],
+    ids=["feature-past-intp", "feature-not-integer", "feature-bool", "threshold-past-float"],
+)
+def test_model_file_with_a_split_that_does_not_read_names_its_path(
+    full_run, tmp_path, capsys, stage, key, value, detail
+):
     out = tmp_path / "out"
     shutil.copytree(full_run, out)
-    path = out / "enriched_test.csv"
+    path = out / "model_timetrail.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["trees"][0][key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {detail}")
+    assert "Traceback" not in err
+
+
+def test_logistic_model_with_a_weight_short_names_its_path(full_run, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / "model_baseline.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["weights"].pop()
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["evaluate", "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: model weights must be a list of 5 numbers, one per feature name")
+    assert "Traceback" not in err
+
+
+def test_enrich_names_the_cleansed_file_and_line_of_a_blank_mandatory_field(full_run, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / "cleansed.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    rows[1][header.index("user_id")] = ""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    assert main(["enrich", "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3, field 'user_id': missing value")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "stage, name", [("train", "enriched_train.csv"), ("evaluate", "enriched_test.csv"), ("plot", "enriched_test.csv")]
+)
+def test_unlabeled_test_split_is_refused(full_run, tmp_path, capsys, stage, name):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / name
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     rows[0][header.index("label")] = ""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    # the files the stage writes are gone, so writing any of them shows
+    for entry in json.loads((out / "manifest.json").read_text(encoding="utf-8")):
+        if entry["stage"] == stage:
+            (out / entry["path"]).unlink()
     written = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: test split is unlabeled")
+    assert err.startswith(f"error: {path}: line 2, field 'label': missing value")
     assert "Traceback" not in err
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == written  # nothing rewritten
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written  # nothing written
 
 
 def test_plot_names_a_tis_report_whose_value_is_out_of_range(full_run, tmp_path, capsys):
@@ -751,14 +820,21 @@ def test_unknown_subcommand_is_a_usage_error(tmp_path):
     "key, value, message",
     [
         ("threshold", 1.5, "threshold must be in (0, 1), got 1.5"),
-        ("split", {"train_frac": 0.6, "val_frac": 0.4}, "train_frac + val_frac must leave room for test"),
+        (
+            "split",
+            {"train_frac": 0.6, "val_frac": 0.4},
+            "config field 'split': train_frac + val_frac must leave room for test",
+        ),
         (
             "correlation",
             {"window_seconds": 86400, "stride_seconds": 172800},
-            "stride 172800 larger than window 86400 would skip rows",
+            "config field 'correlation': stride 172800 larger than window 86400 would skip rows",
         ),
+        # a rule two sections share is told apart by the section
+        ("gbt", {"l2": -1}, "config field 'gbt': l2 must be finite and >= 0, got -1.0"),
+        ("logistic", {"l2": -1}, "config field 'logistic': l2 must be finite and >= 0, got -1.0"),
     ],
-    ids=["threshold", "split", "correlation"],
+    ids=["threshold", "split", "correlation", "gbt", "logistic"],
 )
 def test_bad_threshold_rejected_before_any_work(tmp_path, capsys, key, value, message):
     doc = tiny_config(tmp_path / "out")

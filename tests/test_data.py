@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +14,7 @@ from timetrail.data import (
     ParseError,
     day_of_week,
     hour_of_day,
+    load_transactions,
     parse_timestamp,
     parse_transactions,
     serialize_transactions,
@@ -191,6 +193,23 @@ def test_field_over_the_csv_limit_names_its_line_unless_a_row_before_is_bad():
         parse_transactions(text.replace("1.0", "abc", 1))
     with pytest.raises(ParseError, match=r"^line 1: field larger than field limit"):
         parse_transactions(f"{HEADER},{big}\n")
+
+
+def test_non_utf8_byte_names_its_line_and_file_offset_after_the_rows_before_it(tmp_path):
+    # 1,000 CRLF rows, about 38 kB: row t900 lies past the text decoder's
+    # first chunks, and the line count takes CRLF as one break, as csv does
+    rows = [f"t{i},{100 + i},u1,k1,1.0,purchase" for i in range(1000)]
+    data = "\r\n".join([HEADER, *rows]).encode("ascii").replace(b"t900,", b"t900\xff,")
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    offset = data.index(b"\xff")
+    message = f"{path}: line 902: byte 0xff at offset {offset} is not UTF-8 (invalid start byte)"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_transactions(path)
+    # a bad row that the reader reached before the byte is reported first
+    path.write_bytes(data.replace(b"1.0", b"x", 1))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2, field 'amount'"):
+        load_transactions(path)
 
 
 def test_bad_header_rejected():

@@ -552,7 +552,11 @@ def reference_tis_report_json(report):
 
 
 ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1)
-ODD_NAMES = ('quote"d', "back\\slash", "caf\u00e9 \u6f22 \U0001f600", "tab\tnew\nline", "50%", "")
+# the last name holds the text the record writer turns into the join between
+# two records; inside a string, json writes its newline escaped
+ODD_NAMES = (
+    'quote"d', "back\\slash", "caf\u00e9 \u6f22 \U0001f600", "tab\tnew\nline", "50%", "", "},\n      {"
+)
 
 
 def sequence_document(tx_id, bias, steps, margin, probability):
