@@ -45,15 +45,20 @@ def _coefficient(sxx: float, syy: float, sxy: float) -> float | None:
     return max(-1.0, min(1.0, r))
 
 
-def check_window(window_seconds: int, stride_seconds: int) -> None:
-    """Refuse a window or stride that is not positive, or a stride that would
-    skip rows between windows."""
-    if stride_seconds <= 0 or window_seconds <= 0:
-        raise ValueError("window and stride must be positive")
-    if stride_seconds > window_seconds:
-        raise ValueError(
-            f"stride {stride_seconds} larger than window {window_seconds} would skip rows"
-        )
+@dataclass(frozen=True, slots=True)
+class CorrelationConfig:
+    window_seconds: int = 86400
+    stride_seconds: int = 86400
+
+    def __post_init__(self) -> None:
+        """Refuse a window or stride that is not positive, or a stride that
+        would skip rows between windows."""
+        if self.stride_seconds <= 0 or self.window_seconds <= 0:
+            raise ValueError("window and stride must be positive")
+        if self.stride_seconds > self.window_seconds:
+            raise ValueError(
+                f"stride {self.stride_seconds} larger than window {self.window_seconds} would skip rows"
+            )
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class DynamicCorrelationSeries:
 
 
 def dynamic_correlation(
-    rows: EnrichedTable, pair: tuple[str, str], window_seconds: int, stride_seconds: int
+    rows: EnrichedTable, pair: tuple[str, str], cfg: CorrelationConfig
 ) -> DynamicCorrelationSeries:
     """Windowed correlation of two attributes over time-sorted rows.
 
@@ -70,7 +75,6 @@ def dynamic_correlation(
     per window position until t_max is passed. Each window's rows are taken
     in timestamp order.
     """
-    check_window(window_seconds, stride_seconds)
     x, y = (rows.column(name) for name in pair)
     if not len(rows):
         return DynamicCorrelationSeries(())
@@ -78,10 +82,10 @@ def dynamic_correlation(
     ts = rows.timestamp
     if (np.diff(ts) < 0).any():
         raise ValueError("rows must be sorted by timestamp")
-    starts = np.arange(ts[0], ts[-1] + 1, stride_seconds)
+    starts = np.arange(ts[0], ts[-1] + 1, cfg.stride_seconds)
     # ts - window >= start ends a window; start + window could wrap in int64
     coefficients = _window_correlations(
-        x, y, np.searchsorted(ts, starts), np.searchsorted(ts - window_seconds, starts)
+        x, y, np.searchsorted(ts, starts), np.searchsorted(ts - cfg.window_seconds, starts)
     )
     return DynamicCorrelationSeries(tuple(zip(starts.tolist(), coefficients)))
 

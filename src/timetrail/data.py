@@ -12,7 +12,8 @@ non-ASCII digits that int() and float() also read are rejected.
 
 This is the one module that knows the CSV format: parse_transactions reads
 transaction and enriched files alike, and rows_to_csv writes every CSV file.
-A table type names its number columns in NUMBERS; the others hold text.
+A table type names its number columns in NUMBERS, the others holding text,
+and the rules on its values in VALUE_RULES.
 """
 from __future__ import annotations
 
@@ -49,15 +50,6 @@ def _outside(allowed: tuple[str, ...]):
     return lambda c: None if ok.issuperset(c) else [v not in ok for v in c]
 
 
-# the rules on values that read, in transaction and enriched files alike: per
-# field, a test giving a column's failing rows (None or none when all pass),
-# and the detail naming the value
-VALUE_RULES = {
-    "timestamp": (lambda c: c <= 0, "must be positive epoch seconds, got {}"),
-    "amount": (lambda c: c < 0, "must be non-negative, got {}"),
-    "tx_type": (_outside(TX_TYPES), f"unknown type {{!r}}; expected one of {TX_TYPES}"),
-    "label": (_outside(LABELS), f"unknown label {{!r}}; expected one of {LABELS}"),
-}
 _EPOCH = re.compile(r"[+-]?[0-9]+", re.ASCII)
 _INT64 = np.iinfo(np.int64)
 
@@ -76,6 +68,14 @@ class Dataset:
 
     # the number columns and their types; the others hold text
     NUMBERS = {"timestamp": int, "amount": float}
+    # the rules on values that read: per field, a test giving a column's
+    # failing rows (None or none when all pass), and the detail naming the value
+    VALUE_RULES = {
+        "timestamp": (lambda c: c <= 0, "must be positive epoch seconds, got {}"),
+        "amount": (lambda c: c < 0, "must be non-negative, got {}"),
+        "tx_type": (_outside(TX_TYPES), f"unknown type {{!r}}; expected one of {TX_TYPES}"),
+        "label": (_outside(LABELS), f"unknown label {{!r}}; expected one of {LABELS}"),
+    }
 
     tx_id: np.ndarray
     timestamp: np.ndarray
@@ -229,7 +229,7 @@ def _convert(rows: list[list], columns: tuple[str, ...], table: type, must: set[
                 grammar.append((beyond, "must be finite", shown))
             after = [(beyond, "out of the int64 range: {!r}", cells)] if kind is int else []
         missing = [(empty, "missing value", cells)] if name in must else []
-        test, detail = VALUE_RULES.get(name, (None, None))
+        test, detail = table.VALUE_RULES.get(name, (None, None))
         ruled = [(test(out[name] if kind else cells), detail, shown)] if test else []
         checks += [(name, *check) for check in missing + grammar + ruled + after]
     failures = [(int(hits[0]), k) for k, (_, bad, _, _) in enumerate(checks)
@@ -289,7 +289,8 @@ def parse_transactions(source: str | Iterable[str], table: type = Dataset, requi
 
 def load_transactions(path: str | Path, table: type = Dataset, required: Iterable[str] = ()):
     """parse_transactions of the file at path; an error names the path. Bytes
-    that are not UTF-8 fail by the line and the file offset of the first one."""
+    that are not UTF-8 fail by the line and the file offset of the first one,
+    after a bad row on an earlier line."""
     with open(path, "r", newline="", encoding="utf-8") as f:
         try:
             return parse_transactions(f, table, required)
@@ -300,6 +301,14 @@ def load_transactions(path: str | Path, table: type = Dataset, required: Iterabl
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as e:
+        # the decoder stops the reader short of the rows in the byte's block
+        head = data[: e.start]
+        head = head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
+        if head:  # with no line ended, not even the header was read
+            try:
+                parse_transactions(io.StringIO(head.decode("utf-8"), newline=""), table, required)
+            except ParseError as bad:
+                raise ParseError(f"{path}: {bad}") from None
         line = len(data[: e.start + 1].splitlines())  # the lines csv counts: LF, CR or CRLF ends one
         raise ParseError(
             f"{path}: line {line}: byte {data[e.start]:#04x} at offset {e.start} is not UTF-8 ({e.reason})"

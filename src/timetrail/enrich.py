@@ -39,15 +39,32 @@ AMOUNT_MEAN_WINDOW = 30 * DAY
 RECENCY_CAP_SECONDS = 30 * DAY
 
 
+def _within(low, high=None):
+    """A value rule: the rows of a number column outside [low, high] (with no
+    upper end when high is None), and the detail naming the value."""
+    if high is None:
+        return (lambda c: c < low, f"must be at least {low}, got {{}}")
+    return (lambda c: (c < low) | (c > high), f"must be in {low}..{high}, got {{}}")
+
+
 @dataclass(frozen=True, eq=False)
 class EnrichedTable(Dataset):
     """Enriched transactions: the Dataset's columns, then one numpy column per
     temporal attribute, in ATTRIBUTE_NAMES order.
 
     The attribute columns are int64 apart from amount_over_user_mean_30d.
+    A file's attributes must lie in the domains enrich gives them.
     """
 
     NUMBERS = Dataset.NUMBERS | dict.fromkeys(ATTRIBUTE_NAMES, int) | {"amount_over_user_mean_30d": float}
+    VALUE_RULES = Dataset.VALUE_RULES | {
+        "hour_of_day": _within(0, 23),
+        "day_of_week": _within(0, 6),
+        "is_night": _within(0, 1),
+        "seconds_since_last_user_tx": _within(0, RECENCY_CAP_SECONDS),
+        **{name: _within(1) for name in ATTRIBUTE_NAMES if "_count_" in name},
+        "amount_over_user_mean_30d": _within(MIN_AMOUNT_RATIO),
+    }
 
     hour_of_day: np.ndarray
     day_of_week: np.ndarray

@@ -150,8 +150,6 @@ def aggregate_tis(model: Model, table: FeatureTable, threshold: float = 0.5) -> 
 
     Temporal attributes absent from the model's features contribute no mass.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     gbt = _require_ensemble(model)
     contrib, _ = attribution_matrix(gbt, table)
     temporal = [i for i, f in enumerate(gbt.feature_names) if f in ATTRIBUTE_NAMES]

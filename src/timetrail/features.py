@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -89,6 +90,17 @@ def enriched_feature_table(rows: EnrichedTable) -> FeatureTable:
     return _table(rows, ENRICHED_FEATURES, np.column_stack([_raw_matrix(rows), *attrs]))
 
 
+def json_number(value, what: str) -> float:
+    """A number of a model or scaler document as a float: a finite JSON int or
+    float. A bool, a string, NaN or an infinity is refused, naming `what`;
+    training writes none of them, and NaN or an infinity spoils every score."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(number := float(value)):  # an int past the float range raises
+        raise ValueError(f"{what} must be finite, got {number}")
+    return number
+
+
 def fit_scaler(train: FeatureTable) -> dict:
     """The scaler document `{"feature_names", "mins", "maxs"}`: per-feature
     min/max from training rows only."""
@@ -108,20 +120,21 @@ def apply_scaler(params: dict, table: FeatureTable) -> FeatureTable:
     clip to the ends.
 
     A feature whose training min equals its max maps to the constant 0.0.
-    A min or max that is NaN or infinite, or a min above its max, is refused,
-    naming its feature.
+    A min or max that is not a finite number, or a min above its max, is
+    refused, naming its feature.
     """
     names = tuple(params["feature_names"])
     if names != table.feature_names:
         raise ValueError(
             f"scaler features {names} do not match table features {table.feature_names}"
         )
-    mins = np.array([float(v) for v in params["mins"]])
-    maxs = np.array([float(v) for v in params["maxs"]])
-    for key, ends in (("mins", mins), ("maxs", maxs)):
-        bad = np.flatnonzero(~np.isfinite(ends))
-        if bad.size:
-            raise ValueError(f"scaler {key} of {names[bad[0]]!r} is {ends[bad[0]]}, not finite")
+
+    def ends(key: str) -> np.ndarray:
+        if len(params[key]) != len(names):
+            raise ValueError(f"scaler {key} must be a list of {len(names)} numbers, one per feature name")
+        return np.array([json_number(v, f"scaler {key} of {n!r}") for n, v in zip(names, params[key])])
+
+    mins, maxs = ends("mins"), ends("maxs")
     above = np.flatnonzero(mins > maxs)
     if above.size:
         i = above[0]

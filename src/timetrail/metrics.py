@@ -117,8 +117,6 @@ def evaluate(
     tis_aggregate: float | None = None,
 ) -> EvaluationReport:
     """Score a labeled set at one decision threshold."""
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     y, s = _check_scores(labels, scores)
     if y.size != len(tx_ids):
         raise ValueError("tx_ids length must match labels")

@@ -43,7 +43,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .features import FeatureTable
+from .features import FeatureTable, json_number
 
 FORMAT_VERSION = 1
 
@@ -64,7 +64,7 @@ class GBTConfig:
     l2: float = 1.0
     min_child_weight: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_trees < 0:
             raise ValueError(f"n_trees must be >= 0, got {self.n_trees}")
         if self.max_depth < 1:
@@ -84,7 +84,7 @@ class LogisticConfig:
     tol: float = 1e-6
     max_epochs: int = 5000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.l2 < math.inf:
             raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
         if not 0.0 < self.tol < math.inf:
@@ -139,12 +139,11 @@ class Tree:
         columns is feature_major(X), of shape (features, n_rows). cell is the
         flat index into it of the value the row's node tests,
         feature * n_rows + row; edge is the edge the row takes. Rows that
-        reached a leaf take one of its self-edges.
+        reached a leaf take one of its self-edges. Every split's feature is a
+        row of columns: training makes no other, and model_from_json refuses one.
         """
         feats, thrs, children = self.feature, self.threshold, self.children
-        width, n = columns.shape
-        if self.depth and not (0 <= feats.min() and feats.max() < width):
-            raise ValueError(f"tree splits on a feature outside the {width} columns of X")
+        n = columns.shape[1]
         if not self.depth:
             return
         x = columns.ravel()
@@ -376,7 +375,6 @@ def _check_training_table(table: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
 def train_gbt(table: FeatureTable, cfg: GBTConfig | None = None) -> GBTModel:
     """Boosted ensemble; prediction is sigmoid(base + lr * sum of leaf weights)."""
     cfg = cfg or GBTConfig()
-    cfg.validate()
     X, y = _check_training_table(table)
     pos = float(y.sum())
     neg = float(y.size - pos)
@@ -421,7 +419,6 @@ def train_logistic(table: FeatureTable, cfg: LogisticConfig | None = None) -> Lo
     both the path and the result are deterministic.
     """
     cfg = cfg or LogisticConfig()
-    cfg.validate()
     X, y = _check_training_table(table)
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
@@ -454,10 +451,9 @@ def undersample(table: FeatureTable, majority_ratio: float = 10.0, seed: int = 0
 
     Majority rows are drawn without replacement under the seed; the result
     preserves the original row order. If fewer majority rows exist than the
-    ratio asks for, all of them are kept.
+    ratio asks for, all of them are kept. The ratio is finite and positive,
+    as RunConfig requires of undersample_ratio.
     """
-    if not 0.0 < majority_ratio < math.inf:
-        raise ValueError(f"majority_ratio must be finite and positive, got {majority_ratio}")
     if table.labels is None:
         raise ValueError("undersampling requires labels")
     labels = table.labels
@@ -497,14 +493,15 @@ def _node_from_dict(doc: dict, depth: int, nodes: list[list], width: int, tree: 
     """Append the node of doc, then its subtree, as _build_node does. A split's
     feature is a JSON integer that indexes the model's `width` names."""
     i = len(nodes)
-    nodes.append([0, math.inf, i, i, float(doc["value"]), depth])
+    nodes.append([0, math.inf, i, i, json_number(doc["value"], f"tree {tree} node value"), depth])
     if "feature" in doc:
         feature = doc["feature"]
         if type(feature) is not int or not 0 <= feature < width:
             raise ValueError(f"tree {tree} splits on feature {feature!r}, outside the {width} names")
         left = _node_from_dict(doc["left"], depth + 1, nodes, width, tree)
         right = _node_from_dict(doc["right"], depth + 1, nodes, width, tree)
-        nodes[i][:4] = feature, float(doc["threshold"]), left, right
+        threshold = json_number(doc["threshold"], f"tree {tree} node threshold")
+        nodes[i][:4] = feature, threshold, left, right
     return i
 
 
@@ -537,15 +534,6 @@ def model_to_json(model: Model) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _finite(field: str, value):
-    """A float (or a float64 array) read from a model file; training never
-    writes NaN or an infinity, and either would make every score NaN."""
-    value = value if isinstance(value, np.ndarray) else float(value)
-    if not np.isfinite(value).all():
-        raise ValueError(f"model {field} must be finite, got {value!r}")
-    return value
-
-
 def model_from_json(text: str) -> Model:
     doc = json.loads(text)
     version = doc.get("format_version")
@@ -554,24 +542,19 @@ def model_from_json(text: str) -> Model:
     kind = doc.get("type")
     if kind == "gbt":
         names = tuple(doc["feature_names"])
-        trees = tuple(_tree_from_dict(d, len(names), t_i) for t_i, d in enumerate(doc["trees"]))
-        for t_i, tree in enumerate(trees):
-            split = tree.children[0::2] != np.arange(tree.value.size)  # a leaf's threshold is +inf
-            for field, values in (("value", tree.value), ("threshold", tree.threshold[split])):
-                if not np.isfinite(values).all():
-                    raise ValueError(f"tree {t_i} has a non-finite node {field}")
         return GBTModel(
             feature_names=names,
-            base_score=_finite("base_score", doc["base_score"]),
-            learning_rate=_finite("learning_rate", doc["learning_rate"]),
-            trees=trees,
+            base_score=json_number(doc["base_score"], "model base_score"),
+            learning_rate=json_number(doc["learning_rate"], "model learning_rate"),
+            trees=tuple(_tree_from_dict(d, len(names), t_i) for t_i, d in enumerate(doc["trees"])),
         )
     if kind == "logistic":
         names = tuple(doc["feature_names"])
-        weights = _finite("weights", np.array(doc["weights"], dtype=np.float64))
+        weights = np.array([json_number(w, "model weights") for w in doc["weights"]], dtype=np.float64)
         if weights.shape != (len(names),):
             raise ValueError(f"model weights must be a list of {len(names)} numbers, one per feature name")
-        return LogisticModel(feature_names=names, weights=weights, bias=_finite("bias", doc["bias"]))
+        bias = json_number(doc["bias"], "model bias")
+        return LogisticModel(feature_names=names, weights=weights, bias=bias)
     raise ValueError(f"unknown model type {kind!r}")
 
 

@@ -18,14 +18,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Sequence, TypeVar, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .correlate import check_window, correlation_matrix, dynamic_correlation
+from .correlate import CorrelationConfig, correlation_matrix, dynamic_correlation
 from .data import (
     _INT64,
     load_transactions,
@@ -69,30 +70,12 @@ from .plots import (
     series_to_svg,
     tis_histogram,
 )
-from .preprocess import MANDATORY_FIELDS, CleansePolicy, check_fractions, cleanse, temporal_split
+from .preprocess import MANDATORY_FIELDS, CleansePolicy, SplitFractions, cleanse, temporal_split
 from .simulate import ScenarioConfig, generate
 
 # Series the windowed-correlation artifact pairs up: the nine temporal
 # attributes plus the raw amount.
 CORRELATION_SERIES = ATTRIBUTE_NAMES + ("amount",)
-
-
-@dataclass(frozen=True, slots=True)
-class SplitFractions:
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-
-    def validate(self) -> None:
-        check_fractions(self.train_frac, self.val_frac)
-
-
-@dataclass(frozen=True, slots=True)
-class CorrelationConfig:
-    window_seconds: int = 86400
-    stride_seconds: int = 86400
-
-    def validate(self) -> None:
-        check_window(self.window_seconds, self.stride_seconds)
 
 
 @dataclass(frozen=True)
@@ -110,18 +93,12 @@ class RunConfig:
     threshold: float = 0.5
     top_k_explanations: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """The run's own rules; each section checked its own when it was built."""
         # numpy seeds only from non-negative integers
         for name, seed in (("seed", self.seed), ("generator.seed", self.generator.seed)):
             if seed < 0:
                 raise _rejected(name, "non-negative", seed)
-        for f in fields(self):
-            section = getattr(self, f.name)
-            if is_dataclass(section):
-                try:
-                    section.validate()
-                except ValueError as e:
-                    raise ValueError(f"config field '{f.name}': {e}") from None
         ratio = self.undersample_ratio
         if ratio is not None and not 0.0 < ratio < math.inf:  # NaN fails too
             raise ValueError(f"undersample_ratio must be finite and positive, or null, got {ratio}")
@@ -143,7 +120,7 @@ def _read(tp, value, name: str):
     themselves. A dataclass is an object of its fields, where null means the
     field's default unless the field is optional. The items of an integer
     pair (a period) may also be ISO 8601 strings. A rejection names the field
-    by its dotted path.
+    by its dotted path; a section that breaks its own rules, by its name.
     """
     if is_dataclass(tp):
         if not isinstance(value, dict):
@@ -156,7 +133,10 @@ def _read(tp, value, name: str):
                 raise ValueError(f"unknown config field '{path}'")
             if item is not None or type(None) in get_args(hints[key]):
                 kwargs[key] = _read(hints[key], item, path)
-        return tp(**kwargs)
+        try:
+            return tp(**kwargs)
+        except ValueError as e:  # the root's own rules name their fields
+            raise ValueError(f"config field '{name}': {e}") if name else e from None
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType:  # X | None
         return None if value is None else _read(args[0], value, name)
@@ -195,7 +175,7 @@ def config_from_dict(
     seed: int | None = None,
     out_dir: str | None = None,
 ) -> RunConfig:
-    """Build a validated RunConfig, reading each field by its declared type.
+    """Build a RunConfig, reading each field by its declared type.
 
     seed / out_dir arguments override the document (the CLI flags map here).
     The generator takes the run seed unless the document pins one; a seed
@@ -207,7 +187,6 @@ def config_from_dict(
     cfg = _read(RunConfig, doc | overrides, "")
     if seed is not None or (doc.get("generator") or {}).get("seed") is None:
         cfg = replace(cfg, generator=replace(cfg.generator, seed=cfg.seed))
-    cfg.validate()
     return cfg
 
 
@@ -236,16 +215,14 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-T = TypeVar("T")
-
-
-def _read_artifact(path: Path, load: Callable[[Path], T]) -> T:
-    """load(path), where a file that is not the artifact it should be (invalid
-    JSON, JSON nested too deeply to read, a missing key, a value of the wrong
-    type, an integer past the float range) fails as a ValueError that names
-    the path. A missing or unreadable file stays an OSError."""
+@contextmanager
+def _about(path: Path):
+    """Code that reads or uses the file at path, where a file that is not what
+    it should be (invalid JSON, JSON nested too deeply to read, a missing key,
+    a value of the wrong type or range, too few rows) fails as a ValueError
+    that names the path. A missing or unreadable file stays an OSError."""
     try:
-        return load(path)
+        yield
     except KeyError as e:
         raise ValueError(f"{path}: missing key {e}") from None
     except (ValueError, TypeError, AttributeError, IndexError, OverflowError, RecursionError) as e:
@@ -278,7 +255,8 @@ def stage_preprocess(cfg: RunConfig) -> list[str]:
     clean, report = cleanse(d, cfg.cleanse)
     save_transactions(clean, _out(cfg, "cleansed.csv"))
     _write_text(_out(cfg, "cleanse_report.json"), json.dumps(report, indent=2, sort_keys=True))
-    split = temporal_split(clean, cfg.split.train_frac, cfg.split.val_frac)
+    with _about(_out(cfg, "dataset.csv")):
+        split = temporal_split(clean, cfg.split)
     for part, part_ds in split.items():
         save_transactions(part_ds, _out(cfg, f"split_{part}.csv"))
     return ["cleansed.csv", "cleanse_report.json", *(f"split_{part}.csv" for part in split)]
@@ -292,8 +270,9 @@ def stage_enrich(cfg: RunConfig) -> list[str]:
     timestamps, and enrich keeps cleansed.csv's row order, so the cut falls
     where preprocess's did; no split file is read.
     """
-    enriched = enrich(load_transactions(_out(cfg, "cleansed.csv"), required=MANDATORY_FIELDS))
-    split = temporal_split(enriched, cfg.split.train_frac, cfg.split.val_frac)
+    cleansed = load_transactions(_out(cfg, "cleansed.csv"), required=MANDATORY_FIELDS)
+    with _about(_out(cfg, "cleansed.csv")):
+        split = temporal_split(enrich(cleansed), cfg.split)
     for part, rows in split.items():
         write_enriched_csv(_out(cfg, f"enriched_{part}.csv"), rows)
     return [f"enriched_{part}.csv" for part in split]
@@ -317,7 +296,7 @@ def stage_correlate(cfg: RunConfig) -> list[str]:
         (a, b, start, start + window, r)
         for i, a in enumerate(CORRELATION_SERIES)
         for b in CORRELATION_SERIES[i + 1 :]
-        for start, r in dynamic_correlation(rows, (a, b), window, stride).points
+        for start, r in dynamic_correlation(rows, (a, b), cfg.correlation).points
     )
     _write_text(_out(cfg, "dynamic_corr.csv"), rows_to_csv(COEFFICIENT_HEADER, coefficients))
     return ["heatmap_all.csv", "heatmap_all.json", "dynamic_corr.csv"]
@@ -332,34 +311,31 @@ def _models() -> tuple[tuple[str, Callable[[EnrichedTable], FeatureTable]], ...]
 def _load_fitted(cfg: RunConfig, kind: str, table: FeatureTable) -> tuple[FeatureTable, Model]:
     """table scaled by scaler_<kind>.json, and model_<kind>.json, which must
     take the scaled table's features; `kind` is baseline or timetrail."""
-    scaled = _read_artifact(
-        _out(cfg, f"scaler_{kind}.json"), lambda p: apply_scaler(load_scaler(p), table)
-    )
-
-    def load(path: Path) -> Model:
+    with _about(path := _out(cfg, f"scaler_{kind}.json")):
+        scaled = apply_scaler(load_scaler(path), table)
+    with _about(path := _out(cfg, f"model_{kind}.json")):
         model = load_model(path)
         aligned_rows(model.feature_names, scaled)
-        return model
-
-    return scaled, _read_artifact(_out(cfg, f"model_{kind}.json"), load)
+    return scaled, model
 
 
 def stage_train(cfg: RunConfig) -> list[str]:
     rows = read_enriched_csv(_out(cfg, "enriched_train.csv"), labeled=True)
     tables = []
-    for kind, features in _models():
-        table = features(rows)
-        scaler = fit_scaler(table)
-        save_scaler(scaler, _out(cfg, f"scaler_{kind}.json"))
-        table = apply_scaler(scaler, table)
-        if cfg.undersample_ratio is not None:
-            # the same labels and seed for both tables, so both models train
-            # on the exact same undersampled rows
-            table = undersample(table, cfg.undersample_ratio, _undersample_seed(cfg))
-        tables.append(table)
-    raw, enr = tables
-    save_model(train_logistic(raw, cfg.logistic), _out(cfg, "model_baseline.json"))
-    save_model(train_gbt(enr, cfg.gbt), _out(cfg, "model_timetrail.json"))
+    with _about(_out(cfg, "enriched_train.csv")):  # no rows, or one class only
+        for kind, features in _models():
+            table = features(rows)
+            scaler = fit_scaler(table)
+            save_scaler(scaler, _out(cfg, f"scaler_{kind}.json"))
+            table = apply_scaler(scaler, table)
+            if cfg.undersample_ratio is not None:
+                # the same labels and seed for both tables, so both models train
+                # on the exact same undersampled rows
+                table = undersample(table, cfg.undersample_ratio, _undersample_seed(cfg))
+            tables.append(table)
+        raw, enr = tables
+        save_model(train_logistic(raw, cfg.logistic), _out(cfg, "model_baseline.json"))
+        save_model(train_gbt(enr, cfg.gbt), _out(cfg, "model_timetrail.json"))
     return [f"{artifact}_{kind}.json" for artifact in ("scaler", "model") for kind, _ in _models()]
 
 
@@ -431,10 +407,8 @@ def stage_plot(cfg: RunConfig) -> list[str]:
     enr, timetrail = _load_fitted(cfg, "timetrail", enr)
     probs = predict_proba(timetrail, enr)
 
-    svg = _read_artifact(
-        _out(cfg, "heatmap_all.json"),
-        lambda p: heatmap_to_svg(json.loads(p.read_text(encoding="utf-8"))),
-    )
+    with _about(path := _out(cfg, "heatmap_all.json")):
+        svg = heatmap_to_svg(json.loads(path.read_text(encoding="utf-8")))
     _write_text(_out(cfg, "heatmap_all.svg"), svg)
 
     series = flagged_frequency_series(
@@ -444,10 +418,8 @@ def stage_plot(cfg: RunConfig) -> list[str]:
     _write_text(_out(cfg, "flag_series.csv"), series_csv)
     _write_text(_out(cfg, "flag_series.svg"), series_to_svg(series, cfg.correlation.window_seconds))
 
-    hist = _read_artifact(
-        _out(cfg, "tis_report.json"),
-        lambda p: tis_histogram(r["tis"] for r in json.loads(p.read_text(encoding="utf-8"))["per_tx"]),
-    )
+    with _about(path := _out(cfg, "tis_report.json")):
+        hist = tis_histogram(r["tis"] for r in json.loads(path.read_text(encoding="utf-8"))["per_tx"])
     _write_text(_out(cfg, "tis_hist.csv"), rows_to_csv(("bin_start", "bin_end", "count"), hist))
     _write_text(_out(cfg, "tis_hist.svg"), histogram_to_svg(hist))
     names = ["heatmap_all.svg", "flag_series.csv", "flag_series.svg", "tis_hist.csv", "tis_hist.svg"]
@@ -455,9 +427,8 @@ def stage_plot(cfg: RunConfig) -> list[str]:
     # only this run's sequences: the directory may hold an earlier run's
     explained = explained_rows(probs, enr.tx_ids, cfg.threshold, cfg.top_k_explanations)
     for seq_name in sorted(f"sequence_{enr.tx_ids[i]}.json" for i in explained):
-        svg = _read_artifact(
-            _out(cfg, seq_name), lambda p: render_sequence(json.loads(p.read_text(encoding="utf-8")))
-        )
+        with _about(path := _out(cfg, seq_name)):
+            svg = render_sequence(json.loads(path.read_text(encoding="utf-8")))
         name = seq_name.removesuffix(".json") + ".svg"
         _write_text(_out(cfg, name), svg)
         names.append(name)

@@ -140,10 +140,9 @@ def flagged_frequency_series(
     rows' full time range: flagged rows have flag 1, true fraud label 1.
 
     Interior windows with no flags still appear, so a flagless period is an
-    all-zero series rather than a gap.
+    all-zero series rather than a gap. window_seconds is positive, as
+    CorrelationConfig requires.
     """
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
     ts, flags, labels = (np.asarray(a, dtype=np.int64) for a in (timestamps, flags, labels))
     if not ts.size == flags.size == labels.size:
         raise ValueError("timestamps, flags and labels must have one entry per row")

@@ -27,7 +27,7 @@ class CleansePolicy:
     remove_outliers: bool = True
     iqr_k: float = 3.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.dedupe_key not in ("tx_id", "composite"):
             raise ValueError(f"dedupe_key must be 'tx_id' or 'composite', got {self.dedupe_key!r}")
         if not 0.0 <= self.iqr_k < math.inf:
@@ -66,7 +66,6 @@ def cleanse(d: Dataset, policy: CleansePolicy | None = None) -> tuple[Dataset, d
     rows_in == rows_out + duplicates_dropped + missing_dropped + outliers_removed.
     """
     policy = policy or CleansePolicy()
-    policy.validate()
 
     # dataset order, so "first" is earliest (timestamp, tx_id)
     kept = _first_rows(d, policy)
@@ -101,24 +100,29 @@ def cleanse(d: Dataset, policy: CleansePolicy | None = None) -> tuple[Dataset, d
     return out, report
 
 
-def check_fractions(train_frac: float, val_frac: float) -> None:
-    """Refuse split fractions outside (0, 1) or leaving no room for test."""
-    if not (0.0 < train_frac < 1.0 and 0.0 < val_frac < 1.0):
-        raise ValueError(f"fractions must be in (0, 1), got train={train_frac} val={val_frac}")
-    if train_frac + val_frac >= 1.0:
-        raise ValueError(
-            f"train_frac + val_frac must leave room for test, got {train_frac + val_frac}"
-        )
+@dataclass(frozen=True, slots=True)
+class SplitFractions:
+    train_frac: float = 0.6
+    val_frac: float = 0.2
+
+    def __post_init__(self) -> None:
+        """Refuse fractions outside (0, 1) or leaving no room for test."""
+        train_frac, val_frac = self.train_frac, self.val_frac
+        if not (0.0 < train_frac < 1.0 and 0.0 < val_frac < 1.0):
+            raise ValueError(f"fractions must be in (0, 1), got train={train_frac} val={val_frac}")
+        if train_frac + val_frac >= 1.0:
+            raise ValueError(
+                f"train_frac + val_frac must leave room for test, got {train_frac + val_frac}"
+            )
 
 
-def temporal_split(d: Dataset, train_frac: float, val_frac: float) -> dict[str, Dataset]:
+def temporal_split(d: Dataset, split: SplitFractions) -> dict[str, Dataset]:
     """Chronological three-way split at timestamp quantile boundaries, as
     {"train", "val", "test"} in that order.
 
     Rows sharing a boundary timestamp all go to the earlier part, so no
     timestamp straddles a boundary. Errors if any part would be empty.
     """
-    check_fractions(train_frac, val_frac)
     ts = d.timestamp
     n = len(ts)
 
@@ -128,8 +132,8 @@ def temporal_split(d: Dataset, train_frac: float, val_frac: float) -> dict[str, 
             c = int(np.searchsorted(ts, ts[c - 1], "right"))
         return c
 
-    c1 = cut(train_frac, 0)
-    c2 = cut(train_frac + val_frac, c1)
+    c1 = cut(split.train_frac, 0)
+    c2 = cut(split.train_frac + split.val_frac, c1)
     if c1 == 0 or c2 == c1 or c2 == n:
         raise ValueError(
             "dataset too small to populate train, val, and test at these fractions"

@@ -70,7 +70,7 @@ class ScenarioConfig:
     scenario_mix: dict[str, float] = field(default_factory=_default_mix)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.n_terminals < 1:
@@ -227,7 +227,6 @@ _SCENARIO_GENERATORS = (_burst, _night_owl, _new_account_abuse, _terminal_compro
 
 def generate(cfg: ScenarioConfig) -> Dataset:
     """Labeled synthetic dataset with exact row and fraud counts."""
-    cfg.validate()
     n_fraud = round_half_up(cfg.target_rows * cfg.fraud_rate)
     if n_fraud == 0:
         raise ValueError(

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process through cli.main."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,16 +12,21 @@ import numpy as np
 import pytest
 
 from timetrail.cli import main
+from timetrail.correlate import CorrelationConfig
 from timetrail.data import load_transactions
 from timetrail.enrich import ATTRIBUTE_NAMES, enrich
+from timetrail.model import GBTConfig, LogisticConfig
 from timetrail.pipeline import (
     STAGES,
+    RunConfig,
     config_from_dict,
     explained_rows,
     load_config,
     read_enriched_csv,
     run_stage,
 )
+from timetrail.preprocess import CleansePolicy, SplitFractions
+from timetrail.simulate import ScenarioConfig
 
 
 def tiny_config(out_dir, seed=0):
@@ -640,7 +646,7 @@ def test_scaler_with_a_non_finite_end_names_its_path_and_feature(
     assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
     err = capsys.readouterr().err
     feature = doc["feature_names"][-1]
-    assert err.startswith(f"error: {path}: scaler {key} of {feature!r} is {value}, not finite")
+    assert err.startswith(f"error: {path}: scaler {key} of {feature!r} must be finite, got {value}")
     assert "Traceback" not in err
 
 
@@ -720,6 +726,20 @@ def test_logistic_model_with_a_weight_short_names_its_path(full_run, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: model weights must be a list of 5 numbers, one per feature name")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["mins", "maxs"])
+def test_scaler_with_an_end_short_names_its_path(full_run, tmp_path, capsys, key):
+    # one end fewer than the features used to broadcast over all of them
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / "scaler_baseline.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[key] = doc[key][:1]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["evaluate", "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: scaler {key} must be a list of 5 numbers, one per feature name\n"
 
 
 def test_enrich_names_the_cleansed_file_and_line_of_a_blank_mandatory_field(full_run, tmp_path, capsys):
@@ -843,3 +863,126 @@ def test_bad_threshold_rejected_before_any_work(tmp_path, capsys, key, value, me
     assert main(["run-all", "--config", cfg]) == 1
     assert message in capsys.readouterr().err
     assert not Path(tmp_path / "out").exists()
+
+
+def _first_leaf(node):
+    while "feature" in node:
+        node = node["left"]
+    return node
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+
+    return edit
+
+
+def _set_first(key, value):
+    def edit(doc):
+        doc[key][0] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "stage, name, edit, detail",
+    [
+        ("explain", "model_timetrail.json", _set("base_score", "0.25"), "model base_score must be a number, got '0.25'"),
+        ("explain", "model_timetrail.json", _set("learning_rate", True), "model learning_rate must be a number, got True"),
+        ("explain", "model_timetrail.json", lambda doc: doc["trees"][0].update(threshold="0.5"),
+         "tree 0 node threshold must be a number, got '0.5'"),
+        ("explain", "model_timetrail.json", lambda doc: _first_leaf(doc["trees"][0]).update(value="2"),
+         "tree 0 node value must be a number, got '2'"),
+        ("explain", "model_timetrail.json", lambda doc: _first_leaf(doc["trees"][0]).update(value=False),
+         "tree 0 node value must be a number, got False"),
+        ("evaluate", "model_baseline.json", _set_first("weights", "3"), "model weights must be a number, got '3'"),
+        ("evaluate", "model_baseline.json", _set("bias", None), "model bias must be a number, got None"),
+        ("explain", "scaler_timetrail.json", _set_first("mins", "0"), "scaler mins of 'amount' must be a number, got '0'"),
+        ("explain", "scaler_timetrail.json", _set_first("maxs", True), "scaler maxs of 'amount' must be a number, got True"),
+    ],
+    ids=["base-score-str", "learning-rate-bool", "threshold-str", "value-str", "value-bool", "weight-str",
+         "bias-null", "scaler-min-str", "scaler-max-bool"],
+)
+def test_a_model_or_scaler_number_that_is_not_a_json_number_names_its_path(
+    full_run, tmp_path, capsys, stage, name, edit, detail
+):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / name
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {detail}\n")
+    assert "Traceback" not in err
+
+
+def _keep_rows(path, keep):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *keep(header, rows)])
+
+
+def _one_class(header, rows):
+    label = header.index("label")
+    return [row[:label] + ["legit"] + row[label + 1 :] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "stage, name, keep, settings, detail",
+    [
+        ("train", "enriched_train.csv", lambda header, rows: [], {}, "cannot fit a scaler on an empty table"),
+        ("train", "enriched_train.csv", _one_class, {}, "undersampling requires both classes to be present"),
+        ("train", "enriched_train.csv", _one_class, {"undersample_ratio": None},
+         "training requires both classes to be present"),
+        ("preprocess", "dataset.csv", lambda header, rows: rows[:2], {},
+         "dataset too small to populate train, val, and test at these fractions"),
+        ("enrich", "cleansed.csv", lambda header, rows: rows[:2], {},
+         "dataset too small to populate train, val, and test at these fractions"),
+    ],
+    ids=["train-empty", "train-one-class", "train-one-class-no-undersampling", "preprocess-two-rows",
+         "enrich-two-rows"],
+)
+def test_a_file_whose_rows_a_stage_cannot_use_is_named(full_run, tmp_path, capsys, stage, name, keep, settings, detail):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / name
+    _keep_rows(path, keep)
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out) | settings)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {detail}\n"
+
+
+@pytest.mark.parametrize(
+    "section, kwargs, message",
+    [
+        (GBTConfig, {"max_depth": 0}, "max_depth must be >= 1, got 0"),
+        (LogisticConfig, {"max_epochs": 0}, "max_epochs must be >= 1, got 0"),
+        (CleansePolicy, {"dedupe_key": "user_id"}, "dedupe_key must be 'tx_id' or 'composite', got 'user_id'"),
+        (ScenarioConfig, {"fraud_rate": 1.0}, "fraud_rate must be in (0, 1), got 1.0"),
+        (SplitFractions, {"train_frac": 0.7, "val_frac": 0.3}, "train_frac + val_frac must leave room for test"),
+        (CorrelationConfig, {"window_seconds": 60, "stride_seconds": 120}, "stride 120 larger than window 60"),
+        (RunConfig, {"threshold": 0.0}, "threshold must be in (0, 1), got 0.0"),
+        (RunConfig, {"undersample_ratio": 0.0}, "undersample_ratio must be finite and positive, or null, got 0.0"),
+        (RunConfig, {"top_k_explanations": -1}, "top_k_explanations must be non-negative"),
+        (RunConfig, {"generator": ScenarioConfig(seed=-1)}, "config field 'generator.seed' must be non-negative"),
+    ],
+    ids=["gbt", "logistic", "cleanse", "generator", "split", "correlation", "threshold", "ratio", "top-k",
+         "generator-seed"],
+)
+def test_each_config_section_refuses_a_bad_value_when_it_is_built(section, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        section(**kwargs)
+    # a copy with the bad value is built too, and refused the same way
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(section(), **kwargs)
+
+
+def test_a_section_error_comes_before_the_runs_own_rules(tmp_path, capsys):
+    doc = tiny_config(tmp_path / "out") | {"threshold": 1.5, "seed": -1, "gbt": {"l2": -1}}
+    assert main(["run-all", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "error: config field 'gbt': l2 must be finite and >= 0, got -1.0\n"
+    assert not (tmp_path / "out").exists()

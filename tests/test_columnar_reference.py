@@ -36,6 +36,7 @@ from timetrail.preprocess import (
     COMPOSITE_KEY_FIELDS,
     MANDATORY_FIELDS,
     CleansePolicy,
+    SplitFractions,
     amount_fences,
     cleanse,
     temporal_split,
@@ -378,7 +379,7 @@ def test_parse_cleanse_split_equal_the_row_references(text, chunk_rows):
                 _assert_same_dataset(ref_clean, clean)
                 for fracs in ((0.6, 0.2), (0.5, 0.25)):
                     want = outcome(ref_split, ref_clean, *fracs)
-                    got = outcome(temporal_split, clean, *fracs)
+                    got = outcome(temporal_split, clean, SplitFractions(*fracs))
                     if isinstance(want, Raised):
                         assert got == want
                     else:

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import transactions
 from oracles import pearson, window_correlations
-from timetrail.correlate import _window_correlations, correlation_matrix, dynamic_correlation
+from timetrail.correlate import (
+    CorrelationConfig,
+    _window_correlations,
+    correlation_matrix,
+    dynamic_correlation,
+)
 from timetrail.enrich import ATTRIBUTE_NAMES, EnrichedTable, enrich
 
 
@@ -198,7 +203,7 @@ def _enriched_fixture(n=200, seed=3):
 def test_dynamic_correlation_matches_per_window_oracle():
     rows = _enriched_fixture()
     window, stride = 86400, 43200
-    series = dynamic_correlation(rows, ("user_tx_count_24h", "amount"), window, stride)
+    series = dynamic_correlation(rows, ("user_tx_count_24h", "amount"), CorrelationConfig(window, stride))
     ts = rows.timestamp.tolist()
     t_min = min(ts)
     for k, (start, r) in enumerate(series.points):
@@ -215,7 +220,7 @@ def test_dynamic_correlation_matches_per_window_oracle():
 
 def test_dynamic_correlation_covers_range():
     rows = _enriched_fixture()
-    series = dynamic_correlation(rows, ("hour_of_day", "amount"), 86400, 86400)
+    series = dynamic_correlation(rows, ("hour_of_day", "amount"), CorrelationConfig(86400, 86400))
     ts = rows.timestamp.tolist()
     assert series.points[0][0] == min(ts)
     assert series.points[-1][0] <= max(ts)
@@ -227,26 +232,29 @@ def test_dynamic_correlation_largest_window_ends_at_the_last_row():
     rows = _enriched_fixture()
     span = int(rows.timestamp[-1] - rows.timestamp[0]) + 1
     pair = ("hour_of_day", "amount")
-    largest = dynamic_correlation(rows, pair, int(np.iinfo(np.int64).max), 86400).points
-    assert largest == dynamic_correlation(rows, pair, span, 86400).points
+    largest = dynamic_correlation(rows, pair, CorrelationConfig(int(np.iinfo(np.int64).max), 86400)).points
+    assert largest == dynamic_correlation(rows, pair, CorrelationConfig(span, 86400)).points
     assert all(r is not None for _, r in largest[:-1])
+
+
+def test_correlation_config_refuses_a_window_that_would_skip_rows():
+    with pytest.raises(ValueError, match="must be positive"):
+        CorrelationConfig(0, 0)
+    with pytest.raises(ValueError, match="stride 200 larger than window 100 would skip rows"):
+        CorrelationConfig(100, 200)
 
 
 def test_dynamic_correlation_validates_arguments():
     rows = _enriched_fixture(20)
     with pytest.raises(ValueError):
-        dynamic_correlation(rows, ("hour_of_day", "amount"), 0, 0)
+        dynamic_correlation(rows, ("no_such", "amount"), CorrelationConfig(100, 100))
     with pytest.raises(ValueError):
-        dynamic_correlation(rows, ("hour_of_day", "amount"), 100, 200)
-    with pytest.raises(ValueError):
-        dynamic_correlation(rows, ("no_such", "amount"), 100, 100)
-    with pytest.raises(ValueError):
-        dynamic_correlation(rows[::-1], ("hour_of_day", "amount"), 100, 100)
+        dynamic_correlation(rows[::-1], ("hour_of_day", "amount"), CorrelationConfig(100, 100))
 
 
 def test_dynamic_correlation_empty_rows():
     rows = _enriched_fixture(20)[:0]
-    assert dynamic_correlation(rows, ("hour_of_day", "amount"), 100, 100).points == ()
+    assert dynamic_correlation(rows, ("hour_of_day", "amount"), CorrelationConfig(100, 100)).points == ()
 
 
 # --- correlation matrix ---------------------------------------------------------
@@ -375,7 +383,7 @@ def _dense_table(n=3000, seed=5):
 def test_dynamic_correlation_equals_per_window_loop(window, stride):
     rows = _dense_table()
     pair = ("amount", "amount_over_user_mean_30d")
-    got = dynamic_correlation(rows, pair, window, stride).points
+    got = dynamic_correlation(rows, pair, CorrelationConfig(window, stride)).points
     assert repr(got) == repr(reference_dynamic_points(rows, pair, window, stride))
 
 

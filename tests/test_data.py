@@ -212,6 +212,26 @@ def test_non_utf8_byte_names_its_line_and_file_offset_after_the_rows_before_it(t
         load_transactions(path)
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+def test_bad_row_is_reported_before_a_later_byte_that_is_not_utf8_in_its_block(tmp_path, end):
+    # line 900 (row t898) has amount x, line 902 (row t900) the byte 0xff: both
+    # lie in one block of the text decoder, which fails before the reader
+    # sees that block's rows
+    rows = [f"t{i},{100 + i},u1,k1,{'x' if i == 898 else '1.0'},purchase" for i in range(1000)]
+    data = end.join([HEADER, *rows]).encode("ascii").replace(b"t900,", b"t900\xff,")
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 900, field 'amount': not a number: 'x'$"):
+        load_transactions(path)
+    # a bad row after the byte's line, or no line ended before the byte: the byte comes first
+    after = data.replace(b",x,", b",1.0,").replace(b"t901,1001,u1,k1,1.0", b"t901,1001,u1,k1,x")
+    in_header = data.replace(b"tx_id", b"tx\xff_id")
+    for bad, line in ((after, 902), (in_header, 1)):
+        path.write_bytes(bad)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: byte 0xff at offset"):
+            load_transactions(path)
+
+
 def test_bad_header_rejected():
     with pytest.raises(ParseError) as err:
         parse_transactions("tx,when,who\na,1,b\n")

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from conftest import records as _rows
 from conftest import transactions
 from timetrail.data import LABELS, TX_TYPES, parse_timestamp
-from timetrail.enrich import ATTRIBUTE_NAMES, DAY, RECENCY_CAP_SECONDS, EnrichedTable, enrich
+from timetrail.enrich import (
+    ATTRIBUTE_NAMES,
+    DAY,
+    MIN_AMOUNT_RATIO,
+    RECENCY_CAP_SECONDS,
+    EnrichedTable,
+    enrich,
+)
 from timetrail.features import enriched_feature_table
 from timetrail.pipeline import read_enriched_csv, write_enriched_csv
 
@@ -201,6 +208,14 @@ def _same_columns(got, want):
 
 # text that csv must quote (a comma, a quote) and never strips
 _names = st.text(alphabet='ab0,"', min_size=1, max_size=3)
+# each integer attribute over its whole domain, both ends included
+_attribute_values = {
+    "hour_of_day": st.integers(0, 23),
+    "day_of_week": st.integers(0, 6),
+    "is_night": st.integers(0, 1),
+    "seconds_since_last_user_tx": st.integers(0, RECENCY_CAP_SECONDS),
+    **{name: st.integers(1, 2**63 - 1) for name in ATTRIBUTE_NAMES if "_count_" in name},
+}
 
 
 @st.composite
@@ -221,8 +236,8 @@ def _enriched_tables(draw, tagged):
         tx_type=column(st.sampled_from(TX_TYPES)),
         label=column(st.sampled_from(LABELS + ("",))),
         scenario=scenario if tagged else np.full(n, "", dtype=object),
-        **{name: column(st.integers(-(2**63), 2**63 - 1), np.int64) for name in ATTRIBUTE_NAMES[:-1]},
-        amount_over_user_mean_30d=column(st.floats(allow_nan=False, allow_infinity=False), np.float64),
+        **{name: column(values, np.int64) for name, values in _attribute_values.items()},
+        amount_over_user_mean_30d=column(st.floats(MIN_AMOUNT_RATIO, allow_infinity=False), np.float64),
     )
     return table[np.array(draw(st.permutations(range(n))))]
 
@@ -307,9 +322,23 @@ def _cell(k, text):
         ({4: _cell(2, '"u\nx"')}, "line 6, field 'user_id': 'u\\nx' holds a CR or LF"),
         # a file read with newline="" ends a line at a lone CR too
         ({4: _cell(3, '"t\r1"')}, "line 6, field 'terminal_id': 't\\r1' holds a CR or LF"),
-        ({4: _cell(12, "-" + "9" * 19)},
-         "line 5, field 'user_tx_count_48h': out of the int64 range: '-9999999999999999999'"),
+        ({4: _cell(12, "9" * 19)},
+         "line 5, field 'user_tx_count_48h': out of the int64 range: '9999999999999999999'"),
         ({4: _cell(2, "u" * 200_000)}, "line 5: field larger than field limit (131072)"),  # csv.reader's refusal
+        # an attribute outside the domain enrich gives it
+        ({4: _cell(7, "24")}, "line 5, field 'hour_of_day': must be in 0..23, got 24"),
+        ({4: _cell(7, "-1")}, "line 5, field 'hour_of_day': must be in 0..23, got -1"),
+        ({4: _cell(8, "7")}, "line 5, field 'day_of_week': must be in 0..6, got 7"),
+        ({4: _cell(9, "2")}, "line 5, field 'is_night': must be in 0..1, got 2"),
+        ({4: _cell(10, "-1")}, f"line 5, field 'seconds_since_last_user_tx': must be in 0..{CAP}, got -1"),
+        ({4: _cell(10, str(CAP + 1))},
+         f"line 5, field 'seconds_since_last_user_tx': must be in 0..{CAP}, got {CAP + 1}"),
+        ({4: _cell(11, "0")}, "line 5, field 'user_tx_count_24h': must be at least 1, got 0"),
+        ({4: _cell(12, "0")}, "line 5, field 'user_tx_count_48h': must be at least 1, got 0"),
+        ({4: _cell(13, "-5")}, "line 5, field 'user_tx_count_7d': must be at least 1, got -5"),
+        ({4: _cell(14, "0")}, "line 5, field 'terminal_tx_count_48h': must be at least 1, got 0"),
+        ({4: _cell(15, "0.0")}, "line 5, field 'amount_over_user_mean_30d': must be at least 1e-09, got 0.0"),
+        ({4: _cell(15, "-2.5")}, "line 5, field 'amount_over_user_mean_30d': must be at least 1e-09, got -2.5"),
     ],
 )
 def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):
@@ -322,6 +351,17 @@ def test_enriched_csv_rejects_bad_rows_by_line(tmp_path, edits, problem):
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
         read_enriched_csv(path)
+
+
+def test_enriched_attributes_at_the_ends_of_their_domains_read(tmp_path):
+    path = tmp_path / "enriched.csv"
+    write_enriched_csv(path, _enrich_rows([_tx(i, 1_000_000 + 977 * i) for i in range(3)]))
+    lines = path.read_text(encoding="utf-8").split("\n")
+    for k, value in enumerate(["23", "6", "1", str(CAP), "1", "1", "1", "1", "1e-09"], start=7):
+        lines[1] = _cell(k, value)(lines[1])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    row = read_enriched_csv(path)[:1]
+    assert [row.column(name)[0] for name in ATTRIBUTE_NAMES] == [23, 6, 1, CAP, 1, 1, 1, 1, MIN_AMOUNT_RATIO]
 
 
 @pytest.mark.parametrize(

@@ -244,8 +244,6 @@ def test_evaluate_threshold_is_inclusive():
 
 
 def test_evaluate_validation():
-    with pytest.raises(ValueError, match="threshold"):
-        evaluate([0, 1], [0.1, 0.9], 1.5, ("a", "b"), "m")
     with pytest.raises(ValueError, match="tx_ids"):
         evaluate([0, 1], [0.1, 0.9], 0.5, ("a",), "m")
 

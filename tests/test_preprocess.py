@@ -12,6 +12,7 @@ from timetrail.features import (
 )
 from timetrail.preprocess import (
     CleansePolicy,
+    SplitFractions,
     amount_fences,
     cleanse,
     temporal_split,
@@ -128,7 +129,7 @@ def test_bad_policy_rejected():
 
 def test_split_example_counts():
     rows = [_tx(i, i + 1) for i in range(10)]  # ts 1..10
-    split = temporal_split(_dataset(rows), 0.6, 0.2)
+    split = temporal_split(_dataset(rows), SplitFractions(0.6, 0.2))
     assert list(split) == ["train", "val", "test"]
     assert split["train"].timestamp.tolist() == [1, 2, 3, 4, 5, 6]
     assert split["val"].timestamp.tolist() == [7, 8]
@@ -137,7 +138,7 @@ def test_split_example_counts():
 
 def test_split_is_chronological():
     rows = [_tx(i, 1000 + 7 * i) for i in range(50)]
-    split = temporal_split(_dataset(rows), 0.6, 0.2)
+    split = temporal_split(_dataset(rows), SplitFractions(0.6, 0.2))
     assert split["train"].timestamp.max() < split["val"].timestamp.min()
     assert split["val"].timestamp.max() < split["test"].timestamp.min()
 
@@ -146,31 +147,30 @@ def test_split_ties_do_not_straddle():
     # all rows share one timestamp: no boundary can separate them
     rows = [_tx(i, 500) for i in range(10)]
     with pytest.raises(ValueError) as err:
-        temporal_split(_dataset(rows), 0.6, 0.2)
+        temporal_split(_dataset(rows), SplitFractions(0.6, 0.2))
     assert "too small" in str(err.value)
 
 
 def test_split_boundary_ties_go_earlier():
     ts = [1, 2, 3, 4, 5, 6, 6, 6, 9, 10, 11, 12]
     rows = [_tx(i, t) for i, t in enumerate(ts)]
-    split = temporal_split(_dataset(rows), 0.5, 0.25)
+    split = temporal_split(_dataset(rows), SplitFractions(0.5, 0.25))
     train_ts = split["train"].timestamp.tolist()
     assert train_ts.count(6) == 3  # the tie run stays in train
 
 
 def test_split_conservation_property():
     rows = [_tx(i, 100 + 13 * i) for i in range(37)]
-    split = temporal_split(_dataset(rows), 0.6, 0.2)
+    split = temporal_split(_dataset(rows), SplitFractions(0.6, 0.2))
     ids = split["train"].tx_id.tolist() + split["val"].tx_id.tolist() + split["test"].tx_id.tolist()
     assert sorted(ids) == sorted(t[0] for t in rows)
 
 
-def test_split_rejects_bad_fractions():
-    d = _dataset([_tx(i, i + 1) for i in range(10)])
-    with pytest.raises(ValueError):
-        temporal_split(d, 0.8, 0.3)
-    with pytest.raises(ValueError):
-        temporal_split(d, 0.0, 0.5)
+def test_split_fractions_refuse_bad_fractions():
+    with pytest.raises(ValueError, match="leave room for test"):
+        SplitFractions(0.8, 0.3)
+    with pytest.raises(ValueError, match="in \\(0, 1\\)"):
+        SplitFractions(0.0, 0.5)
 
 
 # --- scaler ------------------------------------------------------------------

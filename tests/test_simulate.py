@@ -244,7 +244,7 @@ def test_fraud_count_rounding_to_zero_is_an_error():
 )
 def test_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        ScenarioConfig(**kwargs).validate()
+        ScenarioConfig(**kwargs)
 
 
 def test_single_scenario_mix():
