@@ -80,8 +80,6 @@ def dynamic_correlation(
         return DynamicCorrelationSeries(())
 
     ts = rows.timestamp
-    if (np.diff(ts) < 0).any():
-        raise ValueError("rows must be sorted by timestamp")
     starts = np.arange(ts[0], ts[-1] + 1, cfg.stride_seconds)
     # ts - window >= start ends a window; start + window could wrap in int64
     coefficients = _window_correlations(

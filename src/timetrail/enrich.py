@@ -178,12 +178,10 @@ def _recency_and_ratio(
 
 
 def enrich(d: Dataset) -> EnrichedTable:
-    """Attach the nine temporal attributes to every row, in dataset order."""
-    bad = (d.user_id == "") | (d.terminal_id == "") | np.isnan(d.amount)
-    if bad.any():
-        raise ValueError(
-            f"transaction {d.tx_id[bad.argmax()]} has missing fields; cleanse the dataset before enriching"
-        )
+    """Attach the nine temporal attributes to every row, in dataset order.
+
+    Every row holds the mandatory fields, as the reader requires of
+    cleansed.csv."""
     ts = d.timestamp
     by_user = _group_keys(d.user_id, ts)
     recency, ratio = _recency_and_ratio(*by_user, ts, d.amount)

@@ -32,13 +32,7 @@ import numpy as np
 
 from .enrich import ATTRIBUTE_NAMES
 from .features import FeatureTable
-from .model import GBTModel, Model, aligned_rows, feature_major, predict_proba, sigmoid
-
-
-def _require_ensemble(model: Model) -> GBTModel:
-    if not isinstance(model, GBTModel):
-        raise ValueError("decision-path attribution requires the boosted ensemble")
-    return model
+from .model import GBTModel, aligned_rows, feature_major, predict_proba, sigmoid
 
 
 def _walk_row(model: GBTModel, row: np.ndarray):
@@ -59,18 +53,15 @@ def ensemble_bias(model: GBTModel) -> float:
     return model.base_score + model.learning_rate * sum(t.value.item(0) for t in model.trees)
 
 
-def explanation_sequence(model: Model, table: FeatureTable, row_index: int) -> dict:
+def explanation_sequence(model: GBTModel, table: FeatureTable, row_index: int) -> dict:
     """One row's explanation document (see the module docstring)."""
-    gbt = _require_ensemble(model)
-    X = aligned_rows(gbt.feature_names, table)
-    if not (0 <= row_index < X.shape[0]):
-        raise ValueError(f"row_index {row_index} out of range for {X.shape[0]} rows")
+    row = aligned_rows(model.feature_names, table)[row_index]
     steps, totals = [], {}
-    for t_i, f, thr, branch, delta in _walk_row(gbt, X[row_index]):
-        name, delta = gbt.feature_names[f], gbt.learning_rate * delta
+    for t_i, f, thr, branch, delta in _walk_row(model, row):
+        name, delta = model.feature_names[f], model.learning_rate * delta
         steps.append({"tree": t_i, "feature": name, "threshold": thr, "branch": branch, "delta": delta})
         totals[name] = totals.get(name, 0.0) + delta
-    bias = ensemble_bias(gbt)
+    bias = ensemble_bias(model)
     margin = bias + sum(s["delta"] for s in steps)
     return {
         "tx_id": table.tx_ids[row_index],
@@ -83,7 +74,7 @@ def explanation_sequence(model: Model, table: FeatureTable, row_index: int) -> d
     }
 
 
-def attribution_matrix(model: Model, table: FeatureTable) -> tuple[np.ndarray, float]:
+def attribution_matrix(model: GBTModel, table: FeatureTable) -> tuple[np.ndarray, float]:
     """(n_rows, n_features) contribution matrix plus the shared bias.
 
     Level-by-level vectorized edge walk over each tree; row sums plus bias
@@ -94,19 +85,18 @@ def attribution_matrix(model: Model, table: FeatureTable) -> tuple[np.ndarray, f
     delta to one cell, (tested feature, row), of a feature-major buffer; the
     cells differ by row, so a plain fancy-index += adds them all.
     """
-    gbt = _require_ensemble(model)
-    columns = feature_major(aligned_rows(gbt.feature_names, table))
+    columns = feature_major(aligned_rows(model.feature_names, table))
     contrib = np.zeros(columns.shape, dtype=np.float64)
     cells = contrib.ravel()  # a view: (feature, row) is cell feature * n_rows + row
-    for tree in gbt.trees:
+    for tree in model.trees:
         parent = np.arange(tree.children.size) // 2
         delta = np.where(
             tree.children == parent, 0.0,
-            gbt.learning_rate * (tree.value[tree.children] - tree.value[parent]),
+            model.learning_rate * (tree.value[tree.children] - tree.value[parent]),
         )
         for cell, edge in tree.edges(columns):
             cells[cell] += delta[edge]
-    return np.ascontiguousarray(contrib.T), ensemble_bias(gbt)
+    return np.ascontiguousarray(contrib.T), ensemble_bias(model)
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +135,19 @@ class TISReport:
         return _dumps_with_records(doc, "per_tx", per_tx)
 
 
-def aggregate_tis(model: Model, table: FeatureTable, threshold: float = 0.5) -> TISReport:
+def aggregate_tis(model: GBTModel, table: FeatureTable, threshold: float = 0.5) -> TISReport:
     """Per-row TIS for every row; aggregate averages the rows the model flags.
 
     Temporal attributes absent from the model's features contribute no mass.
     """
-    gbt = _require_ensemble(model)
-    contrib, _ = attribution_matrix(gbt, table)
-    temporal = [i for i, f in enumerate(gbt.feature_names) if f in ATTRIBUTE_NAMES]
+    contrib, _ = attribution_matrix(model, table)
+    temporal = [i for i, f in enumerate(model.feature_names) if f in ATTRIBUTE_NAMES]
     mass = np.abs(contrib)
     total = mass.sum(axis=1)
     t_mass = mass[:, temporal].sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         scores = np.where(total > 0.0, np.minimum(1.0, t_mass / np.maximum(total, 1e-300)), 0.0)
-    probs = predict_proba(gbt, table)
+    probs = predict_proba(model, table)
     flagged = probs >= threshold
     aggregate = float(scores[flagged].mean()) if flagged.any() else None
     return TISReport(

@@ -103,11 +103,8 @@ def json_number(value, what: str) -> float:
 
 def fit_scaler(train: FeatureTable) -> dict:
     """The scaler document `{"feature_names", "mins", "maxs"}`: per-feature
-    min/max from training rows only."""
-    if len(train) == 0:
-        raise ValueError("cannot fit a scaler on an empty table")
-    if not np.isfinite(train.rows).all():
-        raise ValueError("feature table contains non-finite values")
+    min/max from training rows only, of a table that passes
+    model.check_training_table."""
     return {
         "feature_names": list(train.feature_names),
         "mins": train.rows.min(axis=0).tolist(),

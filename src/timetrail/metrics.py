@@ -7,6 +7,10 @@ average ranks, so tied scores earn half credit, which equals trapezoidal
 integration of the ROC curve. ``compare`` gives two reports side by side as
 plain (metric, baseline, timetrail) rows, for a CSV writer or
 ``comparison_to_text``.
+
+Labels are 0 and 1, scores finite, and tx_ids, labels and scores one per
+row, as a labeled FeatureTable and predict_proba of it give them; the
+table's constructor checks that, so nothing here checks it again.
 """
 from __future__ import annotations
 
@@ -29,25 +33,6 @@ METRIC_NAMES = (
 )
 
 
-def _check_binary(values: Sequence[int], what: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional")
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise ValueError(f"{what} must contain only 0 and 1")
-    return arr.astype(np.int64)
-
-
-def _check_scores(labels, scores) -> tuple[np.ndarray, np.ndarray]:
-    y = _check_binary(labels, "labels")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.shape != y.shape:
-        raise ValueError(f"labels and scores lengths differ: {y.size} vs {s.size}")
-    if s.size and not np.isfinite(s).all():
-        raise ValueError("scores must be finite")
-    return y, s
-
-
 def _tie_runs(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and last index of each run of equal scores in a sorted array."""
     ends = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])
@@ -56,7 +41,7 @@ def _tie_runs(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def auc_roc(labels: Sequence[int], scores: Sequence[float]) -> float | None:
     """Rank-based AUC; ties between classes count half. None if one class."""
-    y, s = _check_scores(labels, scores)
+    y, s = np.asarray(labels, dtype=np.int64), np.asarray(scores, dtype=np.float64)
     n_pos = int(y.sum())
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
@@ -72,7 +57,7 @@ def auc_roc(labels: Sequence[int], scores: Sequence[float]) -> float | None:
 
 def average_precision(labels: Sequence[int], scores: Sequence[float]) -> float | None:
     """Step-weighted precision over the descending score sweep, ties grouped."""
-    y, s = _check_scores(labels, scores)
+    y, s = np.asarray(labels, dtype=np.int64), np.asarray(scores, dtype=np.float64)
     n_pos = int(y.sum())
     if n_pos == 0:
         return None
@@ -117,9 +102,7 @@ def evaluate(
     tis_aggregate: float | None = None,
 ) -> EvaluationReport:
     """Score a labeled set at one decision threshold."""
-    y, s = _check_scores(labels, scores)
-    if y.size != len(tx_ids):
-        raise ValueError("tx_ids length must match labels")
+    y, s = np.asarray(labels, dtype=np.int64), np.asarray(scores, dtype=np.float64)
     flagged = s >= threshold
     tp = int((flagged & (y == 1)).sum())
     fp = int(flagged.sum()) - tp

@@ -358,7 +358,10 @@ def predict_proba(model: Model, table: FeatureTable) -> np.ndarray:
     return np.asarray(sigmoid(model.margin(table)))
 
 
-def _check_training_table(table: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
+def check_training_table(table: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and float labels of a table fit to train on: labeled,
+    non-empty, finite and holding both classes; else a ValueError naming the
+    rule it breaks."""
     if table.labels is None:
         raise ValueError("training requires a labeled feature table")
     if len(table) == 0:
@@ -375,7 +378,7 @@ def _check_training_table(table: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
 def train_gbt(table: FeatureTable, cfg: GBTConfig | None = None) -> GBTModel:
     """Boosted ensemble; prediction is sigmoid(base + lr * sum of leaf weights)."""
     cfg = cfg or GBTConfig()
-    X, y = _check_training_table(table)
+    X, y = check_training_table(table)
     pos = float(y.sum())
     neg = float(y.size - pos)
     base = math.log(pos / neg)
@@ -419,7 +422,7 @@ def train_logistic(table: FeatureTable, cfg: LogisticConfig | None = None) -> Lo
     both the path and the result are deterministic.
     """
     cfg = cfg or LogisticConfig()
-    X, y = _check_training_table(table)
+    X, y = check_training_table(table)
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
     step = 1.0
@@ -451,16 +454,13 @@ def undersample(table: FeatureTable, majority_ratio: float = 10.0, seed: int = 0
 
     Majority rows are drawn without replacement under the seed; the result
     preserves the original row order. If fewer majority rows exist than the
-    ratio asks for, all of them are kept. The ratio is finite and positive,
-    as RunConfig requires of undersample_ratio.
+    ratio asks for, all of them are kept. The table passes
+    check_training_table, and the ratio is finite and positive, as RunConfig
+    requires of undersample_ratio.
     """
-    if table.labels is None:
-        raise ValueError("undersampling requires labels")
     labels = table.labels
     n_pos = int(labels.sum())
     n_neg = int(labels.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("undersampling requires both classes to be present")
     minority_label = 1 if n_pos <= n_neg else 0
     minority_idx = np.nonzero(labels == minority_label)[0]
     majority_idx = np.nonzero(labels != minority_label)[0]

@@ -49,9 +49,12 @@ from .features import (
 from .metrics import compare, comparison_to_text, evaluate, save_report
 from .model import (
     GBTConfig,
+    GBTModel,
     LogisticConfig,
+    LogisticModel,
     Model,
     aligned_rows,
+    check_training_table,
     load_model,
     predict_proba,
     save_model,
@@ -253,10 +256,10 @@ def stage_generate(cfg: RunConfig) -> list[str]:
 def stage_preprocess(cfg: RunConfig) -> list[str]:
     d = load_transactions(_out(cfg, "dataset.csv"))
     clean, report = cleanse(d, cfg.cleanse)
-    save_transactions(clean, _out(cfg, "cleansed.csv"))
-    _write_text(_out(cfg, "cleanse_report.json"), json.dumps(report, indent=2, sort_keys=True))
     with _about(_out(cfg, "dataset.csv")):
         split = temporal_split(clean, cfg.split)
+    save_transactions(clean, _out(cfg, "cleansed.csv"))
+    _write_text(_out(cfg, "cleanse_report.json"), json.dumps(report, indent=2, sort_keys=True))
     for part, part_ds in split.items():
         save_transactions(part_ds, _out(cfg, f"split_{part}.csv"))
     return ["cleansed.csv", "cleanse_report.json", *(f"split_{part}.csv" for part in split)]
@@ -278,11 +281,23 @@ def stage_enrich(cfg: RunConfig) -> list[str]:
     return [f"enriched_{part}.csv" for part in split]
 
 
+def _parts_in_time(cfg: RunConfig) -> list[EnrichedTable]:
+    """The enriched train, val and test tables, which back to back must be in
+    time order. Each is read sorted, so a part with rows is refused, by its
+    path, only if it starts before the last part with rows ends."""
+    parts, end = [], None  # end: (file name, last timestamp) of the last part with rows
+    for p in ("train", "val", "test"):
+        part = read_enriched_csv(path := _out(cfg, f"enriched_{p}.csv"))
+        if len(part):
+            if end is not None and part.timestamp[0] < end[1]:
+                raise ValueError(f"{path}: starts at {part.timestamp[0]}, before {end[0]} ends at {end[1]}")
+            end = (path.name, part.timestamp[-1])
+        parts.append(part)
+    return parts
+
+
 def stage_correlate(cfg: RunConfig) -> list[str]:
-    # train, val and test back to back: chronological because the split is
-    rows = EnrichedTable.concat(
-        [read_enriched_csv(_out(cfg, f"enriched_{p}.csv")) for p in ("train", "val", "test")]
-    )
+    rows = EnrichedTable.concat(_parts_in_time(cfg))
     window, stride = cfg.correlation.window_seconds, cfg.correlation.stride_seconds
     if len(rows):  # window_end is written as start + window, so it must fit int64
         first, last = int(rows.timestamp[0]), int(rows.timestamp[-1])
@@ -308,34 +323,41 @@ def _models() -> tuple[tuple[str, Callable[[EnrichedTable], FeatureTable]], ...]
     return (("baseline", raw_feature_table), ("timetrail", enriched_feature_table))
 
 
+_MODEL_TYPES = {"baseline": LogisticModel, "timetrail": GBTModel}
+
+
 def _load_fitted(cfg: RunConfig, kind: str, table: FeatureTable) -> tuple[FeatureTable, Model]:
     """table scaled by scaler_<kind>.json, and model_<kind>.json, which must
-    take the scaled table's features; `kind` is baseline or timetrail."""
+    be the kind's model type and take the scaled table's features; `kind` is
+    baseline or timetrail."""
     with _about(path := _out(cfg, f"scaler_{kind}.json")):
         scaled = apply_scaler(load_scaler(path), table)
     with _about(path := _out(cfg, f"model_{kind}.json")):
         model = load_model(path)
+        if not isinstance(model, want := _MODEL_TYPES[kind]):
+            raise ValueError(f"the {kind} model must be a {want.__name__}, got a {type(model).__name__}")
         aligned_rows(model.feature_names, scaled)
     return scaled, model
 
 
 def stage_train(cfg: RunConfig) -> list[str]:
-    rows = read_enriched_csv(_out(cfg, "enriched_train.csv"), labeled=True)
-    tables = []
-    with _about(_out(cfg, "enriched_train.csv")):  # no rows, or one class only
-        for kind, features in _models():
-            table = features(rows)
-            scaler = fit_scaler(table)
-            save_scaler(scaler, _out(cfg, f"scaler_{kind}.json"))
-            table = apply_scaler(scaler, table)
-            if cfg.undersample_ratio is not None:
-                # the same labels and seed for both tables, so both models train
-                # on the exact same undersampled rows
-                table = undersample(table, cfg.undersample_ratio, _undersample_seed(cfg))
-            tables.append(table)
-        raw, enr = tables
-        save_model(train_logistic(raw, cfg.logistic), _out(cfg, "model_baseline.json"))
-        save_model(train_gbt(enr, cfg.gbt), _out(cfg, "model_timetrail.json"))
+    rows = read_enriched_csv(path := _out(cfg, "enriched_train.csv"), labeled=True)
+    scalers, tables = {}, {}  # one unscaled table at a time, and no file written before both pass
+    for kind, features in _models():
+        table = features(rows)
+        with _about(path):  # no rows, or one class only
+            check_training_table(table)
+        scalers[kind] = fit_scaler(table)
+        table = apply_scaler(scalers[kind], table)
+        if cfg.undersample_ratio is not None:
+            # the same labels and seed for both tables, so both models train
+            # on the exact same undersampled rows
+            table = undersample(table, cfg.undersample_ratio, _undersample_seed(cfg))
+        tables[kind] = table
+    for kind, scaler in scalers.items():
+        save_scaler(scaler, _out(cfg, f"scaler_{kind}.json"))
+    save_model(train_logistic(tables["baseline"], cfg.logistic), _out(cfg, "model_baseline.json"))
+    save_model(train_gbt(tables["timetrail"], cfg.gbt), _out(cfg, "model_timetrail.json"))
     return [f"{artifact}_{kind}.json" for artifact in ("scaler", "model") for kind, _ in _models()]
 
 

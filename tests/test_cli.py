@@ -15,7 +15,7 @@ from timetrail.cli import main
 from timetrail.correlate import CorrelationConfig
 from timetrail.data import load_transactions
 from timetrail.enrich import ATTRIBUTE_NAMES, enrich
-from timetrail.model import GBTConfig, LogisticConfig
+from timetrail.model import GBTConfig, GBTModel, LogisticConfig, LogisticModel, save_model
 from timetrail.pipeline import (
     STAGES,
     RunConfig,
@@ -83,6 +83,15 @@ def full_run(tmp_path_factory):
     code = main(["run-all", "--config", cfg])
     assert code == 0
     return out
+
+
+def _delete_what_it_wrote(out, stage):
+    """Delete the files `stage` wrote in the run at `out`; their names."""
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    wrote = [e["path"] for e in manifest if e["stage"] == stage]
+    for rel in wrote:
+        (out / rel).unlink()
+    return wrote
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +943,8 @@ def _one_class(header, rows):
 @pytest.mark.parametrize(
     "stage, name, keep, settings, detail",
     [
-        ("train", "enriched_train.csv", lambda header, rows: [], {}, "cannot fit a scaler on an empty table"),
-        ("train", "enriched_train.csv", _one_class, {}, "undersampling requires both classes to be present"),
+        ("train", "enriched_train.csv", lambda header, rows: [], {}, "training requires at least one row"),
+        ("train", "enriched_train.csv", _one_class, {}, "training requires both classes to be present"),
         ("train", "enriched_train.csv", _one_class, {"undersample_ratio": None},
          "training requires both classes to be present"),
         ("preprocess", "dataset.csv", lambda header, rows: rows[:2], {},
@@ -951,9 +960,64 @@ def test_a_file_whose_rows_a_stage_cannot_use_is_named(full_run, tmp_path, capsy
     shutil.copytree(full_run, out)
     path = out / name
     _keep_rows(path, keep)
+    wrote = _delete_what_it_wrote(out, stage)
     assert main([stage, "--config", write_config(tmp_path, tiny_config(out) | settings)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: {detail}\n"
+    assert [rel for rel in wrote if (out / rel).exists()] == []  # a refusing stage writes nothing
+
+
+@pytest.mark.parametrize(
+    "stage, kind, wrong, detail",
+    [
+        (stage, "timetrail", lambda names: LogisticModel(names, np.zeros(len(names)), 0.0),
+         "the timetrail model must be a GBTModel, got a LogisticModel")
+        for stage in ("evaluate", "explain", "plot")
+    ] + [
+        ("evaluate", "baseline", lambda names: GBTModel(names, 0.0, 0.1, ()),
+         "the baseline model must be a LogisticModel, got a GBTModel"),
+    ],
+    ids=["evaluate-timetrail", "explain-timetrail", "plot-timetrail", "evaluate-baseline"],
+)
+def test_a_model_of_the_other_slots_kind_is_named(full_run, tmp_path, capsys, stage, kind, wrong, detail):
+    # the wrong kind over the slot's own features, so only its kind is amiss
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    path = out / f"model_{kind}.json"
+    save_model(wrong(tuple(json.loads(path.read_text(encoding="utf-8"))["feature_names"])), path)
+    wrote = _delete_what_it_wrote(out, stage)
+    assert main([stage, "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {detail}\n"
+    assert [rel for rel in wrote if (out / rel).exists()] == []
+
+
+@pytest.mark.parametrize(
+    "name, after, emptied",
+    [
+        ("enriched_val.csv", "enriched_train.csv", None),
+        ("enriched_test.csv", "enriched_val.csv", None),
+        ("enriched_test.csv", "enriched_train.csv", "enriched_val.csv"),  # an empty part is passed over
+    ],
+    ids=["val-before-train-ends", "test-before-val-ends", "test-before-train-ends"],
+)
+def test_a_part_that_starts_before_the_one_before_it_ends_is_named(full_run, tmp_path, capsys, name, after, emptied):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    if emptied:
+        _keep_rows(out / emptied, lambda header, rows: [])
+    end = int(read_enriched_csv(out / after).timestamp[-1])
+
+    def start_early(header, rows):
+        first = rows[0][:]
+        first[header.index("timestamp")] = str(end - 1)
+        return [first, *rows[1:]]
+
+    path = out / name
+    _keep_rows(path, start_early)
+    wrote = _delete_what_it_wrote(out, "correlate")
+    assert main(["correlate", "--config", write_config(tmp_path, tiny_config(out))]) == 1
+    assert capsys.readouterr().err == f"error: {path}: starts at {end - 1}, before {after} ends at {end}\n"
+    assert [rel for rel in wrote if (out / rel).exists()] == []
 
 
 @pytest.mark.parametrize(

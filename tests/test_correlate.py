@@ -248,8 +248,6 @@ def test_dynamic_correlation_validates_arguments():
     rows = _enriched_fixture(20)
     with pytest.raises(ValueError):
         dynamic_correlation(rows, ("no_such", "amount"), CorrelationConfig(100, 100))
-    with pytest.raises(ValueError):
-        dynamic_correlation(rows[::-1], ("hour_of_day", "amount"), CorrelationConfig(100, 100))
 
 
 def test_dynamic_correlation_empty_rows():

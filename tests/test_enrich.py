@@ -161,12 +161,6 @@ def test_terminal_count_groups_by_terminal():
     assert out.terminal_tx_count_48h[2] == 1
 
 
-def test_enrich_requires_complete_rows():
-    with pytest.raises(ValueError) as err:
-        enrich(transactions([("x", 100, None, "t1", 1.0, "purchase")]))
-    assert "cleanse" in str(err.value)
-
-
 def test_enrich_rejects_timestamps_too_far_apart_to_key():
     rows = [_tx(0, 1, user="u1"), _tx(1, 2**62, user="u2")]
     with pytest.raises(ValueError, match="too wide"):

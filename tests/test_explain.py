@@ -27,7 +27,6 @@ from timetrail.features import FeatureTable
 from timetrail.model import (
     FORMAT_VERSION,
     GBTConfig,
-    LogisticModel,
     feature_major,
     model_from_json,
     model_to_json,
@@ -373,21 +372,6 @@ def test_zero_tree_sequence_is_bias_only():
     seq = explanation_sequence(model, table, 0)
     assert seq["steps"] == []
     assert seq["margin"] == seq["bias"] == model.base_score
-
-
-def test_row_index_bounds():
-    model, table = fitted(2)
-    with pytest.raises(ValueError, match="out of range"):
-        explanation_sequence(model, table, len(table))
-
-
-def test_logistic_model_is_rejected():
-    logit = LogisticModel(feature_names=("a",), weights=np.zeros(1), bias=0.0)
-    table = table_of(("a",), np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="requires the boosted ensemble"):
-        explanation_sequence(logit, table, 0)
-    with pytest.raises(ValueError, match="requires the boosted ensemble"):
-        aggregate_tis(logit, table)
 
 
 # ---------------------------------------------------------------------------

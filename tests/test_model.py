@@ -590,14 +590,6 @@ def test_undersample_saturates_when_majority_is_scarce():
     assert len(out) == 15  # fewer majority rows than requested, keep them all
 
 
-def test_undersample_validation():
-    table = make_table(np.arange(4.0), y=np.array([1, 1, 1, 1]))
-    with pytest.raises(ValueError, match="both classes"):
-        undersample(table)
-    with pytest.raises(ValueError, match="label"):
-        undersample(make_table(np.arange(2.0)))
-
-
 @settings(max_examples=60)
 @given(
     n_min=st.integers(1, 20),
